@@ -1,7 +1,6 @@
 """Regularized (vector) quantile regression via entropic optimal transport
 with a mean-independence constraint."""
 
-from .kernels import BACKEND
 from .measures import Dataset, RankGrid, center_covariates, load_csv, make_rank_grid
 from .solver import (
     Coupling,
@@ -25,7 +24,6 @@ from .quantiles import (
 from .classical_qr import empirical_quantile, fit_qr_curve, fit_qr_t, pinball
 
 __all__ = [
-    "BACKEND",
     "Dataset", "RankGrid", "center_covariates", "load_csv", "make_rank_grid",
     "Coupling", "DualVariables", "SolveReport", "SolverConfig",
     "dual_gradient", "dual_objective", "extract_coupling", "normalize",

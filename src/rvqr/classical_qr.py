@@ -8,7 +8,6 @@ reported loss is evaluated on the unsmoothed objective.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,18 +150,13 @@ def covariate_probes(data, levels=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9))
     ])
 
 
-def fit_qr_curve(data, t_grid, cfg=QrConfig(), workers=1):
+def fit_qr_curve(data, t_grid, cfg=QrConfig()):
     """Independent t-by-t fits plus a quantile-crossing report at covariate
     decile probes."""
     t_grid = np.asarray(t_grid, dtype=float).ravel()
     if t_grid.size and not np.all(np.diff(t_grid) > 0):
         raise ConfigError("t_grid must be strictly increasing")
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fits = list(pool.map(lambda t: fit_qr_t(data, t, cfg), t_grid))
-    else:
-        fits = [fit_qr_t(data, t, cfg) for t in t_grid]
+    fits = [fit_qr_t(data, t, cfg) for t in t_grid]
 
     probes = covariate_probes(data)
     cross_tol = 1e-10 * _scale(data.Y[:, 0])

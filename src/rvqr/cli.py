@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: fit, quantiles, compare-qr, synth, check, bench.
+Subcommands: fit, quantiles, compare-qr, synth, check.
 Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 config error,
 4 oracle-check failure.
 """
@@ -67,7 +67,7 @@ def cmd_fit(args):
     grid = make_rank_grid(data.n_dim, args.grid)
     cfg = solver.SolverConfig(
         epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter,
-        step_mode=args.step_mode, restart=args.restart, phi_mode=args.phi_mode,
+        step_mode=args.step_mode, restart=args.restart,
     )
     exit_code = EXIT_OK
     try:
@@ -80,6 +80,7 @@ def cmd_fit(args):
     solver.save_model(args.out, dv, data, grid, cfg, report)
     print(f"model written to {args.out}")
     print(f"iterations        {report.iterations}")
+    print(f"oracle calls      {report.oracle_calls}")
     print(f"dual objective    {report.objective:.10g}")
     print(f"gradient inf-norm {report.grad_inf:.3e}")
     print(f"duality gap       {report.duality_gap:.3e}")
@@ -204,7 +205,6 @@ def build_parser():
         sp.add_argument("--epsilon", type=float, default=0.1)
         sp.add_argument("--tol", type=float, default=1e-7)
         sp.add_argument("--max-iter", type=int, default=50000)
-        sp.add_argument("--workers", type=int, default=1)
 
     f = sub.add_parser("fit", help="fit the regularized transport dual")
     f.add_argument("--data", required=True)
@@ -216,7 +216,6 @@ def build_parser():
                    default="backtracking")
     f.add_argument("--restart", choices=["none", "function-value"],
                    default="function-value")
-    f.add_argument("--phi-mode", choices=["soft", "hard"], default="soft")
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fit)
 

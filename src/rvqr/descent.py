@@ -132,42 +132,35 @@ def accelerated_minimize(
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x + ((tk - 1.0) / tk_next) * (x - x_prev)
         gy = grad(y)
+        resolved = True
         if step_mode == "backtracking":
-            fy = fun(y)
-            x_new, f_new, step, resolved = _backtrack(fun, y, fy, gy, step * STEP_GROWTH)
-            if not resolved:
-                # objective differences hit the rounding floor: polish with
-                # gradient-norm-monotone plain descent
-                x, g, used, converged = _polish(fun, grad, x, g, step, tol,
-                                                max_iter - it)
-                it += used
-                fx = fun(x)
-                if record_trace:
-                    trace.append(fx)
-                return DescentResult(x, fx, float(np.abs(g).max()), it,
-                                     converged, n_restarts, trace)
+            x_new, f_new, step, resolved = _backtrack(fun, y, fun(y), gy,
+                                                      step * STEP_GROWTH)
         else:
             x_new = y - step * gy
             f_new = fun(x_new)
 
-        if restart and f_new > fx:
+        if resolved and restart and f_new > fx:
             # momentum overshot: restart from the last good iterate
             n_restarts += 1
             tk_next = 1.0
             if step_mode == "backtracking":
                 x_new, f_new, step, resolved = _backtrack(fun, x, fx, g, step)
-                if not resolved:
-                    x, g, used, converged = _polish(fun, grad, x, g, step, tol,
-                                                    max_iter - it)
-                    it += used
-                    fx = fun(x)
-                    if record_trace:
-                        trace.append(fx)
-                    return DescentResult(x, fx, float(np.abs(g).max()), it,
-                                         converged, n_restarts, trace)
             else:
                 x_new = x - step * g
                 f_new = fun(x_new)
+
+        if not resolved:
+            # objective differences hit the rounding floor: polish with
+            # gradient-norm-monotone plain descent
+            x, g, used, converged = _polish(fun, grad, x, g, step, tol,
+                                            max_iter - it)
+            it += used
+            fx = fun(x)
+            if record_trace:
+                trace.append(fx)
+            return DescentResult(x, fx, float(np.abs(g).max()), it,
+                                 converged, n_restarts, trace)
 
         x_prev = x
         x = x_new

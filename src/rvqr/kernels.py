@@ -1,130 +1,44 @@
 """Hot numeric kernels: row-stabilized log-sum-exp / softmax reductions.
 
-Two interchangeable backends: a numba @njit path (default) and a pure-numpy
-path. Set RVQR_NO_NUMBA=1 to force the numpy path; numba failing to import
-also falls back. Both are deterministic for fixed inputs.
+Every kernel takes theta, the I x J array (u_i.y_j - b_i.x_j - psi_j) / eps.
+dual_terms and coupling overwrite it in place, so a caller that evaluates
+many points reuses one workspace and allocates no I x J temporaries.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("RVQR_NO_NUMBA", "").strip() not in ("", "0")
+
+def _exp_rows(theta):
+    """In place theta <- exp(theta - rowmax); returns (rowmax, row sums)."""
+    m = theta.max(axis=1)
+    np.subtract(theta, m[:, None], out=theta)
+    np.exp(theta, out=theta)
+    return m, theta.sum(axis=1)
 
 
-def _np_dual_terms(S, psi, mu, nu, X, eps):
-    """Row log-sum-exp plus both dual gradients in one pass.
+def dual_terms(theta, mu, nu, X):
+    """Row log-sum-exp plus both dual gradients in one pass over theta.
 
-    S is the I x J score matrix u_i.y_j - b_i.x_j; theta = (S - psi)/eps.
-    Returns (lse, grad_psi, grad_b) with lse_i = log sum_j exp(theta_ij).
+    With alpha_ij = mu_i exp(theta_ij) / sum_k exp(theta_ik), returns
+    (lse, grad_psi, grad_b): lse_i = log sum_j exp(theta_ij),
+    grad_psi = nu - alpha^T 1 and grad_b = -alpha X. theta is overwritten.
     """
-    theta = (S - psi[None, :]) / eps
-    m = theta.max(axis=1)
-    ex = np.exp(theta - m[:, None])
-    z = ex.sum(axis=1)
-    lse = m + np.log(z)
-    alpha = (mu / z)[:, None] * ex
-    grad_psi = nu - alpha.sum(axis=0)
-    grad_b = -(alpha @ X)
-    return lse, grad_psi, grad_b
+    m, z = _exp_rows(theta)
+    w = mu / z
+    # alpha = diag(w) exp(theta - m) is never formed: both of its
+    # contractions go through the unscaled rows
+    return m + np.log(z), nu - w @ theta, -(w[:, None] * (theta @ X))
 
 
-def _np_coupling(S, psi, mu, eps):
-    """Row-softmax coupling alpha_ij = mu_i exp(theta_ij) / sum_k exp(theta_ik)."""
-    theta = (S - psi[None, :]) / eps
-    m = theta.max(axis=1)
-    ex = np.exp(theta - m[:, None])
-    z = ex.sum(axis=1)
-    return (mu / z)[:, None] * ex
+def coupling(theta, mu):
+    """Row-softmax coupling alpha_ij = mu_i exp(theta_ij) / sum_k exp(theta_ik),
+    written into theta and returned."""
+    _, z = _exp_rows(theta)
+    theta *= (mu / z)[:, None]
+    return theta
 
 
-def _np_logsumexp_all(S, psi, eps):
+def logsumexp_all(theta):
     """log sum_{ij} exp(theta_ij), stabilized by the global max."""
-    theta = (S - psi[None, :]) / eps
     m = theta.max()
     return m + np.log(np.exp(theta - m).sum())
-
-
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _FORCE_NUMPY = True
-
-if not _FORCE_NUMPY:
-
-    @njit(cache=True)
-    def _nb_dual_terms(S, psi, mu, nu, X, eps):
-        I, J = S.shape
-        N = X.shape[1]
-        lse = np.empty(I)
-        colsum = np.zeros(J)
-        grad_b = np.zeros((I, N))
-        row = np.empty(J)
-        for i in range(I):
-            m = -np.inf
-            for j in range(J):
-                th = (S[i, j] - psi[j]) / eps
-                row[j] = th
-                if th > m:
-                    m = th
-            z = 0.0
-            for j in range(J):
-                e = np.exp(row[j] - m)
-                row[j] = e
-                z += e
-            lse[i] = m + np.log(z)
-            w = mu[i] / z
-            for j in range(J):
-                a = w * row[j]
-                colsum[j] += a
-                for k in range(N):
-                    grad_b[i, k] -= a * X[j, k]
-        grad_psi = nu - colsum
-        return lse, grad_psi, grad_b
-
-    @njit(cache=True)
-    def _nb_coupling(S, psi, mu, eps):
-        I, J = S.shape
-        alpha = np.empty((I, J))
-        for i in range(I):
-            m = -np.inf
-            for j in range(J):
-                th = (S[i, j] - psi[j]) / eps
-                alpha[i, j] = th
-                if th > m:
-                    m = th
-            z = 0.0
-            for j in range(J):
-                e = np.exp(alpha[i, j] - m)
-                alpha[i, j] = e
-                z += e
-            w = mu[i] / z
-            for j in range(J):
-                alpha[i, j] *= w
-        return alpha
-
-    @njit(cache=True)
-    def _nb_logsumexp_all(S, psi, eps):
-        I, J = S.shape
-        m = -np.inf
-        for i in range(I):
-            for j in range(J):
-                th = (S[i, j] - psi[j]) / eps
-                if th > m:
-                    m = th
-        z = 0.0
-        for i in range(I):
-            for j in range(J):
-                z += np.exp((S[i, j] - psi[j]) / eps - m)
-        return m + np.log(z)
-
-    dual_terms = _nb_dual_terms
-    coupling = _nb_coupling
-    logsumexp_all = _nb_logsumexp_all
-    BACKEND = "numba"
-else:
-    dual_terms = _np_dual_terms
-    coupling = _np_coupling
-    logsumexp_all = _np_logsumexp_all
-    BACKEND = "numpy"

@@ -30,7 +30,6 @@ class SolverConfig:
     max_iter: int = 50000
     step_mode: str = "backtracking"
     restart: str = "function-value"
-    phi_mode: str = "soft"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -43,8 +42,6 @@ class SolverConfig:
             raise ConfigError(f"unknown step_mode {self.step_mode!r}")
         if self.restart not in ("none", "function-value"):
             raise ConfigError(f"unknown restart mode {self.restart!r}")
-        if self.phi_mode not in ("soft", "hard"):
-            raise ConfigError(f"unknown phi_mode {self.phi_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,7 @@ class SolveReport:
     wall_time: float
     converged: bool
     n_restarts: int = 0
+    oracle_calls: int = 0  # fused value-and-gradient passes computed
 
     def to_dict(self):
         return {
@@ -89,33 +87,82 @@ class SolveReport:
             "wall_time": self.wall_time,
             "converged": self.converged,
             "n_restarts": self.n_restarts,
+            "oracle_calls": self.oracle_calls,
         }
 
 
-def _scores(dv, data, grid):
-    """I x J matrix u_i.y_j - b_i.x_j (psi not yet subtracted)."""
-    S = grid.U @ data.Y.T
-    if data.n_cov:
-        S -= dv.b @ data.X.T
-    return S
+def _theta_factors(data, grid, epsilon):
+    """(A, B) with theta = A @ B, for A = [U, -b, -1] and B = [Y'; X'; psi'] / eps.
+
+    The b columns of A and the psi row of B are left for the caller to fill.
+    theta is then one matrix product of inner dimension d + N + 1 written
+    straight into its output, with no I x J temporaries.
+    """
+    d, N = data.n_dim, data.n_cov
+    A = np.empty((grid.n_nodes, d + N + 1))
+    A[:, :d] = grid.U
+    A[:, -1] = -1.0
+    B = np.empty((d + N + 1, data.n_obs))
+    np.divide(data.Y.T, epsilon, out=B[:d])
+    np.divide(data.X.T, epsilon, out=B[d:d + N])
+    return A, B
 
 
 def theta(dv, data, grid, epsilon):
-    return (_scores(dv, data, grid) - dv.psi[None, :]) / epsilon
+    """I x J matrix theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon."""
+    A, B = _theta_factors(data, grid, epsilon)
+    A[:, data.n_dim:-1] = -dv.b
+    np.divide(dv.psi, epsilon, out=B[-1])
+    return A @ B
+
+
+class _DualOracle:
+    """Objective and gradient of the smoothed dual from one fused kernel pass.
+
+    The I x J workspace and the theta factors are allocated once. The last
+    point evaluated is kept by value together with its results, so fun and
+    grad requested at the same point cost one pass between them.
+    """
+
+    def __init__(self, data, grid, epsilon):
+        self.data, self.grid, self.epsilon = data, grid, epsilon
+        self.A, self.B = _theta_factors(data, grid, epsilon)
+        self.theta = np.empty((grid.n_nodes, data.n_obs))
+        self.calls = 0
+        self._z = None
+        self._fg = None
+
+    def __call__(self, z):
+        """(f, g) at the flat point z = [psi, vec(b)]."""
+        if self._z is not None and np.array_equal(z, self._z):
+            return self._fg
+        data, grid, eps = self.data, self.grid, self.epsilon
+        J, d, N = data.n_obs, data.n_dim, data.n_cov
+        psi = z[:J]
+        self.A[:, d:d + N] = -z[J:].reshape(grid.n_nodes, N)
+        np.divide(psi, eps, out=self.B[-1])
+        np.matmul(self.A, self.B, out=self.theta)
+        lse, gpsi, gb = kernels.dual_terms(self.theta, grid.mu, data.nu, data.X)
+        f = float(psi @ data.nu + eps * (grid.mu @ lse))
+        g = np.concatenate([gpsi, gb.ravel()])
+        self.calls += 1
+        self._z, self._fg = z.copy(), (f, g)
+        return f, g
+
+
+def _evaluate(dv, data, grid, epsilon):
+    return _DualOracle(data, grid, epsilon)(np.concatenate([dv.psi, dv.b.ravel()]))
 
 
 def dual_objective(dv, data, grid, epsilon):
     if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
         raise RvqrError("dual variables contain NaN or Inf")
-    S = _scores(dv, data, grid)
-    lse, _, _ = kernels.dual_terms(S, dv.psi, grid.mu, data.nu, data.X, epsilon)
-    return float(dv.psi @ data.nu + epsilon * (grid.mu @ lse))
+    return _evaluate(dv, data, grid, epsilon)[0]
 
 
 def dual_gradient(dv, data, grid, epsilon):
-    S = _scores(dv, data, grid)
-    _, grad_psi, grad_b = kernels.dual_terms(S, dv.psi, grid.mu, data.nu, data.X, epsilon)
-    return grad_psi, grad_b
+    g = _evaluate(dv, data, grid, epsilon)[1]
+    return g[:data.n_obs], g[data.n_obs:].reshape(dv.b.shape)
 
 
 def normalize(dv, data, grid, epsilon):
@@ -124,17 +171,14 @@ def normalize(dv, data, grid, epsilon):
     b1 = dv.b[0].copy()
     b = dv.b - b1[None, :]
     psi = dv.psi + (data.X @ b1 if data.n_cov else 0.0)
-    S = grid.U @ data.Y.T
-    if data.n_cov:
-        S = S - b @ data.X.T
-    lam = epsilon * kernels.logsumexp_all(S, psi, epsilon)
+    lam = epsilon * kernels.logsumexp_all(
+        theta(DualVariables(psi=psi, b=b), data, grid, epsilon))
     psi = psi + lam
     return DualVariables(psi=psi, b=b, gauge={"b_pin": b1, "psi_shift": float(lam)})
 
 
 def extract_coupling(dv, data, grid, epsilon):
-    S = _scores(dv, data, grid)
-    alpha = kernels.coupling(S, dv.psi, grid.mu, epsilon)
+    alpha = kernels.coupling(theta(dv, data, grid, epsilon), grid.mu)
     row_residual = alpha.sum(axis=1) - grid.mu
     col_residual = alpha.sum(axis=0) - data.nu
     mi_residual = alpha @ data.X if data.n_cov else np.zeros((grid.n_nodes, 0))
@@ -166,14 +210,13 @@ def dual_value_centered(dv, data, grid, epsilon):
 
 def hard_potential(dv, data, grid):
     """phi_i = max_j (u_i.y_j - b_i.x_j - psi_j)."""
-    S = _scores(dv, data, grid)
-    return (S - dv.psi[None, :]).max(axis=1)
+    return theta(dv, data, grid, 1.0).max(axis=1)
 
 
 def soft_potential(dv, data, grid, epsilon):
     """Smoothed counterpart eps * log sum_j exp of the same arguments."""
-    S = _scores(dv, data, grid)
-    lse, _, _ = kernels.dual_terms(S, dv.psi, grid.mu, data.nu, data.X, epsilon)
+    lse, _, _ = kernels.dual_terms(theta(dv, data, grid, epsilon),
+                                   grid.mu, data.nu, data.X)
     return epsilon * lse
 
 
@@ -192,40 +235,27 @@ def solve(data, grid, cfg):
         raise ConfigError("covariates must be centered before solving")
 
     J, I, N = data.n_obs, grid.n_nodes, data.n_cov
-    UY = grid.U @ data.Y.T
-
-    def unpack(z):
-        return z[:J], z[J:].reshape(I, N)
-
-    def fun(z):
-        psi, b = unpack(z)
-        S = UY - b @ data.X.T if N else UY
-        lse, _, _ = kernels.dual_terms(S, psi, grid.mu, data.nu, data.X, cfg.epsilon)
-        return float(psi @ data.nu + cfg.epsilon * (grid.mu @ lse))
-
-    def grad(z):
-        psi, b = unpack(z)
-        S = UY - b @ data.X.T if N else UY
-        _, gpsi, gb = kernels.dual_terms(S, psi, grid.mu, data.nu, data.X, cfg.epsilon)
-        return np.concatenate([gpsi, gb.ravel()])
-
+    oracle = _DualOracle(data, grid, cfg.epsilon)
     start = time.perf_counter()
     res = accelerated_minimize(
-        fun, grad, np.zeros(J + I * N),
+        lambda z: oracle(z)[0], lambda z: oracle(z)[1], np.zeros(J + I * N),
         tol=cfg.tol, max_iter=cfg.max_iter,
         step_mode=cfg.step_mode, restart=(cfg.restart == "function-value"),
     )
     wall = time.perf_counter() - start
+    oracle_calls = oracle.calls
+    # free the workspace before the post-solve passes allocate their own
+    del oracle
 
-    psi, b = unpack(res.x)
-    dv = normalize(DualVariables(psi=psi, b=b), data, grid, cfg.epsilon)
+    dv = normalize(DualVariables(psi=res.x[:J], b=res.x[J:].reshape(I, N)),
+                   data, grid, cfg.epsilon)
     coupling = extract_coupling(dv, data, grid, cfg.epsilon)
     gap = abs(dual_value_centered(dv, data, grid, cfg.epsilon)
               - primal_value(coupling, grid, data, cfg.epsilon))
     report = SolveReport(
         iterations=res.iterations, objective=res.fun, grad_inf=res.grad_inf,
         duality_gap=gap, wall_time=wall, converged=res.converged,
-        n_restarts=res.n_restarts,
+        n_restarts=res.n_restarts, oracle_calls=oracle_calls,
     )
     if not res.converged:
         raise NonConvergenceError(
@@ -241,7 +271,6 @@ def solve(data, grid, cfg):
 def model_to_json_dict(dv, data, grid, cfg, report):
     return {
         "epsilon": cfg.epsilon,
-        "phi_mode": cfg.phi_mode,
         "grid": grid.to_json_dict(),
         "psi": dv.psi.tolist(),
         "b": dv.b.tolist(),

@@ -116,16 +116,6 @@ def test_curve_no_crossing_on_location_model(rng):
     assert np.all(np.diff(t_mid) > 0)
 
 
-def test_curve_workers_match_serial(rng):
-    y = rng.standard_normal(80)
-    data = _dataset(y)
-    grid = np.array([0.25, 0.5, 0.75])
-    serial = cq.fit_qr_curve(data, grid, workers=1)
-    parallel = cq.fit_qr_curve(data, grid, workers=3)
-    for a, b in zip(serial.fits, parallel.fits):
-        assert a.alpha == pytest.approx(b.alpha, abs=1e-12)
-
-
 def test_curve_rejects_unsorted_grid(rng):
     data = _dataset(rng.standard_normal(10))
     with pytest.raises(ConfigError):

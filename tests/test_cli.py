@@ -28,6 +28,7 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(open(model).read())
     assert doc["report"]["converged"]
+    assert f"oracle calls      {doc['report']['oracle_calls']}" in capsys.readouterr().out
 
     table = str(tmp_path / "q.csv")
     code = cli.main(["quantiles", "--model", model, "--data", data,

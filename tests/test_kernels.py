@@ -1,9 +1,5 @@
-"""Backend agreement: the exported kernels (numba when available) must match
-the pure-numpy reference implementations bit-for-bit up to rounding."""
-
-import os
-import subprocess
-import sys
+"""The stabilized kernels against direct, unstabilized formulas on moderate
+scores, and against closed forms on scores whose exponentials overflow."""
 
 import numpy as np
 
@@ -11,52 +7,61 @@ from rvqr import kernels
 
 
 def _instance(rng, I=7, J=23, N=3):
-    S = rng.standard_normal((I, J)) * 5
-    psi = rng.standard_normal(J)
+    theta = rng.standard_normal((I, J)) * 5
     mu = rng.dirichlet(np.ones(I))
     nu = rng.dirichlet(np.ones(J))
     X = rng.standard_normal((J, N))
-    return S, psi, mu, nu, X
+    return theta, mu, nu, X
 
 
-def test_dual_terms_backends_agree(rng):
-    S, psi, mu, nu, X = _instance(rng)
-    for eps in (0.05, 0.5, 2.0):
-        lse_a, gp_a, gb_a = kernels.dual_terms(S, psi, mu, nu, X, eps)
-        lse_b, gp_b, gb_b = kernels._np_dual_terms(S, psi, mu, nu, X, eps)
-        np.testing.assert_allclose(lse_a, lse_b, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(gp_a, gp_b, rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(gb_a, gb_b, rtol=1e-13, atol=1e-13)
+def _direct_coupling(theta, mu):
+    ex = np.exp(theta)
+    return mu[:, None] * ex / ex.sum(axis=1, keepdims=True)
 
 
-def test_coupling_backends_agree(rng):
-    S, psi, mu, _, _ = _instance(rng)
-    a = kernels.coupling(S, psi, mu, 0.2)
-    b = kernels._np_coupling(S, psi, mu, 0.2)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+def test_dual_terms_matches_direct_formula(rng):
+    theta, mu, nu, X = _instance(rng)
+    for N in (3, 0):
+        work = theta.copy()
+        lse, gpsi, gb = kernels.dual_terms(work, mu, nu, X[:, :N])
+        alpha = _direct_coupling(theta, mu)
+        np.testing.assert_allclose(lse, np.log(np.exp(theta).sum(axis=1)),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(gpsi, nu - alpha.sum(axis=0), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(gb, -(alpha @ X[:, :N]), rtol=1e-13, atol=1e-15)
+        assert gb.shape == (theta.shape[0], N)
+
+
+def test_coupling_matches_direct_formula(rng):
+    theta, mu, _, _ = _instance(rng)
+    a = kernels.coupling(theta.copy(), mu)
+    np.testing.assert_allclose(a, _direct_coupling(theta, mu), rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(a.sum(axis=1), mu, atol=1e-14)
 
 
-def test_logsumexp_all_backends_agree(rng):
-    S, psi, _, _, _ = _instance(rng)
-    a = kernels.logsumexp_all(S, psi, 0.3)
-    b = kernels._np_logsumexp_all(S, psi, 0.3)
-    assert abs(a - b) < 1e-12
+def test_logsumexp_all_matches_direct_formula(rng):
+    theta, _, _, _ = _instance(rng)
+    assert abs(kernels.logsumexp_all(theta) - np.log(np.exp(theta).sum())) < 1e-12
 
 
 def test_stability_under_extreme_scores():
     # large scores must not overflow thanks to max-shift stabilization
-    S = np.array([[1e4, -1e4], [0.0, 1e4]])
-    psi = np.zeros(2)
+    theta = np.array([[1e4, -1e4], [0.0, 1e4]]) / 0.01
     mu = np.full(2, 0.5)
-    out = kernels.coupling(S, psi, mu, 0.01)
+    out = kernels.coupling(theta, mu)
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out.sum(axis=1), mu, atol=1e-14)
 
 
-def test_numpy_backend_selected_by_env_flag():
-    code = "from rvqr import kernels; print(kernels.BACKEND)"
-    env = dict(os.environ, RVQR_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "numpy"
+def test_dual_terms_stable_under_extreme_scores():
+    # exp(1e6) overflows: row 0 splits its mass over two tied maxima, row 1
+    # puts all of it on one entry
+    theta = np.array([[1e6, -1e6, 1e6], [0.0, 1e6, 0.0]])
+    mu = np.array([0.25, 0.75])
+    nu = np.full(3, 1.0 / 3.0)
+    X = np.array([[1.0], [2.0], [-3.0]])
+    lse, gpsi, gb = kernels.dual_terms(theta, mu, nu, X)
+    alpha = np.array([[0.125, 0.0, 0.125], [0.0, 0.75, 0.0]])
+    np.testing.assert_allclose(lse, [1e6 + np.log(2.0), 1e6], rtol=1e-15)
+    np.testing.assert_allclose(gpsi, nu - alpha.sum(axis=0), atol=1e-15)
+    np.testing.assert_allclose(gb, -(alpha @ X), atol=1e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from rvqr import solver
+from rvqr import kernels, solver
 from rvqr.errors import ConfigError, NonConvergenceError
 from rvqr.measures import Dataset, make_rank_grid
 from rvqr.solver import DualVariables, SolverConfig
@@ -12,6 +12,12 @@ def _naive_objective(dv, data, grid, eps):
     """Direct translation of the formula, no stabilization, no kernels."""
     theta = (grid.U @ data.Y.T - dv.b @ data.X.T - dv.psi[None, :]) / eps
     return float(dv.psi @ data.nu + eps * (grid.mu @ np.log(np.exp(theta).sum(axis=1))))
+
+
+def _naive_gradient(dv, data, grid, eps):
+    theta = (grid.U @ data.Y.T - dv.b @ data.X.T - dv.psi[None, :]) / eps
+    alpha = grid.mu[:, None] * np.exp(theta) / np.exp(theta).sum(axis=1, keepdims=True)
+    return np.concatenate([data.nu - alpha.sum(axis=0), -(alpha @ data.X).ravel()])
 
 
 def test_theta_shape_and_value(rng):
@@ -163,8 +169,6 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.1, tol=-1)
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.1, step_mode="secant")
-    with pytest.raises(ConfigError):
-        SolverConfig(epsilon=0.1, phi_mode="mellow")
 
 
 def test_nonconvergence_carries_best_iterate(rng):
@@ -189,6 +193,7 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     np.testing.assert_allclose(grid2.U, grid.U)
     assert doc["epsilon"] == 0.5
     assert doc["report"]["converged"] is True
+    assert doc["report"]["oracle_calls"] == report.oracle_calls > 0
 
 
 def test_coupling_csv_masses_sum(tmp_path, rng):
@@ -198,3 +203,58 @@ def test_coupling_csv_masses_sum(tmp_path, rng):
     solver.coupling_to_csv(path, coupling)
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert abs(rows[:, 2].sum() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n_cov", [0, 2])
+def test_oracle_views_share_one_cached_pass(rng, monkeypatch, n_cov):
+    data, grid = random_instance(rng, I=5, J=12, N=n_cov)
+    eps = 0.5
+    J, I = data.n_obs, grid.n_nodes
+    z = np.concatenate([rng.standard_normal(J), rng.standard_normal(I * n_cov)])
+    passes = []
+    real_terms = kernels.dual_terms
+    monkeypatch.setattr(kernels, "dual_terms",
+                        lambda *args: passes.append(1) or real_terms(*args))
+
+    def naive(point):
+        dv = DualVariables(psi=point[:J], b=point[J:].reshape(I, n_cov))
+        return _naive_objective(dv, data, grid, eps), _naive_gradient(dv, data, grid, eps)
+
+    real = solver.accelerated_minimize
+    ran = []
+
+    def spy(fun, grad, x0, **kwargs):
+        g = grad(z)
+        f = fun(z)
+        assert len(passes) == 1
+        f_ref, g_ref = naive(z)
+        assert abs(f - f_ref) <= 1e-12
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+        # the cache compares values: mutating the point in place recomputes
+        z[0] += 0.3
+        f = fun(z)
+        g = grad(z)
+        assert len(passes) == 2
+        f_ref, g_ref = naive(z)
+        assert abs(f - f_ref) <= 1e-12
+        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+        ran.append(True)
+        return real(fun, grad, x0, **kwargs)
+
+    monkeypatch.setattr(solver, "accelerated_minimize", spy)
+    solver.solve(data, grid, SolverConfig(epsilon=eps))
+    assert ran
+
+
+def test_report_counts_computed_oracle_passes(rng, monkeypatch):
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    requests = []
+    real = solver.accelerated_minimize
+
+    def counting(fun, grad, x0, **kwargs):
+        return real(lambda z: requests.append(1) or fun(z),
+                    lambda z: requests.append(1) or grad(z), x0, **kwargs)
+
+    monkeypatch.setattr(solver, "accelerated_minimize", counting)
+    _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
+    assert report.iterations < report.oracle_calls < len(requests)
