@@ -167,16 +167,3 @@ def fit_qr_curve(data, t_grid, cfg=QrConfig()):
             if q[k + 1] < q[k] - cross_tol:
                 crossings.append((tuple(x), (float(t_grid[k]), float(t_grid[k + 1]))))
     return QrCurve(t_grid=t_grid, fits=fits, crossing_report=crossings)
-
-
-def curve_to_csv(path, curve):
-    """Rows (t, alpha, beta_1..beta_N, loss)."""
-    n_cov = curve.fits[0].beta.size if curve.fits else 0
-    header = ["t", "alpha"] + [f"beta_{k + 1}" for k in range(n_cov)] + ["loss"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for f in curve.fits:
-            cells = [f"{f.t:.17g}", f"{f.alpha:.17g}"]
-            cells += [f"{bk:.17g}" for bk in f.beta]
-            cells.append(f"{f.loss:.17g}")
-            fh.write(",".join(cells) + "\n")

@@ -95,7 +95,13 @@ def _model_from_files(args):
     doc, dv, grid = solver.load_model(args.model)
     data = load_csv(args.data, doc["x_names"], doc["y_names"])
     data = center_covariates(data)
-    if np.abs(data.x_mean - np.array(doc["x_mean"])).max() > 1e-8:
+    fitted = (dv.psi.size, dv.b.shape[1], grid.n_dim)
+    given = (data.n_obs, data.n_cov, data.n_dim)
+    if fitted != given:
+        raise ConfigError(
+            f"{args.data} does not match the model: (rows, covariates, response "
+            f"dimensions) are {given} in the data and {fitted} in the fit")
+    if np.abs(data.x_mean - np.array(doc["x_mean"])).max(initial=0.0) > 1e-8:
         print("warning: data covariate mean differs from the fitted model's",
               file=sys.stderr)
     coupling = solver.extract_coupling(dv, data, grid, doc["epsilon"])
@@ -123,8 +129,8 @@ def cmd_compare_qr(args):
     eps_list = [float(e) for e in args.epsilons.split(",")]
     probes = _resolve_probes(_parse_probes(args.probes), data)
     grid = make_rank_grid(1, args.grid)
-    interior = range(1, grid.n_nodes - 1)
-    t_levels = grid.U[list(interior), 0]
+    interior = np.arange(1, grid.n_nodes - 1)
+    t_levels = grid.U[interior, 0]
 
     qr_curve = classical_qr.fit_qr_curve(data, t_levels)
     qr_q = np.array([[f.alpha + f.beta @ x for f in qr_curve.fits] for x in probes])
@@ -145,18 +151,12 @@ def cmd_compare_qr(args):
                 # ball always holds a stable share of the sample
                 dist = np.linalg.norm(data.X - x[None, :], axis=1)
                 eta = float(np.quantile(dist, 0.05))
+            soft = quantiles.ball_conditional_quantile(model, x, eta, interior)[:, 0]
             if args.mode == "qr":
-                ref = qr_q[p]
-                est = np.array([
-                    quantiles.ball_conditional_quantile(model, x, eta, i)[0]
-                    for i in interior])
+                ref, est = qr_q[p], soft
             else:
-                ref = np.array([
-                    quantiles.ball_conditional_quantile(model, x, eta, i)[0]
-                    for i in interior])
-                est = np.array([
-                    quantiles.ball_conditional_quantile(model, x, eta, i, hard=True)[0]
-                    for i in interior])
+                ref, est = soft, quantiles.ball_conditional_quantile(
+                    model, x, eta, interior, hard=True)[:, 0]
             col.append(float(np.linalg.norm(ref - est) / np.linalg.norm(ref)))
         table.append(col)
     for p in range(len(probes)):

@@ -62,7 +62,9 @@ class InsufficientMassError(RvqrError):
         )
 
 
-class EmptyBallError(RvqrError):
+class EmptyBallError(ConfigError):
+    """No covariate lies within the query ball (eta = 0: no exact match)."""
+
     def __init__(self, x, eta, nearest):
         self.x = x
         self.eta = eta
@@ -71,6 +73,3 @@ class EmptyBallError(RvqrError):
             f"no covariate within radius {eta:g} of probe; nearest distance is {nearest:g}"
         )
 
-
-class CheckFailure(RvqrError):
-    """An oracle check measured a deviation above its tolerance."""

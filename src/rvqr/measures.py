@@ -67,33 +67,6 @@ class Dataset:
     def n_dim(self):
         return self.Y.shape[1]
 
-    @property
-    def centered(self):
-        return bool(np.abs(self.nu @ self.X) .max() <= 1e-10) if self.n_cov else True
-
-    def to_json_dict(self):
-        return {
-            "X": [self.X[:, k].tolist() for k in range(self.n_cov)],
-            "Y": [self.Y[:, k].tolist() for k in range(self.n_dim)],
-            "nu": self.nu.tolist(),
-            "x_mean": self.x_mean.tolist(),
-            "meta": {
-                "x_names": list(self.x_names),
-                "y_names": list(self.y_names),
-                **self.meta,
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc):
-        meta = dict(doc.get("meta", {}))
-        x_names = tuple(meta.pop("x_names", ()))
-        y_names = tuple(meta.pop("y_names", ()))
-        X = np.array(doc["X"], dtype=float).T if doc["X"] else np.zeros((len(doc["nu"]), 0))
-        Y = np.array(doc["Y"], dtype=float).T
-        return cls(X=X, Y=Y, nu=np.array(doc["nu"]), x_mean=np.array(doc["x_mean"]),
-                   x_names=x_names, y_names=y_names, meta=meta)
-
 
 @dataclass(frozen=True)
 class RankGrid:
@@ -101,7 +74,6 @@ class RankGrid:
 
     U: np.ndarray
     mu: np.ndarray
-    scheme: str = "endpoint"
 
     def __post_init__(self):
         U = np.atleast_2d(np.asarray(self.U, dtype=float))
@@ -127,13 +99,13 @@ class RankGrid:
         return {
             "U": [self.U[:, k].tolist() for k in range(self.n_dim)],
             "mu": self.mu.tolist(),
-            "scheme": self.scheme,
         }
 
     @classmethod
     def from_json_dict(cls, doc):
-        return cls(U=np.array(doc["U"], dtype=float).T, mu=np.array(doc["mu"]),
-                   scheme=doc.get("scheme", "endpoint"))
+        """Reads U and mu; other keys, such as the "scheme" label that
+        older model files carry, are ignored."""
+        return cls(U=np.array(doc["U"], dtype=float).T, mu=np.array(doc["mu"]))
 
 
 def value_scale(y):
@@ -154,13 +126,12 @@ def _parse_cell(raw, row, column):
     return value
 
 
-def load_csv(path, x_cols, y_cols, intercept=False, weight_col=None):
+def load_csv(path, x_cols, y_cols, weight_col=None):
     """Read a headed CSV into a Dataset with uniform weights 1/J.
 
-    x_cols / y_cols are column names (list or comma-separated string). The
-    intercept flag is recorded as metadata only: the per-rank marginal
-    constraint already plays the intercept role, so no constant column is
-    added to X.
+    x_cols / y_cols are column names (list or comma-separated string). No
+    constant column is added to X: the per-rank marginal constraint already
+    plays the intercept role.
     """
     if isinstance(x_cols, str):
         x_cols = [c for c in x_cols.split(",") if c]
@@ -208,7 +179,7 @@ def load_csv(path, x_cols, y_cols, intercept=False, weight_col=None):
     return Dataset(
         X=X, Y=Y, nu=nu, x_mean=np.zeros(len(x_cols)),
         x_names=tuple(x_cols), y_names=tuple(y_cols),
-        meta={"intercept": bool(intercept), "source": str(path)},
+        meta={"source": str(path)},
     )
 
 
@@ -220,7 +191,7 @@ def center_covariates(data):
     return replace(data, X=data.X - xbar[None, :], x_mean=data.x_mean + xbar)
 
 
-def make_rank_grid(d, n, scheme="endpoint"):
+def make_rank_grid(d, n):
     """Right-endpoint grid i/n per axis; tensor product for d >= 2 (I = n^d)."""
     if d < 1:
         raise InvalidGridError(f"dimension must be >= 1, got {d}")
@@ -229,9 +200,7 @@ def make_rank_grid(d, n, scheme="endpoint"):
     axis = np.arange(1, n + 1, dtype=float) / n
     if d == 1:
         U = axis[:, None]
-        used_scheme = scheme if scheme else "endpoint"
     else:
         U = np.array(list(itertools.product(axis, repeat=d)), dtype=float)
-        used_scheme = "tensor-product"
     I = U.shape[0]
-    return RankGrid(U=U, mu=np.full(I, 1.0 / I), scheme=used_scheme)
+    return RankGrid(U=U, mu=np.full(I, 1.0 / I))

@@ -146,14 +146,10 @@ def inverse_cov_transform(pi):
     return np.cumsum(pi[::-1], axis=0)[::-1] * pi.shape[1]
 
 
-def _feasible_plan_samples(data, grid, epsilons, seed):
+def _feasible_plan_samples(data, grid, couplings, seed):
     """Exactly/near-feasible transport plans: the independent coupling plus
-    converged solver couplings, and convex mixtures of them."""
-    plans = [np.outer(grid.mu, data.nu)]
-    for eps in epsilons:
-        cfg = SolverConfig(epsilon=eps, tol=1e-10, max_iter=200000)
-        _, coupling, _ = rvqr_solver.solve(data, grid, cfg)
-        plans.append(coupling.alpha)
+    the given converged solver couplings, and convex mixtures of them."""
+    plans = [np.outer(grid.mu, data.nu)] + [c.alpha for c in couplings]
     rng = np.random.default_rng(seed)
     mixtures = []
     for _ in range(5):
@@ -178,7 +174,9 @@ def check_equivalence_small(data, grid, epsilons=(1.0, 0.5, 0.1, 0.05), seed=0):
     U = grid.U[:, 0]
     y = data.Y[:, 0]
 
-    plans = _feasible_plan_samples(data, grid, epsilons, seed)
+    cfgs = [SolverConfig(epsilon=eps, tol=1e-10, max_iter=200000) for eps in epsilons]
+    couplings = [rvqr_solver.solve(data, grid, cfg)[1] for cfg in cfgs]
+    plans = _feasible_plan_samples(data, grid, couplings, seed)
     obj_mismatch = 0.0
     roundtrip_err = 0.0
     for pi in plans:
@@ -190,11 +188,8 @@ def check_equivalence_small(data, grid, epsilons=(1.0, 0.5, 0.1, 0.05), seed=0):
         rhs = float(np.ones(T) @ V @ y) / (T * J)
         obj_mismatch = max(obj_mismatch, abs(lhs - rhs))
 
-    values = []
-    for eps in epsilons:
-        cfg = SolverConfig(epsilon=eps, tol=1e-10, max_iter=200000)
-        dv, coupling, _ = rvqr_solver.solve(data, grid, cfg)
-        values.append(rvqr_solver.primal_value(coupling, grid, data, eps))
+    values = [rvqr_solver.primal_value(c, grid, data, eps)
+              for c, eps in zip(couplings, epsilons)]
     diffs = [abs(a - b) for a, b in zip(values, values[1:])]
     cauchy = all(d2 <= d1 + 1e-9 for d1, d2 in zip(diffs, diffs[1:]))
 

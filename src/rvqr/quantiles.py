@@ -41,58 +41,50 @@ class QuantileModel:
     def n_dim(self):
         return self.Y.shape[1]
 
-    def _exact_group(self, x):
-        x = np.asarray(x, dtype=float).ravel()
-        if self.X.shape[1] == 0:
-            return np.arange(self.X.shape[0])
-        mask = np.all(self.X == x[None, :], axis=1)
-        if not mask.any():
-            raise ConfigError(
-                f"covariate value {x.tolist()} does not occur in the data; "
-                "use the ball variant"
-            )
-        return np.nonzero(mask)[0]
-
-    def _ball_group(self, x, eta):
-        x = np.asarray(x, dtype=float).ravel()
-        if self.X.shape[1] == 0:
-            return np.arange(self.X.shape[0])
-        dist = np.linalg.norm(self.X - x[None, :], axis=1)
-        idx = np.nonzero(dist <= eta)[0]
-        if idx.size == 0:
-            raise EmptyBallError(x, eta, float(dist.min()))
-        return idx
-
-    def _mean_over(self, idx, i, hard=False):
-        w = self.alpha[i, idx]
-        total = float(w.sum())
-        if total < MASS_FLOOR:
-            raise InsufficientMassError(None, i, total)
-        if hard:
-            return self.Y[idx[int(np.argmax(w))]].copy()
-        return (w @ self.Y[idx]) / total
-
 
 def default_eta(model):
     """Half the median nearest-neighbor distance between distinct covariates."""
+    # imported here: scipy.spatial adds ~50 ms to every `import rvqr`
+    from scipy.spatial import cKDTree
+
     Xd = np.unique(model.X, axis=0)
     if Xd.shape[0] < 2:
         return 0.0
-    d2 = np.linalg.norm(Xd[:, None, :] - Xd[None, :, :], axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return 0.5 * float(np.median(d2.min(axis=1)))
+    nearest = cKDTree(Xd).query(Xd, k=2)[0][:, 1]
+    return 0.5 * float(np.median(nearest))
 
 
 def conditional_quantile(model, x, i, hard=False):
-    """E[Y | X = x, U = u_i] under the fitted coupling."""
-    return model._mean_over(model._exact_group(x), i, hard=hard)
+    """E[Y | X = x, U = u_i] under the fitted coupling: the eta = 0 ball."""
+    return ball_conditional_quantile(model, x, 0.0, i, hard=hard)
 
 
 def ball_conditional_quantile(model, x, eta, i, hard=False):
-    """E[Y | X in B_eta(x), U = u_i]; eta = 0 reduces to the exact variant."""
+    """E[Y | X in B_eta(x), U = u_i]; eta = 0 reduces to the exact variant.
+
+    i is one rank-node index (result shape d) or an array of them (one row
+    of d components per node). The ball is formed once for all of them.
+    """
     if eta < 0:
         raise ConfigError("eta must be nonnegative")
-    return model._mean_over(model._ball_group(x, eta), i, hard=hard)
+    x = np.asarray(x, dtype=float).ravel()
+    dist = np.linalg.norm(model.X - x[None, :], axis=1)
+    idx = np.nonzero(dist <= eta)[0]
+    if idx.size == 0:
+        raise EmptyBallError(x, eta, float(dist.min()))
+    # ball columns first: one I x |ball| copy, not whole rows. take() keeps
+    # it C-contiguous (alpha[:, idx] is not), so a row sums as a plain vector
+    W = model.alpha.take(idx, axis=1)[i]
+    mass = W.sum(axis=-1)
+    starved = np.flatnonzero(mass < MASS_FLOOR)
+    if starved.size:
+        k = starved[0]
+        raise InsufficientMassError(x, int(np.atleast_1d(i)[k]),
+                                    float(np.atleast_1d(mass)[k]))
+    Yb = model.Y[idx]
+    if hard:
+        return Yb[W.argmax(axis=-1)]
+    return W @ Yb / mass[..., None]
 
 
 def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
@@ -101,15 +93,13 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     Deterministic given a fitted model. Probes are in the model's (centered)
     covariate coordinates.
     """
-    if i_set is None:
-        i_set = range(model.n_nodes)
+    nodes = np.arange(model.n_nodes) if i_set is None else np.asarray(i_set, dtype=int)
     if eta is None:
         eta = default_eta(model)
     rows = []
     for x in np.atleast_2d(np.asarray(x_probes, dtype=float)):
-        for i in i_set:
-            q = ball_conditional_quantile(model, x, eta, i, hard=hard)
-            rows.append((tuple(x), tuple(model.U[i]), tuple(np.atleast_1d(q))))
+        Q = ball_conditional_quantile(model, x, eta, nodes, hard=hard)
+        rows += [(tuple(x), tuple(model.U[i]), tuple(q)) for i, q in zip(nodes, Q)]
     return rows
 
 
@@ -137,10 +127,7 @@ def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):
         eta = default_eta(model)
     if tol is None:
         tol = 1e-6 * value_scale(model.Y)
-    Q = np.array([
-        ball_conditional_quantile(model, x_probe, eta, i)
-        for i in range(model.n_nodes)
-    ])
+    Q = ball_conditional_quantile(model, x_probe, eta, np.arange(model.n_nodes))
     violations = []
     if model.n_dim == 1:
         order = np.argsort(model.U[:, 0])

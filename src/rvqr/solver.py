@@ -20,8 +20,6 @@ from .errors import ConfigError, NonConvergenceError, RvqrError
 from .descent import accelerated_minimize
 from .measures import Dataset, RankGrid
 
-MASS_EXPORT_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -208,18 +206,6 @@ def dual_value_centered(dv, data, grid, epsilon):
     )
 
 
-def hard_potential(dv, data, grid):
-    """phi_i = max_j (u_i.y_j - b_i.x_j - psi_j)."""
-    return theta(dv, data, grid, 1.0).max(axis=1)
-
-
-def soft_potential(dv, data, grid, epsilon):
-    """Smoothed counterpart eps * log sum_j exp of the same arguments."""
-    lse, _, _ = kernels.dual_terms(theta(dv, data, grid, epsilon),
-                                   grid.mu, data.nu, data.X)
-    return epsilon * lse
-
-
 def solve(data, grid, cfg):
     """Accelerated gradient descent on the smoothed dual from psi=0, b=0.
 
@@ -293,13 +279,3 @@ def load_model(path):
     dv = DualVariables(psi=np.array(doc["psi"]), b=np.array(doc["b"]))
     grid = RankGrid.from_json_dict(doc["grid"])
     return doc, dv, grid
-
-
-def coupling_to_csv(path, coupling, threshold=MASS_EXPORT_FLOOR):
-    """Export (i, j, alpha_ij) triples above a mass threshold."""
-    a = coupling.alpha
-    ii, jj = np.nonzero(a > threshold)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,j,alpha\n")
-        for i, j in zip(ii, jj):
-            fh.write(f"{i},{j},{a[i, j]:.17g}\n")

@@ -120,15 +120,3 @@ def test_curve_rejects_unsorted_grid(rng):
     data = _dataset(rng.standard_normal(10))
     with pytest.raises(ConfigError):
         cq.fit_qr_curve(data, [0.5, 0.25])
-
-
-def test_curve_csv_roundtrip(tmp_path, rng):
-    y = rng.standard_normal(60)
-    data = _dataset(y)
-    curve = cq.fit_qr_curve(data, [0.3, 0.6])
-    path = str(tmp_path / "curve.csv")
-    cq.curve_to_csv(path, curve)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    assert rows.shape == (2, 3)  # t, alpha, loss (no covariates)
-    np.testing.assert_allclose(rows[:, 0], [0.3, 0.6])
-    np.testing.assert_allclose(rows[:, 1], [f.alpha for f in curve.fits])

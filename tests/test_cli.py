@@ -82,6 +82,35 @@ def test_quantiles_probe_outside_range(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_quantiles_data_not_matching_model_is_config_error(tmp_path, capsys):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    other_dir = tmp_path / "other"
+    other_dir.mkdir()
+    other = _synth(other_dir, n=60)
+    code = cli.main(["quantiles", "--model", model, "--data", other,
+                     "--out", str(tmp_path / "q.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert "does not match the model" in capsys.readouterr().err
+
+
+def test_fit_quantiles_without_covariates(tmp_path, capsys):
+    data = tmp_path / "y.csv"
+    data.write_text("y\n" + "\n".join(str(v) for v in range(1, 7)) + "\n")
+    model = str(tmp_path / "m.json")
+    code = cli.main(["fit", "--data", str(data), "--x-cols", "", "--y-cols", "y",
+                     "--grid", "3", "--out", model])
+    assert code == cli.EXIT_OK
+    table = str(tmp_path / "q.csv")
+    code = cli.main(["quantiles", "--model", model, "--data", str(data),
+                     "--probes", "q50", "--out", table])
+    assert code == cli.EXIT_OK
+    rows = np.loadtxt(table, delimiter=",", skiprows=1)
+    assert rows.shape == (3, 2)  # u_1, q_1 for each rank node
+    assert np.all(np.diff(rows[:, 1]) > 0)
+
+
 def test_synth_reproducible(tmp_path, capsys):
     a = _synth(tmp_path, seed=11)
     b_dir = tmp_path / "b"

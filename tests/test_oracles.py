@@ -144,6 +144,17 @@ def test_check_equivalence_small_report(rng):
         oracles.check_equivalence_small(data, make_rank_grid(2, 2))
 
 
+def test_check_equivalence_small_solves_each_epsilon_once(rng, monkeypatch):
+    data = _no_cov(np.sort(rng.standard_normal(6)))
+    grid = make_rank_grid(1, 6)
+    solved = []
+    real = solver.solve
+    monkeypatch.setattr(solver, "solve",
+                        lambda d, g, cfg: solved.append(cfg.epsilon) or real(d, g, cfg))
+    oracles.check_equivalence_small(data, grid, epsilons=(1.0, 0.5), seed=0)
+    assert solved == [1.0, 0.5]
+
+
 def test_run_all_checks_pass():
     results = oracles.run_all_checks(seed=0)
     assert set(results) >= {

@@ -1,5 +1,9 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.spatial  # noqa: F401  loaded before the tracemalloc window below
 
 from rvqr import quantiles as qt
 from rvqr import solver
@@ -21,6 +25,24 @@ def _no_cov(y):
     J = y.shape[0]
     return Dataset(X=np.zeros((J, 1)), Y=y, nu=np.full(J, 1.0 / J),
                    x_mean=np.zeros(1))
+
+
+def _covariates_only(X):
+    """A model for default_eta, which reads only the covariates."""
+    J = X.shape[0]
+    return QuantileModel(alpha=np.full((1, J), 1.0 / J), X=X, Y=np.zeros((J, 1)),
+                         U=np.ones((1, 1)), mu=np.ones(1), nu=np.full(J, 1.0 / J),
+                         epsilon=0.1)
+
+
+def _per_node_readout(model, x, eta, i, hard=False):
+    """Reference readout for one node, written out from the definition."""
+    dist = np.linalg.norm(model.X - np.asarray(x, dtype=float)[None, :], axis=1)
+    idx = np.nonzero(dist <= eta)[0]
+    w = model.alpha[i, idx]
+    if hard:
+        return model.Y[idx[np.argmax(w)]]
+    return (w @ model.Y[idx]) / w.sum()
 
 
 def test_exact_group_and_single_point(rng):
@@ -107,6 +129,46 @@ def test_insufficient_mass(rng):
                             epsilon=model.epsilon)
     with pytest.raises(InsufficientMassError):
         qt.ball_conditional_quantile(starved, [0.0], 1.0, 0)
+    # a node array reports its first starved node
+    alpha = model.alpha.copy()
+    alpha[1] = 0.0
+    with pytest.raises(InsufficientMassError) as exc:
+        qt.ball_conditional_quantile(replace(model, alpha=alpha), [0.0], 1.0,
+                                     np.array([0, 1]))
+    assert exc.value.rank_index == 1
+
+
+def test_node_array_readout_matches_per_node_loop(rng):
+    data = center_covariates(Dataset(
+        X=rng.standard_normal((40, 2)), Y=rng.standard_normal((40, 2)),
+        nu=np.full(40, 1 / 40), x_mean=np.zeros(2)))
+    model = _fit_model(data, 3, 0.3)
+    x, eta = data.X[0], 1.0
+    nodes = np.array([4, 0, 8, 4])
+    soft = qt.ball_conditional_quantile(model, x, eta, nodes)
+    hard = qt.ball_conditional_quantile(model, x, eta, nodes, hard=True)
+    assert soft.shape == hard.shape == (nodes.size, 2)
+    # the batched product may sum in another order than the per-node one
+    atol = 16 * np.finfo(float).eps * np.abs(data.Y).max()
+    for k, i in enumerate(nodes):
+        one = qt.ball_conditional_quantile(model, x, eta, int(i))
+        np.testing.assert_array_equal(one, _per_node_readout(model, x, eta, i))
+        np.testing.assert_allclose(soft[k], one, rtol=0, atol=atol)
+        np.testing.assert_array_equal(
+            hard[k], _per_node_readout(model, x, eta, i, hard=True))
+    rows = qt.quantile_table(model, [x], i_set=nodes, eta=eta)
+    np.testing.assert_array_equal([q for _, _, q in rows], soft)
+
+
+def test_no_covariate_columns_use_every_row(rng):
+    y = rng.standard_normal(12)[:, None]
+    data = Dataset(X=np.zeros((12, 0)), Y=y, nu=np.full(12, 1 / 12), x_mean=np.zeros(0))
+    model = _fit_model(data, 4, 0.3)
+    assert qt.default_eta(model) == 0.0
+    for i in range(model.n_nodes):
+        row = model.alpha[i]
+        expect = float(row @ y[:, 0]) / row.sum()
+        assert qt.conditional_quantile(model, [], i)[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_default_eta_lattice():
@@ -116,6 +178,30 @@ def test_default_eta_lattice():
                           mu=np.full(2, 0.5), nu=np.full(4, 0.25), epsilon=0.1)
     # nearest-neighbor distances (1, 1, 1, 3), median 1, halved
     assert qt.default_eta(model) == pytest.approx(0.5)
+
+
+def test_default_eta_matches_brute_force_with_duplicates(rng):
+    X = rng.standard_normal((60, 2))
+    X = np.vstack([X, X[:15], X[:5]])
+    Xd = np.unique(X, axis=0)
+    dist = np.linalg.norm(Xd[:, None, :] - Xd[None, :, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    brute = 0.5 * float(np.median(dist.min(axis=1)))
+    assert qt.default_eta(_covariates_only(X)) == pytest.approx(
+        brute, rel=4 * np.finfo(float).eps)
+
+
+def test_default_eta_memory_is_linear():
+    # pairwise differences of 3,000 distinct x would need 72 MB
+    model = _covariates_only(np.linspace(-1.0, 1.0, 3000)[:, None])
+    tracemalloc.start()
+    try:
+        eta = qt.default_eta(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eta == pytest.approx(0.5 * 2.0 / 2999)
+    assert peak < 8e6
 
 
 def test_quantile_table_shape_and_determinism(rng):

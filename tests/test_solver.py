@@ -141,17 +141,6 @@ def test_solve_small_duality_gap_and_feasibility(rng):
     assert abs(primal - dual) <= 1e-8 * max(abs(dual), 1.0)
 
 
-def test_soft_hard_potential_sandwich(rng):
-    data, grid = random_instance(rng, I=4, J=11, N=1)
-    dv = DualVariables(psi=rng.standard_normal(data.n_obs),
-                       b=rng.standard_normal((grid.n_nodes, 1)))
-    eps = 0.8
-    soft = solver.soft_potential(dv, data, grid, eps)
-    hard = solver.hard_potential(dv, data, grid)
-    assert np.all(soft >= hard - 1e-12)
-    assert np.all(soft <= hard + eps * np.log(data.n_obs) + 1e-12)
-
-
 def test_solve_rejects_uncentered_or_mismatched(rng):
     data, grid = random_instance(rng, I=4, J=8, N=1)
     bad = Dataset(X=data.X + 5.0, Y=data.Y, nu=data.nu, x_mean=data.x_mean)
@@ -194,15 +183,6 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     assert doc["epsilon"] == 0.5
     assert doc["report"]["converged"] is True
     assert doc["report"]["oracle_calls"] == report.oracle_calls > 0
-
-
-def test_coupling_csv_masses_sum(tmp_path, rng):
-    data, grid = random_instance(rng, I=4, J=10, N=1)
-    dv, coupling, _ = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-8))
-    path = str(tmp_path / "alpha.csv")
-    solver.coupling_to_csv(path, coupling)
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert abs(rows[:, 2].sum() - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("n_cov", [0, 2])
