@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 config error,
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,6 +82,7 @@ def cmd_fit(args):
     print(f"model written to {args.out}")
     print(f"iterations        {report.iterations}")
     print(f"oracle calls      {report.oracle_calls}")
+    print(f"backtracks        {report.backtracks}")
     print(f"dual objective    {report.objective:.10g}")
     print(f"gradient inf-norm {report.grad_inf:.3e}")
     print(f"duality gap       {report.duality_gap:.3e}")
@@ -135,22 +137,31 @@ def cmd_compare_qr(args):
     qr_curve = classical_qr.fit_qr_curve(data, t_levels)
     qr_q = np.array([[f.alpha + f.beta @ x for f in qr_curve.fits] for x in probes])
 
+    if args.eta is not None:
+        etas = [args.eta] * len(probes)
+    else:
+        # per-probe radius: 5% quantile of covariate distances, so the ball
+        # always holds a stable share of the sample
+        etas = [float(np.quantile(np.linalg.norm(data.X - x[None, :], axis=1), 0.05))
+                for x in probes]
+
     header = ["probe"] + [f"eps_{e:g}" for e in eps_list]
     lines = [",".join(header)]
     table = []
+    exit_code = EXIT_OK
     for eps in eps_list:
         cfg = solver.SolverConfig(epsilon=eps, tol=args.tol, max_iter=args.max_iter)
-        dv, coupling, _ = solver.solve(data, grid, cfg)
+        try:
+            _, coupling, _ = solver.solve(data, grid, cfg)
+        except NonConvergenceError as exc:
+            # keep the sweep going; this column reads nan
+            print(f"warning: eps {eps:g}: {exc}", file=sys.stderr)
+            table.append([math.nan] * len(probes))
+            exit_code = EXIT_NONCONV
+            continue
         model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
         col = []
-        for p, x in enumerate(probes):
-            if args.eta is not None:
-                eta = args.eta
-            else:
-                # per-probe radius: 5% quantile of covariate distances, so the
-                # ball always holds a stable share of the sample
-                dist = np.linalg.norm(data.X - x[None, :], axis=1)
-                eta = float(np.quantile(dist, 0.05))
+        for p, (x, eta) in enumerate(zip(probes, etas)):
             soft = quantiles.ball_conditional_quantile(model, x, eta, interior)[:, 0]
             if args.mode == "qr":
                 ref, est = qr_q[p], soft
@@ -167,7 +178,7 @@ def cmd_compare_qr(args):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text, end="")
-    return EXIT_OK
+    return exit_code
 
 
 def cmd_synth(args):

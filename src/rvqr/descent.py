@@ -4,6 +4,20 @@ Shared by the transport-dual solver and the smoothed pinball baseline. The
 momentum schedule is t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with extrapolation
 y = x + ((t_k - 1)/t_{k+1})(x - x_prev).
 
+Each backtracking trial at step s along -g yields f(y - s g), and with it the
+curvature of f along g at no extra cost:
+
+    kappa = 2 (f(y - s g) - f(y) + s |g|^2) / (s^2 |g|^2).
+
+Every line search, the restart's included, starts from the last accepted
+step s and its kappa with the trial min(2 s, 1/kappa); a rejected trial
+shrinks to min(s/2, max(1/kappa, s/10)). Where kappa is not a positive
+finite number (rounding near F_RESOLUTION) the trial doubles or halves
+instead.
+
+An optional `stop(x, g)` test must hold together with the gradient test for
+the loop to report convergence; the transport dual passes its duality gap.
+
 Once the sufficient-decrease quantity drops below the objective's own
 floating-point resolution, line-search decisions become noise; the loop then
 switches to a terminal polish phase of plain gradient steps accepted on
@@ -19,6 +33,7 @@ from .errors import ConfigError
 SUFFICIENT_DECREASE = 1e-4
 STEP_GROWTH = 2.0
 STEP_SHRINK = 0.5
+MAX_SHRINK = 0.1  # a rejected trial shrinks by at most this factor
 MIN_STEP = 1e-18
 F_RESOLUTION = 4e-16
 
@@ -31,6 +46,7 @@ class DescentResult:
     iterations: int
     converged: bool
     n_restarts: int = 0
+    backtracks: int = 0  # rejected backtracking trials
     trace: list = field(default_factory=list)
 
 
@@ -51,27 +67,45 @@ def estimate_lipschitz(grad, x0, n_iter=20, delta=1e-6, seed=0):
     return lam
 
 
-def _backtrack(fun, x, fx, g, step):
-    """Halve the step until the sufficient-decrease condition holds.
+def _backtrack(fun, x, fx, g, step, kappa):
+    """Line search along -g from the last accepted step and its curvature.
 
-    Returns (x_new, f_new, step, resolved): resolved is False when the
+    The first trial is min(2 step, 1/kappa); each rejected trial shrinks the
+    step, until the sufficient-decrease condition holds. Returns (x_new,
+    f_new, step, resolved, kappa, rejected): resolved is False when the
     required decrease is smaller than the objective's rounding error, i.e.
-    the test has lost meaning.
+    the test has lost meaning; kappa is the curvature measured by the last
+    trial (0 if none) and rejected counts the trials that failed.
     """
     gsq = float(g @ g)
+    step *= STEP_GROWTH
+    if kappa > 0:
+        step = min(step, 1.0 / kappa)
+    kappa, rejected = 0.0, 0
     while step > MIN_STEP:
         need = SUFFICIENT_DECREASE * step * gsq
         if need < F_RESOLUTION * max(abs(fx), 1.0):
-            return x, fx, step, False
+            return x, fx, step, False, kappa, rejected
         x_new = x - step * g
         f_new = fun(x_new)
+        kappa = 2.0 * (f_new - fx + step * gsq) / (step * step * gsq)
+        if not (np.isfinite(kappa) and kappa > 0):
+            kappa = 0.0  # rounding: not a usable curvature
         if f_new <= fx - need:
-            return x_new, f_new, step, True
-        step *= STEP_SHRINK
-    return x, fx, step, False
+            return x_new, f_new, step, True, kappa, rejected
+        rejected += 1
+        if kappa > 0:
+            step = min(STEP_SHRINK * step, max(1.0 / kappa, MAX_SHRINK * step))
+        else:
+            step *= STEP_SHRINK
+    return x, fx, step, False, kappa, rejected
 
 
-def _polish(fun, grad, x, g, step, tol, budget):
+def _inf_norm(g):
+    return float(np.abs(g).max(initial=0.0))
+
+
+def _polish(grad, x, g, step, done, budget):
     """Plain gradient steps accepted when the gradient 2-norm does not grow."""
     gn = float(np.linalg.norm(g))
     it = 0
@@ -83,13 +117,13 @@ def _polish(fun, grad, x, g, step, tol, budget):
         if gn_new <= gn:
             x, g, gn = x_new, g_new, gn_new
             step *= 1.25
-            if float(np.abs(g).max()) <= tol:
+            if done(x, g):
                 return x, g, it, True
         else:
             step *= STEP_SHRINK
             if step < MIN_STEP:
                 break
-    return x, g, it, float(np.abs(g).max()) <= tol
+    return x, g, it, done(x, g)
 
 
 def accelerated_minimize(
@@ -101,9 +135,10 @@ def accelerated_minimize(
     step_mode="backtracking",
     restart=True,
     record_trace=False,
+    stop=None,
 ):
     """Minimize a smooth convex function; stops when the gradient inf-norm
-    at the current iterate falls below tol.
+    at the current iterate falls below tol and, if given, stop(x, g) holds.
 
     With restart=True the recorded objective sequence is nonincreasing: any
     momentum-induced increase triggers a restart replaced by a plain
@@ -111,6 +146,10 @@ def accelerated_minimize(
     """
     if step_mode not in ("backtracking", "fixed"):
         raise ConfigError(f"unknown step_mode {step_mode!r}")
+
+    def done(x, g):
+        return _inf_norm(g) <= tol and (stop is None or stop(x, g))
+
     x = np.asarray(x0, dtype=float).copy()
     x_prev = x.copy()
     tk = 1.0
@@ -118,13 +157,13 @@ def accelerated_minimize(
     step = 1.0
     if step_mode == "fixed":
         step = 1.0 / max(estimate_lipschitz(grad, x), 1e-12)
-    n_restarts = 0
+    kappa = 0.0
+    n_restarts = backtracks = 0
     trace = [fx] if record_trace else []
 
     g = grad(x)
-    ginf = float(np.abs(g).max()) if g.size else 0.0
-    if ginf <= tol or x.size == 0:
-        return DescentResult(x, fx, ginf, 0, True, 0, trace)
+    if x.size == 0 or done(x, g):
+        return DescentResult(x, fx, _inf_norm(g), 0, True, 0, 0, trace)
 
     it = 0
     while it < max_iter:
@@ -134,8 +173,9 @@ def accelerated_minimize(
         gy = grad(y)
         resolved = True
         if step_mode == "backtracking":
-            x_new, f_new, step, resolved = _backtrack(fun, y, fun(y), gy,
-                                                      step * STEP_GROWTH)
+            x_new, f_new, step, resolved, kappa, rejected = _backtrack(
+                fun, y, fun(y), gy, step, kappa)
+            backtracks += rejected
         else:
             x_new = y - step * gy
             f_new = fun(x_new)
@@ -145,7 +185,9 @@ def accelerated_minimize(
             n_restarts += 1
             tk_next = 1.0
             if step_mode == "backtracking":
-                x_new, f_new, step, resolved = _backtrack(fun, x, fx, g, step)
+                x_new, f_new, step, resolved, kappa, rejected = _backtrack(
+                    fun, x, fx, g, step, kappa)
+                backtracks += rejected
             else:
                 x_new = x - step * g
                 f_new = fun(x_new)
@@ -153,14 +195,14 @@ def accelerated_minimize(
         if not resolved:
             # objective differences hit the rounding floor: polish with
             # gradient-norm-monotone plain descent
-            x, g, used, converged = _polish(fun, grad, x, g, step, tol,
+            x, g, used, converged = _polish(grad, x, g, step, done,
                                             max_iter - it)
             it += used
             fx = fun(x)
             if record_trace:
                 trace.append(fx)
-            return DescentResult(x, fx, float(np.abs(g).max()), it,
-                                 converged, n_restarts, trace)
+            return DescentResult(x, fx, _inf_norm(g), it, converged,
+                                 n_restarts, backtracks, trace)
 
         x_prev = x
         x = x_new
@@ -170,8 +212,9 @@ def accelerated_minimize(
             trace.append(fx)
 
         g = grad(x)
-        ginf = float(np.abs(g).max())
-        if ginf <= tol:
-            return DescentResult(x, fx, ginf, it, True, n_restarts, trace)
+        if done(x, g):
+            return DescentResult(x, fx, _inf_norm(g), it, True, n_restarts,
+                                 backtracks, trace)
 
-    return DescentResult(x, fx, ginf, max_iter, False, n_restarts, trace)
+    return DescentResult(x, fx, _inf_norm(g), max_iter, False, n_restarts,
+                         backtracks, trace)

@@ -126,7 +126,7 @@ def _parse_cell(raw, row, column):
     return value
 
 
-def load_csv(path, x_cols, y_cols, weight_col=None):
+def load_csv(path, x_cols, y_cols):
     """Read a headed CSV into a Dataset with uniform weights 1/J.
 
     x_cols / y_cols are column names (list or comma-separated string). No
@@ -149,35 +149,26 @@ def load_csv(path, x_cols, y_cols, weight_col=None):
         except StopIteration:
             raise EmptyDataError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
-        wanted = x_cols + y_cols + ([weight_col] if weight_col else [])
+        wanted = x_cols + y_cols
         for col in wanted:
             if col not in header:
                 raise MissingColumnError(col, header)
         idx = {col: header.index(col) for col in wanted}
 
-        rows_x, rows_y, rows_w = [], [], []
+        rows_x, rows_y = [], []
         for r, rec in enumerate(reader):
             if not rec or all(not c.strip() for c in rec):
                 continue
             rows_x.append([_parse_cell(rec[idx[c]], r, c) for c in x_cols])
             rows_y.append([_parse_cell(rec[idx[c]], r, c) for c in y_cols])
-            if weight_col:
-                rows_w.append(_parse_cell(rec[idx[weight_col]], r, weight_col))
 
     if not rows_y:
         raise EmptyDataError(f"{path}: no data rows")
     J = len(rows_y)
     X = np.array(rows_x, dtype=float).reshape(J, len(x_cols))
     Y = np.array(rows_y, dtype=float).reshape(J, len(y_cols))
-    if weight_col:
-        w = np.array(rows_w, dtype=float)
-        if (w <= 0).any():
-            raise DataError("weight column must be strictly positive")
-        nu = w / w.sum()
-    else:
-        nu = np.full(J, 1.0 / J)
     return Dataset(
-        X=X, Y=Y, nu=nu, x_mean=np.zeros(len(x_cols)),
+        X=X, Y=Y, nu=np.full(J, 1.0 / J), x_mean=np.zeros(len(x_cols)),
         x_names=tuple(x_cols), y_names=tuple(y_cols),
         meta={"source": str(path)},
     )

@@ -20,6 +20,10 @@ from .errors import ConfigError, NonConvergenceError, RvqrError
 from .descent import accelerated_minimize
 from .measures import Dataset, RankGrid
 
+# The descent stops only when |<z, grad(z)>|, which equals the duality gap
+# at z = [psi, vec b], is at most GAP_FACTOR * tol * max(1, |objective|).
+GAP_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -75,6 +79,7 @@ class SolveReport:
     converged: bool
     n_restarts: int = 0
     oracle_calls: int = 0  # fused value-and-gradient passes computed
+    backtracks: int = 0  # rejected backtracking trials
 
     def to_dict(self):
         return {
@@ -86,6 +91,7 @@ class SolveReport:
             "converged": self.converged,
             "n_restarts": self.n_restarts,
             "oracle_calls": self.oracle_calls,
+            "backtracks": self.backtracks,
         }
 
 
@@ -209,9 +215,11 @@ def dual_value_centered(dv, data, grid, epsilon):
 def solve(data, grid, cfg):
     """Accelerated gradient descent on the smoothed dual from psi=0, b=0.
 
+    Stops when the gradient inf-norm is at most tol and the relative
+    duality gap |<z, grad(z)>| / max(1, |f|) at most GAP_FACTOR * tol.
     Returns (DualVariables, Coupling, SolveReport); the dual variables come
     back gauge-normalized. Raises NonConvergenceError (carrying the best
-    iterate) if max_iter is hit with the gradient above tol.
+    iterate) if max_iter is hit first.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -222,11 +230,18 @@ def solve(data, grid, cfg):
 
     J, I, N = data.n_obs, grid.n_nodes, data.n_cov
     oracle = _DualOracle(data, grid, cfg.epsilon)
+    gap_tol = GAP_FACTOR * cfg.tol
+
+    def gap_small(z, g):
+        # g is grad(z), so oracle(z) is the cached pass
+        return abs(float(z @ g)) <= gap_tol * max(1.0, abs(oracle(z)[0]))
+
     start = time.perf_counter()
     res = accelerated_minimize(
         lambda z: oracle(z)[0], lambda z: oracle(z)[1], np.zeros(J + I * N),
         tol=cfg.tol, max_iter=cfg.max_iter,
         step_mode=cfg.step_mode, restart=(cfg.restart == "function-value"),
+        stop=gap_small,
     )
     wall = time.perf_counter() - start
     oracle_calls = oracle.calls
@@ -242,11 +257,13 @@ def solve(data, grid, cfg):
         iterations=res.iterations, objective=res.fun, grad_inf=res.grad_inf,
         duality_gap=gap, wall_time=wall, converged=res.converged,
         n_restarts=res.n_restarts, oracle_calls=oracle_calls,
+        backtracks=res.backtracks,
     )
     if not res.converged:
         raise NonConvergenceError(
-            f"gradient inf-norm {res.grad_inf:.3e} above tol {cfg.tol:g} "
-            f"after {cfg.max_iter} iterations",
+            f"not converged after {res.iterations} iterations: gradient "
+            f"inf-norm {res.grad_inf:.3e} (tol {cfg.tol:g}), duality gap "
+            f"{gap:.3e}",
             best=(dv, coupling), report=report,
         )
     return dv, coupling, report

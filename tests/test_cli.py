@@ -28,7 +28,9 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     assert code == cli.EXIT_OK
     doc = json.loads(open(model).read())
     assert doc["report"]["converged"]
-    assert f"oracle calls      {doc['report']['oracle_calls']}" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert f"oracle calls      {doc['report']['oracle_calls']}" in printed
+    assert f"backtracks        {doc['report']['backtracks']}" in printed
 
     table = str(tmp_path / "q.csv")
     code = cli.main(["quantiles", "--model", model, "--data", data,
@@ -132,6 +134,23 @@ def test_compare_qr_table_shape(tmp_path, capsys):
     assert len(lines) == 3
     vals = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
     assert np.isfinite(vals).all() and (vals >= 0).all()
+
+
+def test_compare_qr_nonconvergent_epsilon_keeps_other_columns(tmp_path, capsys):
+    # eps 1 converges within 100 iterations, eps 0.01 does not
+    data = _synth(tmp_path, n=300)
+    out = str(tmp_path / "cmp.csv")
+    code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1",
+                     "--y-cols", "y_1", "--grid", "5",
+                     "--epsilons", "1,0.01", "--probes", "q30,q70",
+                     "--tol", "1e-8", "--max-iter", "100", "--out", out])
+    assert code == cli.EXIT_NONCONV
+    assert "eps 0.01" in capsys.readouterr().err
+    lines = open(out).read().strip().splitlines()
+    assert lines[0] == "probe,eps_1,eps_0.01"
+    vals = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
+    assert vals.shape == (2, 2)
+    assert np.isfinite(vals[:, 0]).all() and np.isnan(vals[:, 1]).all()
 
 
 def test_check_command(tmp_path, capsys):

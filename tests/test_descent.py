@@ -76,3 +76,32 @@ def test_polish_reaches_tight_tolerance_on_flat_valley():
                                max_iter=100000)
     assert res.converged
     assert res.grad_inf <= 1e-12
+
+
+def test_curvature_matched_step_bounds_function_evaluations():
+    # on the same ill-conditioned quadratic, a trial step that always
+    # doubles is rejected about once per iteration, which breaks the bound
+    A = np.diag([1.0, 1000.0])
+    f, grad = _quadratic(A, np.array([3.0, 1.0]))
+    calls = []
+    res = accelerated_minimize(lambda x: calls.append(1) or f(x), grad,
+                               np.array([5.0, 5.0]), tol=1e-9, max_iter=20000)
+    assert res.converged
+    assert len(calls) <= 1000
+    assert res.backtracks < len(calls)
+
+
+def test_stop_test_must_also_hold():
+    A = np.diag([1.0, 10.0])
+    fun, grad = _quadratic(A, np.array([1.0, 1.0]))
+    seen = []
+
+    def stop(x, g):
+        seen.append(float(np.abs(g).max()))
+        return len(seen) >= 3
+
+    res = accelerated_minimize(fun, grad, np.zeros(2), tol=1.0, stop=stop)
+    assert res.converged and res.iterations > 0
+    # stop is asked only where the gradient test holds, and the loop went
+    # on until it agreed
+    assert len(seen) == 3 and max(seen) <= 1.0

@@ -63,15 +63,6 @@ def test_load_csv_rejects_nan_and_empty(tmp_path):
         load_csv(_write(tmp_path, "", name="f.csv"), ["a"], ["b"])
 
 
-def test_load_csv_weight_column(tmp_path):
-    path = _write(tmp_path, "x,y,w\n0,1,1\n0,2,3\n")
-    data = load_csv(path, ["x"], ["y"], weight_col="w")
-    np.testing.assert_allclose(data.nu, [0.25, 0.75])
-    with pytest.raises(DataError):
-        load_csv(_write(tmp_path, "x,y,w\n0,1,0\n0,2,3\n", name="g.csv"),
-                 ["x"], ["y"], weight_col="w")
-
-
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(X=np.zeros((2, 1)), Y=np.zeros((3, 1)),

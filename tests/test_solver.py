@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from rvqr import kernels, solver
+from rvqr import kernels, solver, synth
 from rvqr.errors import ConfigError, NonConvergenceError
-from rvqr.measures import Dataset, make_rank_grid
+from rvqr.measures import Dataset, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables, SolverConfig
 
 
@@ -183,6 +183,7 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     assert doc["epsilon"] == 0.5
     assert doc["report"]["converged"] is True
     assert doc["report"]["oracle_calls"] == report.oracle_calls > 0
+    assert doc["report"]["backtracks"] == report.backtracks
 
 
 @pytest.mark.parametrize("n_cov", [0, 2])
@@ -238,3 +239,29 @@ def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     monkeypatch.setattr(solver, "accelerated_minimize", counting)
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert report.iterations < report.oracle_calls < len(requests)
+
+
+def test_oracle_calls_add_up(rng):
+    # one pass at x0; per iteration one pass at the extrapolated point y
+    # (none where y = x: the first iteration and each one after a restart),
+    # one per backtracking trial, accepted or rejected, and a restart's
+    # accepted trial from x; grad at the accepted point is the cached pass.
+    # A restart in the last iteration adds one pass, a polish phase one per
+    # polish step.
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    _, _, r = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-6))
+    assert r.n_restarts > 0 and r.backtracks > 0
+    extrapolated = r.iterations - 1 - r.n_restarts
+    accepted = r.iterations + r.n_restarts
+    assert r.oracle_calls == 1 + extrapolated + accepted + r.backtracks
+
+
+def test_reported_gap_bounded_by_tol():
+    data, _ = synth.generate(synth.SynthSpec(n_samples=5000, seed=7))
+    data = center_covariates(data)
+    grid = make_rank_grid(1, 20)
+    tol = 1e-7
+    for eps in (1.0, 0.5):
+        _, _, report = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=tol))
+        assert report.duality_gap <= 10 * tol * max(1.0, abs(report.objective))
+        assert report.grad_inf <= tol
