@@ -29,17 +29,32 @@ EXIT_CONFIG = 3
 EXIT_CHECK = 4
 
 
+def _number(tok, what):
+    """A finite float from one list token; ConfigError naming it otherwise."""
+    try:
+        v = float(tok)
+    except ValueError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ConfigError(f"{what}: {tok!r} is not a finite number")
+    return v
+
+
 def _parse_probes(spec_str):
-    """Probe list: 'q10,q30' (covariate quantile levels) or raw values."""
+    """Probe list: 'q10,q30' (covariate quantile levels in [0, 100]) or raw
+    values."""
     probes = []
     for tok in spec_str.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if tok.startswith("q"):
-            probes.append(("level", float(tok[1:]) / 100.0))
+            level = _number(tok[1:], f"--probes level {tok!r}")
+            if not 0.0 <= level <= 100.0:
+                raise ConfigError(f"--probes: level {tok!r} is outside [0, 100]")
+            probes.append(("level", level / 100.0))
         else:
-            probes.append(("value", float(tok)))
+            probes.append(("value", _number(tok, "--probes")))
     return probes
 
 
@@ -66,10 +81,8 @@ def _load_centered(args):
 def cmd_fit(args):
     data = _load_centered(args)
     grid = make_rank_grid(data.n_dim, args.grid)
-    cfg = solver.SolverConfig(
-        epsilon=args.epsilon, tol=args.tol, max_iter=args.max_iter,
-        step_mode=args.step_mode, restart=args.restart,
-    )
+    cfg = solver.SolverConfig(epsilon=args.epsilon, tol=args.tol,
+                              max_iter=args.max_iter)
     exit_code = EXIT_OK
     try:
         dv, coupling, report = solver.solve(data, grid, cfg)
@@ -128,9 +141,12 @@ def cmd_compare_qr(args):
     data = _load_centered(args)
     if data.n_dim != 1:
         raise ConfigError("compare-qr supports univariate responses only")
-    eps_list = [float(e) for e in args.epsilons.split(",")]
+    eps_list = [_number(e, "--epsilons") for e in args.epsilons.split(",")]
     probes = _resolve_probes(_parse_probes(args.probes), data)
     grid = make_rank_grid(1, args.grid)
+    if grid.n_nodes < 3:
+        raise ConfigError(f"compare-qr needs --grid >= 3 (an interior rank "
+                          f"node), got {args.grid}")
     interior = np.arange(1, grid.n_nodes - 1)
     t_levels = grid.U[interior, 0]
 
@@ -223,10 +239,6 @@ def build_parser():
     f.add_argument("--y-cols", required=True)
     f.add_argument("--grid", type=int, default=20)
     add_solver_flags(f)
-    f.add_argument("--step-mode", choices=["fixed", "backtracking"],
-                   default="backtracking")
-    f.add_argument("--restart", choices=["none", "function-value"],
-                   default="function-value")
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fit)
 

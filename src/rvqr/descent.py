@@ -1,7 +1,8 @@
 """Accelerated gradient descent with backtracking and function-value restart.
 
-Shared by the transport-dual solver and the smoothed pinball baseline. The
-momentum schedule is t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with extrapolation
+Shared by the transport-dual solver and the smoothed pinball baseline, which
+both run it one way: one step rule, and the restart always on. The momentum
+schedule is t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with extrapolation
 y = x + ((t_k - 1)/t_{k+1})(x - x_prev).
 
 Each backtracking trial at step s along -g yields f(y - s g), and with it the
@@ -16,7 +17,8 @@ finite number (rounding near F_RESOLUTION) the trial doubles or halves
 instead.
 
 An optional `stop(x, g)` test must hold together with the gradient test for
-the loop to report convergence; the transport dual passes its duality gap.
+the loop to report convergence. The transport dual passes its duality gap,
+which at z = [psi, vec b] is |<z, grad(z)>|: the same number `solve` reports.
 
 Once the sufficient-decrease quantity drops below the objective's own
 floating-point resolution, line-search decisions become noise; the loop then
@@ -27,8 +29,6 @@ gradient-norm descent, which needs no objective comparisons.
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import ConfigError
 
 SUFFICIENT_DECREASE = 1e-4
 STEP_GROWTH = 2.0
@@ -48,23 +48,6 @@ class DescentResult:
     n_restarts: int = 0
     backtracks: int = 0  # rejected backtracking trials
     trace: list = field(default_factory=list)
-
-
-def estimate_lipschitz(grad, x0, n_iter=20, delta=1e-6, seed=0):
-    """Largest Hessian eigenvalue via power iteration on finite-difference
-    Hessian-vector products."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(x0.shape)
-    v /= np.linalg.norm(v)
-    lam = 1.0
-    for _ in range(n_iter):
-        hv = (grad(x0 + delta * v) - grad(x0 - delta * v)) / (2 * delta)
-        norm = np.linalg.norm(hv)
-        if norm == 0:
-            return 1.0
-        lam = norm
-        v = hv / norm
-    return lam
 
 
 def _backtrack(fun, x, fx, g, step, kappa):
@@ -126,71 +109,44 @@ def _polish(grad, x, g, step, done, budget):
     return x, g, it, done(x, g)
 
 
-def accelerated_minimize(
-    fun,
-    grad,
-    x0,
-    tol=1e-8,
-    max_iter=10000,
-    step_mode="backtracking",
-    restart=True,
-    record_trace=False,
-    stop=None,
-):
+def accelerated_minimize(fun, grad, x0, tol=1e-8, max_iter=10000,
+                         record_trace=False, stop=None):
     """Minimize a smooth convex function; stops when the gradient inf-norm
     at the current iterate falls below tol and, if given, stop(x, g) holds.
 
-    With restart=True the recorded objective sequence is nonincreasing: any
-    momentum-induced increase triggers a restart replaced by a plain
-    backtracked gradient step from the previous iterate.
+    The recorded objective sequence is nonincreasing: any momentum-induced
+    increase triggers a restart replaced by a plain backtracked gradient
+    step from the previous iterate.
     """
-    if step_mode not in ("backtracking", "fixed"):
-        raise ConfigError(f"unknown step_mode {step_mode!r}")
 
     def done(x, g):
         return _inf_norm(g) <= tol and (stop is None or stop(x, g))
 
     x = np.asarray(x0, dtype=float).copy()
     x_prev = x.copy()
-    tk = 1.0
+    tk, step, kappa = 1.0, 1.0, 0.0
     fx = fun(x)
-    step = 1.0
-    if step_mode == "fixed":
-        step = 1.0 / max(estimate_lipschitz(grad, x), 1e-12)
-    kappa = 0.0
-    n_restarts = backtracks = 0
+    it = n_restarts = backtracks = 0
     trace = [fx] if record_trace else []
 
     g = grad(x)
-    if x.size == 0 or done(x, g):
-        return DescentResult(x, fx, _inf_norm(g), 0, True, 0, 0, trace)
-
-    it = 0
-    while it < max_iter:
+    converged = x.size == 0 or done(x, g)
+    while not converged and it < max_iter:
         it += 1
         tk_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
         y = x + ((tk - 1.0) / tk_next) * (x - x_prev)
         gy = grad(y)
-        resolved = True
-        if step_mode == "backtracking":
-            x_new, f_new, step, resolved, kappa, rejected = _backtrack(
-                fun, y, fun(y), gy, step, kappa)
-            backtracks += rejected
-        else:
-            x_new = y - step * gy
-            f_new = fun(x_new)
+        x_new, f_new, step, resolved, kappa, rejected = _backtrack(
+            fun, y, fun(y), gy, step, kappa)
+        backtracks += rejected
 
-        if resolved and restart and f_new > fx:
+        if resolved and f_new > fx:
             # momentum overshot: restart from the last good iterate
             n_restarts += 1
             tk_next = 1.0
-            if step_mode == "backtracking":
-                x_new, f_new, step, resolved, kappa, rejected = _backtrack(
-                    fun, x, fx, g, step, kappa)
-                backtracks += rejected
-            else:
-                x_new = x - step * g
-                f_new = fun(x_new)
+            x_new, f_new, step, resolved, kappa, rejected = _backtrack(
+                fun, x, fx, g, step, kappa)
+            backtracks += rejected
 
         if not resolved:
             # objective differences hit the rounding floor: polish with
@@ -201,8 +157,7 @@ def accelerated_minimize(
             fx = fun(x)
             if record_trace:
                 trace.append(fx)
-            return DescentResult(x, fx, _inf_norm(g), it, converged,
-                                 n_restarts, backtracks, trace)
+            break
 
         x_prev = x
         x = x_new
@@ -212,9 +167,7 @@ def accelerated_minimize(
             trace.append(fx)
 
         g = grad(x)
-        if done(x, g):
-            return DescentResult(x, fx, _inf_norm(g), it, True, n_restarts,
-                                 backtracks, trace)
+        converged = done(x, g)
 
-    return DescentResult(x, fx, _inf_norm(g), max_iter, False, n_restarts,
+    return DescentResult(x, fx, _inf_norm(g), it, converged, n_restarts,
                          backtracks, trace)

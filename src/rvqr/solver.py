@@ -11,12 +11,12 @@ All log-sum-exp / softmax reductions are row-max stabilized (see kernels).
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, NonConvergenceError, RvqrError
+from .errors import ConfigError, DataError, NonConvergenceError, RvqrError
 from .descent import accelerated_minimize
 from .measures import Dataset, RankGrid
 
@@ -30,8 +30,6 @@ class SolverConfig:
     epsilon: float
     tol: float = 1e-9
     max_iter: int = 50000
-    step_mode: str = "backtracking"
-    restart: str = "function-value"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -40,25 +38,16 @@ class SolverConfig:
             raise ConfigError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.step_mode not in ("fixed", "backtracking"):
-            raise ConfigError(f"unknown step_mode {self.step_mode!r}")
-        if self.restart not in ("none", "function-value"):
-            raise ConfigError(f"unknown restart mode {self.restart!r}")
 
 
 @dataclass(frozen=True)
 class DualVariables:
     psi: np.ndarray
     b: np.ndarray
-    gauge: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float).ravel())
         object.__setattr__(self, "b", np.atleast_2d(np.asarray(self.b, dtype=float)))
-
-    @classmethod
-    def zeros(cls, n_obs, n_nodes, n_cov):
-        return cls(psi=np.zeros(n_obs), b=np.zeros((n_nodes, n_cov)))
 
 
 @dataclass(frozen=True)
@@ -177,8 +166,7 @@ def normalize(dv, data, grid, epsilon):
     psi = dv.psi + (data.X @ b1 if data.n_cov else 0.0)
     lam = epsilon * kernels.logsumexp_all(
         theta(DualVariables(psi=psi, b=b), data, grid, epsilon))
-    psi = psi + lam
-    return DualVariables(psi=psi, b=b, gauge={"b_pin": b1, "psi_shift": float(lam)})
+    return DualVariables(psi=psi + lam, b=b)
 
 
 def extract_coupling(dv, data, grid, epsilon):
@@ -218,8 +206,9 @@ def solve(data, grid, cfg):
     Stops when the gradient inf-norm is at most tol and the relative
     duality gap |<z, grad(z)>| / max(1, |f|) at most GAP_FACTOR * tol.
     Returns (DualVariables, Coupling, SolveReport); the dual variables come
-    back gauge-normalized. Raises NonConvergenceError (carrying the best
-    iterate) if max_iter is hit first.
+    back gauge-normalized, and the report's duality gap is |<z, grad(z)>|
+    at them. Raises NonConvergenceError (carrying the best iterate) if
+    max_iter is hit first.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -239,9 +228,7 @@ def solve(data, grid, cfg):
     start = time.perf_counter()
     res = accelerated_minimize(
         lambda z: oracle(z)[0], lambda z: oracle(z)[1], np.zeros(J + I * N),
-        tol=cfg.tol, max_iter=cfg.max_iter,
-        step_mode=cfg.step_mode, restart=(cfg.restart == "function-value"),
-        stop=gap_small,
+        tol=cfg.tol, max_iter=cfg.max_iter, stop=gap_small,
     )
     wall = time.perf_counter() - start
     oracle_calls = oracle.calls
@@ -251,8 +238,10 @@ def solve(data, grid, cfg):
     dv = normalize(DualVariables(psi=res.x[:J], b=res.x[J:].reshape(I, N)),
                    data, grid, cfg.epsilon)
     coupling = extract_coupling(dv, data, grid, cfg.epsilon)
-    gap = abs(dual_value_centered(dv, data, grid, cfg.epsilon)
-              - primal_value(coupling, grid, data, cfg.epsilon))
+    # |<z, grad(z)>|, the gap the stop test bounds: the gradient blocks are
+    # minus the column and mean-independence residuals
+    gap = abs(float(dv.psi @ coupling.col_residual)
+              + float(np.sum(dv.b * coupling.mi_residual)))
     report = SolveReport(
         iterations=res.iterations, objective=res.fun, grad_inf=res.grad_inf,
         duality_gap=gap, wall_time=wall, converged=res.converged,
@@ -270,6 +259,10 @@ def solve(data, grid, cfg):
 
 
 # --- fitted-model persistence -------------------------------------------------
+
+# keys that load_model and the readers of its document rely on
+MODEL_KEYS = ("epsilon", "grid", "psi", "b", "x_mean", "x_names", "y_names")
+
 
 def model_to_json_dict(dv, data, grid, cfg, report):
     return {
@@ -291,8 +284,17 @@ def save_model(path, dv, data, grid, cfg, report):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    dv = DualVariables(psi=np.array(doc["psi"]), b=np.array(doc["b"]))
-    grid = RankGrid.from_json_dict(doc["grid"])
+    """(doc, DualVariables, RankGrid) from a model file; DataError if it is
+    not valid JSON or lacks a key that a reader of the model needs."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        missing = [k for k in MODEL_KEYS if k not in doc]
+        if missing:
+            raise KeyError(", ".join(missing))
+        dv = DualVariables(psi=np.array(doc["psi"]), b=np.array(doc["b"]))
+        grid = RankGrid.from_json_dict(doc["grid"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path} is not a valid model file "
+                        f"({type(exc).__name__}: {exc})") from None
     return doc, dv, grid

@@ -63,6 +63,62 @@ def test_bad_flag_is_config_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["fit", "--no-such-flag"])
     assert exc.value.code == cli.EXIT_CONFIG
+    # the descent runs one way: its former mode flags are unknown
+    fit = ["fit", "--data", "d.csv", "--x-cols", "x_1", "--y-cols", "y_1",
+           "--out", "m.json"]
+    for flag in (["--step-mode", "fixed"], ["--restart", "none"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(fit + flag)
+        assert exc.value.code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("probes, bad", [
+    ("qx", "'qx'"), ("1,abc", "'abc'"), ("q150", "'q150'")])
+def test_bad_probe_is_config_error(tmp_path, capsys, probes, bad):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", probes, "--out", str(tmp_path / "q.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert bad in capsys.readouterr().err
+
+
+def _compare_qr(tmp_path, *extra):
+    data = _synth(tmp_path, n=300)
+    return cli.main(["compare-qr", "--data", data, "--x-cols", "x_1",
+                     "--y-cols", "y_1", "--probes", "q30,q70", *extra])
+
+
+def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
+    assert _compare_qr(tmp_path, "--epsilons", "1,abc") == cli.EXIT_CONFIG
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):
+    code = _compare_qr(tmp_path, "--grid", "2", "--epsilons", "1")
+    assert code == cli.EXIT_CONFIG
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncate", "drop_key"])
+def test_malformed_model_is_data_error(tmp_path, capsys, damage):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    text = open(model).read()
+    if damage == "truncate":
+        text = text[:len(text) // 2]
+    else:
+        doc = json.loads(text)
+        del doc["x_names"]
+        text = json.dumps(doc)
+    with open(model, "w") as fh:
+        fh.write(text)
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--out", str(tmp_path / "q.csv")])
+    assert code == cli.EXIT_CONFIG
+    assert model in capsys.readouterr().err
 
 
 def test_missing_column_is_config_error(tmp_path, capsys):

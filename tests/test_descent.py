@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from rvqr.descent import accelerated_minimize, estimate_lipschitz
-from rvqr.errors import ConfigError
+from rvqr.descent import accelerated_minimize
 
 
 def _quadratic(A, c):
@@ -20,29 +18,11 @@ def test_quadratic_exact_minimum(rng):
     np.testing.assert_allclose(res.x, np.linalg.solve(A, c), atol=1e-8)
 
 
-def test_fixed_step_mode(rng):
-    A = rng.standard_normal((5, 5))
-    A = A @ A.T + np.eye(5)
-    c = rng.standard_normal(5)
-    fun, grad = _quadratic(A, c)
-    res = accelerated_minimize(fun, grad, np.zeros(5), tol=1e-8,
-                               max_iter=20000, step_mode="fixed")
-    assert res.converged
-    np.testing.assert_allclose(res.x, np.linalg.solve(A, c), atol=1e-6)
-
-
-def test_lipschitz_estimate_matches_top_eigenvalue(rng):
-    A = np.diag([2.0, 7.0, 31.0])
-    _, grad = _quadratic(A, np.zeros(3))
-    lam = estimate_lipschitz(grad, np.zeros(3))
-    assert abs(lam - 31.0) / 31.0 < 1e-3
-
-
 def test_monotone_trace_with_restart(rng):
     A = np.diag([1.0, 1000.0])
     fun, grad = _quadratic(A, np.array([3.0, 1.0]))
     res = accelerated_minimize(fun, grad, np.array([5.0, 5.0]), tol=1e-9,
-                               max_iter=20000, restart=True, record_trace=True)
+                               max_iter=20000, record_trace=True)
     assert res.converged
     t = np.array(res.trace)
     assert np.all(np.diff(t) <= 1e-12 * np.maximum(np.abs(t[:-1]), 1.0))
@@ -59,12 +39,6 @@ def test_nonconvergence_reported():
     res = accelerated_minimize(fun, grad, np.full(2, 1e6), tol=1e-14, max_iter=3)
     assert not res.converged
     assert res.grad_inf > 1e-14
-
-
-def test_rejects_unknown_step_mode():
-    fun, grad = _quadratic(np.eye(1), np.zeros(1))
-    with pytest.raises(ConfigError):
-        accelerated_minimize(fun, grad, np.zeros(1), step_mode="wild")
 
 
 def test_polish_reaches_tight_tolerance_on_flat_valley():

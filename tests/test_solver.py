@@ -139,6 +139,8 @@ def test_solve_small_duality_gap_and_feasibility(rng):
     primal = solver.primal_value(coupling, grid, data, cfg.epsilon)
     dual = solver.dual_value_centered(dv, data, grid, cfg.epsilon)
     assert abs(primal - dual) <= 1e-8 * max(abs(dual), 1.0)
+    # the reported |<z, grad(z)>| is the gap of the independent formulas
+    assert abs(report.duality_gap - abs(dual - primal)) <= 1e-12 * max(abs(dual), 1.0)
 
 
 def test_solve_rejects_uncentered_or_mismatched(rng):
@@ -156,8 +158,6 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.1, tol=-1)
-    with pytest.raises(ConfigError):
-        SolverConfig(epsilon=0.1, step_mode="secant")
 
 
 def test_nonconvergence_carries_best_iterate(rng):
@@ -230,6 +230,10 @@ def test_oracle_views_share_one_cached_pass(rng, monkeypatch, n_cov):
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     data, grid = random_instance(rng, I=5, J=20, N=1)
     requests = []
+    passes = []
+    real_terms = kernels.dual_terms
+    monkeypatch.setattr(kernels, "dual_terms",
+                        lambda *args: passes.append(1) or real_terms(*args))
     real = solver.accelerated_minimize
 
     def counting(fun, grad, x0, **kwargs):
@@ -239,6 +243,8 @@ def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     monkeypatch.setattr(solver, "accelerated_minimize", counting)
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert report.iterations < report.oracle_calls < len(requests)
+    # every kernel pass is a counted descent pass: none after the descent
+    assert len(passes) == report.oracle_calls
 
 
 def test_oracle_calls_add_up(rng):
