@@ -26,7 +26,8 @@ class QrConfig:
     smoothing: float = 1e-4  # kink width as a fraction of scale(Y)
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or self.smoothing <= 0:
+        if not (math.isfinite(self.tol) and self.tol > 0 and self.max_iter >= 1
+                and math.isfinite(self.smoothing) and self.smoothing > 0):
             raise ConfigError("invalid QR solver configuration")
 
 

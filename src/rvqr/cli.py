@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import classical_qr, oracles, quantiles, solver, synth
+from . import classical_qr, quantiles, solver, synth
 from .errors import (
     ConfigError,
     DataError,
@@ -93,7 +93,8 @@ def cmd_fit(args):
         print(f"warning: {exc}", file=sys.stderr)
     solver.save_model(args.out, dv, data, grid, cfg, report)
     print(f"model written to {args.out}")
-    print(f"iterations        {report.iterations}")
+    print(f"epsilon stages    {report.stages}")
+    print(f"newton steps      {report.iterations}")
     print(f"oracle calls      {report.oracle_calls}")
     print(f"backtracks        {report.backtracks}")
     print(f"dual objective    {report.objective:.10g}")
@@ -142,6 +143,9 @@ def cmd_compare_qr(args):
     if data.n_dim != 1:
         raise ConfigError("compare-qr supports univariate responses only")
     eps_list = [_number(e, "--epsilons") for e in args.epsilons.split(",")]
+    # validated before the baseline fit, which a bad --tol would waste
+    cfgs = [solver.SolverConfig(epsilon=e, tol=args.tol, max_iter=args.max_iter)
+            for e in eps_list]
     probes = _resolve_probes(_parse_probes(args.probes), data)
     grid = make_rank_grid(1, args.grid)
     if grid.n_nodes < 3:
@@ -165,8 +169,7 @@ def cmd_compare_qr(args):
     lines = [",".join(header)]
     table = []
     exit_code = EXIT_OK
-    for eps in eps_list:
-        cfg = solver.SolverConfig(epsilon=eps, tol=args.tol, max_iter=args.max_iter)
+    for eps, cfg in zip(eps_list, cfgs):
         try:
             _, coupling, _ = solver.solve(data, grid, cfg)
         except NonConvergenceError as exc:
@@ -211,6 +214,8 @@ def cmd_synth(args):
 
 
 def cmd_check(args):
+    # imported here: oracles loads scipy.special, which no other command uses
+    from . import oracles
     results = oracles.run_all_checks(seed=args.seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -231,7 +236,7 @@ def build_parser():
     def add_solver_flags(sp):
         sp.add_argument("--epsilon", type=float, default=0.1)
         sp.add_argument("--tol", type=float, default=1e-7)
-        sp.add_argument("--max-iter", type=int, default=50000)
+        sp.add_argument("--max-iter", type=int, default=100)
 
     f = sub.add_parser("fit", help="fit the regularized transport dual")
     f.add_argument("--data", required=True)

@@ -1,8 +1,8 @@
 """Accelerated gradient descent with backtracking and function-value restart.
 
-Shared by the transport-dual solver and the smoothed pinball baseline, which
-both run it one way: one step rule, and the restart always on. The momentum
-schedule is t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with extrapolation
+Used by the smoothed pinball baseline (classical_qr), one way: one step
+rule, and the restart always on. The momentum schedule is
+t_{k+1} = (1 + sqrt(1 + 4 t_k^2)) / 2 with extrapolation
 y = x + ((t_k - 1)/t_{k+1})(x - x_prev).
 
 Each backtracking trial at step s along -g yields f(y - s g), and with it the
@@ -15,10 +15,6 @@ step s and its kappa with the trial min(2 s, 1/kappa); a rejected trial
 shrinks to min(s/2, max(1/kappa, s/10)). Where kappa is not a positive
 finite number (rounding near F_RESOLUTION) the trial doubles or halves
 instead.
-
-An optional `stop(x, g)` test must hold together with the gradient test for
-the loop to report convergence. The transport dual passes its duality gap,
-which at z = [psi, vec b] is |<z, grad(z)>|: the same number `solve` reports.
 
 Once the sufficient-decrease quantity drops below the objective's own
 floating-point resolution, line-search decisions become noise; the loop then
@@ -110,9 +106,9 @@ def _polish(grad, x, g, step, done, budget):
 
 
 def accelerated_minimize(fun, grad, x0, tol=1e-8, max_iter=10000,
-                         record_trace=False, stop=None):
+                         record_trace=False):
     """Minimize a smooth convex function; stops when the gradient inf-norm
-    at the current iterate falls below tol and, if given, stop(x, g) holds.
+    at the current iterate falls below tol.
 
     The recorded objective sequence is nonincreasing: any momentum-induced
     increase triggers a restart replaced by a plain backtracked gradient
@@ -120,7 +116,7 @@ def accelerated_minimize(fun, grad, x0, tol=1e-8, max_iter=10000,
     """
 
     def done(x, g):
-        return _inf_norm(g) <= tol and (stop is None or stop(x, g))
+        return _inf_norm(g) <= tol
 
     x = np.asarray(x0, dtype=float).copy()
     x_prev = x.copy()

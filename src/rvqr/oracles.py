@@ -74,7 +74,7 @@ def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
     gain u_i.y_j. Returns the max entrywise coupling deviation."""
     if data.n_cov and np.abs(data.X).max() > 1e-12:
         raise ConfigError("this check requires X identically zero after centering")
-    cfg = SolverConfig(epsilon=epsilon, tol=tol, max_iter=200000)
+    cfg = SolverConfig(epsilon=epsilon, tol=tol)
     _, coupling, _ = rvqr_solver.solve(data, grid, cfg)
     G = grid.U @ data.Y.T
     sk = sinkhorn(grid.mu, data.nu, G, epsilon, tol=tol)
@@ -174,7 +174,7 @@ def check_equivalence_small(data, grid, epsilons=(1.0, 0.5, 0.1, 0.05), seed=0):
     U = grid.U[:, 0]
     y = data.Y[:, 0]
 
-    cfgs = [SolverConfig(epsilon=eps, tol=1e-10, max_iter=200000) for eps in epsilons]
+    cfgs = [SolverConfig(epsilon=eps, tol=1e-10) for eps in epsilons]
     couplings = [rvqr_solver.solve(data, grid, cfg)[1] for cfg in cfgs]
     plans = _feasible_plan_samples(data, grid, couplings, seed)
     obj_mismatch = 0.0

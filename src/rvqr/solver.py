@@ -1,41 +1,63 @@
-"""Smoothed transport dual with mean-independence: objective, gradients,
-gauge fixing, accelerated minimization and coupling extraction.
+"""Smoothed transport dual with mean-independence: the psi-dual objective
+and gradient, gauge fixing, Newton on the (phi, b) semi-dual and coupling
+extraction.
 
 Conventions: psi has one entry per observation j, b one row per rank node i.
 theta_ij = [u_i.y_j - b_i.x_j - psi_j] / epsilon, and the dual objective is
 
     J(psi, b) = sum_j psi_j nu_j + eps * sum_i mu_i log sum_j exp(theta_ij).
 
-All log-sum-exp / softmax reductions are row-max stabilized (see kernels).
+`solve` eliminates psi instead of phi (Cuturi & Peyre, Semi-dual
+regularized optimal transport, SIAM Review 2018). With z_i = (phi_i, b_i)
+and a_j = (1, x_j) it minimizes over the I (1 + N) numbers z
+
+    F(z) = sum_i mu_i phi_i + eps * sum_j nu_j log sum_i exp(s_ij),
+    s_ij = (u_i.y_j - z_i.a_j) / eps,
+
+whose coupling nu_j softmax_i(s_ij) meets the column marginals exactly, and
+returns psi_j = eps log sum_i exp(s_ij) - eps log nu_j, the psi-dual point
+of the same coupling. All log-sum-exp / softmax reductions are
+max-stabilized (see kernels).
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
+# the Armijo constant, and the relative rounding error of an objective
+# below which the Armijo test cannot be decided
+from .descent import F_RESOLUTION, SUFFICIENT_DECREASE
 from .errors import ConfigError, DataError, NonConvergenceError, RvqrError
-from .descent import accelerated_minimize
-from .measures import Dataset, RankGrid
+from .measures import RankGrid
 
-# The descent stops only when |<z, grad(z)>|, which equals the duality gap
-# at z = [psi, vec b], is at most GAP_FACTOR * tol * max(1, |objective|).
-GAP_FACTOR = 10.0
+MAX_HALVINGS = 60  # rejected trials before a line search gives up
+# Marquardt damping 1e-6 min(1, r) diag(H); diagonal entries below
+# 1e-10 max(diag H), such as a constant covariate's, damp with the max
+MARQUARDT = 1e-6
+DIAG_FLOOR = 1e-10
+# epsilon ladder eps 4^k, k = K..0: the top rung is the largest at most
+# LADDER_TOP times the spread of u_i.y_j; every rung but the last stops at
+# the residual STAGE_TOL
+LADDER_RATIO = 4.0
+LADDER_TOP = 0.4
+STAGE_TOL = 1e-1
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
     tol: float = 1e-9
-    max_iter: int = 50000
+    max_iter: int = 100  # Newton steps over all epsilon stages
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {self.tol}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError(f"epsilon must be a finite number > 0, got {self.epsilon}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite number > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -60,15 +82,15 @@ class Coupling:
 
 @dataclass(frozen=True)
 class SolveReport:
-    iterations: int
-    objective: float
-    grad_inf: float
+    iterations: int  # Newton steps over all stages
+    objective: float  # psi-dual J at the returned point
+    grad_inf: float  # largest column or mean-independence residual
     duality_gap: float
     wall_time: float
     converged: bool
-    n_restarts: int = 0
-    oracle_calls: int = 0  # fused value-and-gradient passes computed
-    backtracks: int = 0  # rejected backtracking trials
+    stages: int = 0  # epsilon stages
+    oracle_calls: int = 0  # semi-dual passes: stages + iterations + backtracks
+    backtracks: int = 0  # rejected line-search trials
 
     def to_dict(self):
         return {
@@ -78,84 +100,31 @@ class SolveReport:
             "duality_gap": self.duality_gap,
             "wall_time": self.wall_time,
             "converged": self.converged,
-            "n_restarts": self.n_restarts,
+            "stages": self.stages,
             "oracle_calls": self.oracle_calls,
             "backtracks": self.backtracks,
         }
 
 
-def _theta_factors(data, grid, epsilon):
-    """(A, B) with theta = A @ B, for A = [U, -b, -1] and B = [Y'; X'; psi'] / eps.
-
-    The b columns of A and the psi row of B are left for the caller to fill.
-    theta is then one matrix product of inner dimension d + N + 1 written
-    straight into its output, with no I x J temporaries.
-    """
-    d, N = data.n_dim, data.n_cov
-    A = np.empty((grid.n_nodes, d + N + 1))
-    A[:, :d] = grid.U
-    A[:, -1] = -1.0
-    B = np.empty((d + N + 1, data.n_obs))
-    np.divide(data.Y.T, epsilon, out=B[:d])
-    np.divide(data.X.T, epsilon, out=B[d:d + N])
-    return A, B
-
-
 def theta(dv, data, grid, epsilon):
-    """I x J matrix theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon."""
-    A, B = _theta_factors(data, grid, epsilon)
-    A[:, data.n_dim:-1] = -dv.b
-    np.divide(dv.psi, epsilon, out=B[-1])
-    return A @ B
-
-
-class _DualOracle:
-    """Objective and gradient of the smoothed dual from one fused kernel pass.
-
-    The I x J workspace and the theta factors are allocated once. The last
-    point evaluated is kept by value together with its results, so fun and
-    grad requested at the same point cost one pass between them.
-    """
-
-    def __init__(self, data, grid, epsilon):
-        self.data, self.grid, self.epsilon = data, grid, epsilon
-        self.A, self.B = _theta_factors(data, grid, epsilon)
-        self.theta = np.empty((grid.n_nodes, data.n_obs))
-        self.calls = 0
-        self._z = None
-        self._fg = None
-
-    def __call__(self, z):
-        """(f, g) at the flat point z = [psi, vec(b)]."""
-        if self._z is not None and np.array_equal(z, self._z):
-            return self._fg
-        data, grid, eps = self.data, self.grid, self.epsilon
-        J, d, N = data.n_obs, data.n_dim, data.n_cov
-        psi = z[:J]
-        self.A[:, d:d + N] = -z[J:].reshape(grid.n_nodes, N)
-        np.divide(psi, eps, out=self.B[-1])
-        np.matmul(self.A, self.B, out=self.theta)
-        lse, gpsi, gb = kernels.dual_terms(self.theta, grid.mu, data.nu, data.X)
-        f = float(psi @ data.nu + eps * (grid.mu @ lse))
-        g = np.concatenate([gpsi, gb.ravel()])
-        self.calls += 1
-        self._z, self._fg = z.copy(), (f, g)
-        return f, g
-
-
-def _evaluate(dv, data, grid, epsilon):
-    return _DualOracle(data, grid, epsilon)(np.concatenate([dv.psi, dv.b.ravel()]))
+    """I x J matrix theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon, as one
+    product of inner dimension d + N + 1."""
+    coef = np.hstack([grid.U, -dv.b, -np.ones((grid.n_nodes, 1))]) / epsilon
+    return coef @ np.vstack([data.Y.T, data.X.T, dv.psi[None, :]])
 
 
 def dual_objective(dv, data, grid, epsilon):
+    """J(psi, b), with the row log-sum-exps taken by numpy's logaddexp."""
     if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
         raise RvqrError("dual variables contain NaN or Inf")
-    return _evaluate(dv, data, grid, epsilon)[0]
+    lse = np.logaddexp.reduce(theta(dv, data, grid, epsilon), axis=1)
+    return float(dv.psi @ data.nu + epsilon * (grid.mu @ lse))
 
 
 def dual_gradient(dv, data, grid, epsilon):
-    g = _evaluate(dv, data, grid, epsilon)[1]
-    return g[:data.n_obs], g[data.n_obs:].reshape(dv.b.shape)
+    """(grad_psi, grad_b): minus the column and mean-independence residuals."""
+    c = extract_coupling(dv, data, grid, epsilon)
+    return -c.col_residual, -c.mi_residual
 
 
 def normalize(dv, data, grid, epsilon):
@@ -200,15 +169,106 @@ def dual_value_centered(dv, data, grid, epsilon):
     )
 
 
-def solve(data, grid, cfg):
-    """Accelerated gradient descent on the smoothed dual from psi=0, b=0.
+class SemiDual:
+    """F(z), its gradient and Hessian over z = (phi, b), an I x K array with
+    K = 1 + N, through an I x J workspace p and one I x J scratch.
 
-    Stops when the gradient inf-norm is at most tol and the relative
-    duality gap |<z, grad(z)>| / max(1, |f|) at most GAP_FACTOR * tol.
-    Returns (DualVariables, Coupling, SolveReport); the dual variables come
-    back gauge-normalized, and the report's duality gap is |<z, grad(z)>|
-    at them. Raises NonConvergenceError (carrying the best iterate) if
-    max_iter is hit first.
+    `evaluate` leaves the column softmax p of its point in the workspace,
+    and `hessian` reads it from there, so the Hessian is that of the last
+    point evaluated.
+    """
+
+    def __init__(self, data, grid):
+        self.data, self.grid = data, grid
+        d, I, J = data.n_dim, grid.n_nodes, data.n_obs
+        # s = [U, -z] @ [Y'; a'] / eps: one product of inner dimension d + K
+        self.coef = np.empty((I, d + 1 + data.n_cov))
+        self.feats = np.vstack([data.Y.T, np.ones((1, J)), data.X.T])
+        self.a = self.feats[d:]  # K x J, column j is a_j = (1, x_j)
+        self.a_nu = self.a * data.nu  # nu_j a_j
+        self.p = np.empty((I, J))
+        self.scratch = np.empty((I, J))
+        self.calls = 0
+
+    def evaluate(self, z, eps):
+        """(F, grad, lse) at z, grad an I x K array and lse_j = log sum_i
+        exp(s_ij)."""
+        d = self.data.n_dim
+        np.divide(self.grid.U, eps, out=self.coef[:, :d])
+        np.divide(z, -eps, out=self.coef[:, d:])
+        np.matmul(self.coef, self.feats, out=self.p)
+        lse, moments = kernels.column_softmax(self.p, self.a_nu.T)
+        self.calls += 1
+        f = float(self.grid.mu @ z[:, 0]) + eps * float(self.data.nu @ lse)
+        grad = -moments
+        grad[:, 0] += self.grid.mu
+        return f, grad, lse
+
+    def hessian(self, eps):
+        """(IK x IK) Hessian at the last point evaluated:
+        (1/eps) [blockdiag_i sum_j nu_j p_ij a_j a_j' - sum_j nu_j (p_j a_j)(p_j a_j)'],
+        one product p diag(w) p' per pair r <= s of w = nu a_r a_s."""
+        p, a, I = self.p, self.a, self.p.shape[0]
+        K = a.shape[0]
+        H = np.empty((I, K, I, K))
+        for r in range(K):
+            for s in range(r, K):
+                w = self.a_nu[r] * a[s]
+                if r == s:
+                    # w >= 0: q q' for q = p diag(sqrt w), which numpy
+                    # computes as a symmetric rank-k update at half the cost
+                    np.multiply(p, np.sqrt(w), out=self.scratch)
+                    blk = self.scratch @ self.scratch.T
+                else:
+                    np.multiply(p, w, out=self.scratch)
+                    blk = self.scratch @ p.T
+                np.negative(blk, out=blk)
+                blk.flat[::I + 1] += p @ w
+                H[:, r, :, s] = blk
+                H[:, s, :, r] = blk.T
+        H /= eps
+        return H.reshape(I * K, I * K)
+
+
+def _newton_step(H, grad, r):
+    """Damped Newton direction with node 1 pinned: (H + lam D) d = -grad
+    over the other nodes, for lam = MARQUARDT min(1, r) and D = diag(H) with
+    its entries below DIAG_FLOOR max(diag H) raised to the max."""
+    K = grad.shape[1]
+    H = H[K:, K:]
+    D = np.diag(H).copy()
+    D[D < DIAG_FLOOR * D.max()] = D.max()
+    H[np.diag_indices_from(H)] += MARQUARDT * min(1.0, r) * D
+    step = np.zeros_like(grad)
+    step[1:] = np.linalg.solve(H, -grad[1:].ravel()).reshape(-1, K)
+    return step
+
+
+def _ladder(epsilon, spread):
+    """epsilon 4^k for k = K, ..., 0, the top rung the largest at most
+    LADDER_TOP * spread."""
+    top = 0
+    while epsilon * LADDER_RATIO ** (top + 1) <= LADDER_TOP * spread:
+        top += 1
+    return [epsilon * LADDER_RATIO ** k for k in range(top, -1, -1)]
+
+
+def solve(data, grid, cfg):
+    """Damped Newton on the (phi, b) semi-dual from z = 0, warm-started
+    along the epsilon ladder (Schmitzer, arXiv 1610.06519).
+
+    Each stage stops on the scale-free residual
+    r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
+    relative row and mean-independence residuals of the semi-dual coupling
+    (|x_k|max is covariate k's largest magnitude before centering): at
+    STAGE_TOL, and the last stage at cfg.tol. max_iter bounds the Newton
+    steps of all stages together.
+
+    Returns (DualVariables, Coupling, SolveReport): psi is read off the
+    last accepted pass, and normalize and extract_coupling give the
+    gauge-normalized psi-dual point and its row-exact coupling. Raises
+    NonConvergenceError (carrying that point) if the last stage ends above
+    cfg.tol.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -217,42 +277,71 @@ def solve(data, grid, cfg):
     if data.n_cov and np.abs(data.nu @ data.X).max() > 1e-8:
         raise ConfigError("covariates must be centered before solving")
 
-    J, I, N = data.n_obs, grid.n_nodes, data.n_cov
-    oracle = _DualOracle(data, grid, cfg.epsilon)
-    gap_tol = GAP_FACTOR * cfg.tol
-
-    def gap_small(z, g):
-        # g is grad(z), so oracle(z) is the cached pass
-        return abs(float(z @ g)) <= gap_tol * max(1.0, abs(oracle(z)[0]))
-
     start = time.perf_counter()
-    res = accelerated_minimize(
-        lambda z: oracle(z)[0], lambda z: oracle(z)[1], np.zeros(J + I * N),
-        tol=cfg.tol, max_iter=cfg.max_iter, stop=gap_small,
-    )
-    wall = time.perf_counter() - start
-    oracle_calls = oracle.calls
-    # free the workspace before the post-solve passes allocate their own
-    del oracle
+    ladder = _ladder(cfg.epsilon, float(np.ptp(grid.U @ data.Y.T)))
+    sd = SemiDual(data, grid)
+    # a constant covariate centers to rounding noise; against its magnitude
+    # before centering, so is its mean-independence residual
+    x_scale = np.abs(data.X + data.x_mean).max(axis=0, initial=0.0)
+    scale = 1.0 / np.concatenate([[1.0], np.where(x_scale > 0, x_scale, 1.0)])
+    weight = scale / grid.mu[:, None]
 
-    dv = normalize(DualVariables(psi=res.x[:J], b=res.x[J:].reshape(I, N)),
+    z = np.zeros((grid.n_nodes, 1 + data.n_cov))
+    iterations = backtracks = 0
+    stalled = False
+    for k, eps in enumerate(ladder):
+        stage_tol = cfg.tol if k == len(ladder) - 1 else STAGE_TOL
+        f, grad, lse = sd.evaluate(z, eps)
+        r = float(np.max(np.abs(grad) * weight))
+        while r > stage_tol and iterations < cfg.max_iter and not stalled:
+            step = _newton_step(sd.hessian(eps), grad, r)
+            slope = float(np.sum(grad * step))
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
+                need = SUFFICIENT_DECREASE * t * abs(slope)
+                # past the rounding floor the Armijo test cannot be decided:
+                # the step is taken as it is
+                if f_t <= f - need or need < F_RESOLUTION * max(1.0, abs(f)):
+                    break
+                backtracks += 1
+                t *= 0.5
+            else:
+                stalled = True
+                break
+            iterations += 1
+            z = z + t * step
+            f, grad, lse = f_t, grad_t, lse_t
+            r = float(np.max(np.abs(grad) * weight))
+    wall = time.perf_counter() - start
+    converged = r <= cfg.tol
+    # the psi-dual J at psi = eps (lse - log nu) equals
+    # F - eps nu.log nu + eps mu.log(row sums of the semi-dual coupling)
+    rows = grid.mu - grad[:, 0]
+    objective = (f - eps * float(data.nu @ np.log(data.nu))
+                 + eps * float(grid.mu @ np.log(rows)))
+    oracle_calls = sd.calls
+    # free the workspaces before the post-solve passes allocate their own
+    del sd
+
+    dv = normalize(DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:]),
                    data, grid, cfg.epsilon)
     coupling = extract_coupling(dv, data, grid, cfg.epsilon)
-    # |<z, grad(z)>|, the gap the stop test bounds: the gradient blocks are
-    # minus the column and mean-independence residuals
+    # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
+    # column and mean-independence residuals
     gap = abs(float(dv.psi @ coupling.col_residual)
               + float(np.sum(dv.b * coupling.mi_residual)))
+    grad_inf = max(float(np.abs(coupling.col_residual).max()),
+                   float(np.abs(coupling.mi_residual).max(initial=0.0)))
     report = SolveReport(
-        iterations=res.iterations, objective=res.fun, grad_inf=res.grad_inf,
-        duality_gap=gap, wall_time=wall, converged=res.converged,
-        n_restarts=res.n_restarts, oracle_calls=oracle_calls,
-        backtracks=res.backtracks,
+        iterations=iterations, objective=objective, grad_inf=grad_inf,
+        duality_gap=gap, wall_time=wall, converged=converged,
+        stages=len(ladder), oracle_calls=oracle_calls, backtracks=backtracks,
     )
-    if not res.converged:
+    if not converged:
         raise NonConvergenceError(
-            f"not converged after {res.iterations} iterations: gradient "
-            f"inf-norm {res.grad_inf:.3e} (tol {cfg.tol:g}), duality gap "
-            f"{gap:.3e}",
+            f"not converged after {iterations} Newton steps: residual "
+            f"{r:.3e} (tol {cfg.tol:g}), duality gap {gap:.3e}",
             best=(dv, coupling), report=report,
         )
     return dv, coupling, report

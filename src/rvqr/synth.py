@@ -37,6 +37,10 @@ class SynthSpec:
             for _ in range(self.d)
         )
         object.__setattr__(self, "weights", tuple(tuple(map(float, row)) for row in w))
+        coefs = (self.a0, self.a1, self.b0, self.b1)
+        if not (np.isfinite(coefs).all() and np.isfinite(self.weights).all()):
+            raise ConfigError(f"synthetic-data coefficients must be finite, got "
+                              f"a0, a1, b0, b1 = {coefs} and weights {self.weights}")
 
     def to_json_dict(self):
         return {

@@ -103,6 +103,11 @@ def test_rejects_bad_inputs(rng):
         cq.fit_qr_t(wide, 0.5)
     with pytest.raises(ConfigError):
         cq.QrConfig(tol=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            cq.QrConfig(tol=bad)
+        with pytest.raises(ConfigError):
+            cq.QrConfig(smoothing=bad)
 
 
 def test_curve_no_crossing_on_location_model(rng):

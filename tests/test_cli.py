@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rvqr import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 
 def _synth(tmp_path, n=120, seed=5):
@@ -31,6 +37,7 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert f"oracle calls      {doc['report']['oracle_calls']}" in printed
     assert f"backtracks        {doc['report']['backtracks']}" in printed
+    assert f"epsilon stages    {doc['report']['stages']}" in printed
 
     table = str(tmp_path / "q.csv")
     code = cli.main(["quantiles", "--model", model, "--data", data,
@@ -46,6 +53,26 @@ def test_fit_nonconvergence_exit_code_still_writes_model(tmp_path, capsys):
     assert code == cli.EXIT_NONCONV
     doc = json.loads(open(model).read())
     assert doc["report"]["converged"] is False
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "nan"), ("--tol", "nan"), ("--epsilon", "inf")])
+def test_non_finite_solver_flag_is_config_error(tmp_path, capsys, flag, value):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data, extra=(flag, value))
+    assert code == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_import_loads_no_scipy_submodules():
+    # scipy.special is for `rvqr check` alone; scipy.linalg for no command
+    code = ("import sys, rvqr.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', "
+            "'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -93,6 +120,8 @@ def _compare_qr(tmp_path, *extra):
 def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
     assert _compare_qr(tmp_path, "--epsilons", "1,abc") == cli.EXIT_CONFIG
     assert "'abc'" in capsys.readouterr().err
+    assert _compare_qr(tmp_path, "--epsilons", "1", "--tol", "nan") == cli.EXIT_CONFIG
+    assert "finite" in capsys.readouterr().err
 
 
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):
@@ -193,13 +222,14 @@ def test_compare_qr_table_shape(tmp_path, capsys):
 
 
 def test_compare_qr_nonconvergent_epsilon_keeps_other_columns(tmp_path, capsys):
-    # eps 1 converges within 100 iterations, eps 0.01 does not
+    # eps 1 converges within 5 Newton steps (it takes 4), eps 0.01 does not
+    # (it takes 7)
     data = _synth(tmp_path, n=300)
     out = str(tmp_path / "cmp.csv")
     code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1",
                      "--y-cols", "y_1", "--grid", "5",
                      "--epsilons", "1,0.01", "--probes", "q30,q70",
-                     "--tol", "1e-8", "--max-iter", "100", "--out", out])
+                     "--tol", "1e-8", "--max-iter", "5", "--out", out])
     assert code == cli.EXIT_NONCONV
     assert "eps 0.01" in capsys.readouterr().err
     lines = open(out).read().strip().splitlines()

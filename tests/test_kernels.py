@@ -19,17 +19,18 @@ def _direct_coupling(theta, mu):
     return mu[:, None] * ex / ex.sum(axis=1, keepdims=True)
 
 
-def test_dual_terms_matches_direct_formula(rng):
-    theta, mu, nu, X = _instance(rng)
+def test_column_softmax_matches_direct_formula(rng):
+    theta, _, nu, X = _instance(rng)
     for N in (3, 0):
+        weights = nu[:, None] * np.hstack([np.ones((X.shape[0], 1)), X[:, :N]])
         work = theta.copy()
-        lse, gpsi, gb = kernels.dual_terms(work, mu, nu, X[:, :N])
-        alpha = _direct_coupling(theta, mu)
-        np.testing.assert_allclose(lse, np.log(np.exp(theta).sum(axis=1)),
-                                   rtol=1e-13, atol=1e-13)
-        np.testing.assert_allclose(gpsi, nu - alpha.sum(axis=0), rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(gb, -(alpha @ X[:, :N]), rtol=1e-13, atol=1e-15)
-        assert gb.shape == (theta.shape[0], N)
+        lse, moments = kernels.column_softmax(work, weights)
+        ex = np.exp(theta)
+        p = ex / ex.sum(axis=0)
+        np.testing.assert_allclose(lse, np.log(ex.sum(axis=0)), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(work, p, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(moments, p @ weights, rtol=1e-13, atol=1e-15)
+        assert moments.shape == (theta.shape[0], 1 + N)
 
 
 def test_coupling_matches_direct_formula(rng):
@@ -41,7 +42,8 @@ def test_coupling_matches_direct_formula(rng):
 
 def test_logsumexp_all_matches_direct_formula(rng):
     theta, _, _, _ = _instance(rng)
-    assert abs(kernels.logsumexp_all(theta) - np.log(np.exp(theta).sum())) < 1e-12
+    # the kernel overwrites its argument
+    assert abs(kernels.logsumexp_all(theta.copy()) - np.log(np.exp(theta).sum())) < 1e-12
 
 
 def test_stability_under_extreme_scores():
@@ -53,15 +55,13 @@ def test_stability_under_extreme_scores():
     np.testing.assert_allclose(out.sum(axis=1), mu, atol=1e-14)
 
 
-def test_dual_terms_stable_under_extreme_scores():
-    # exp(1e6) overflows: row 0 splits its mass over two tied maxima, row 1
-    # puts all of it on one entry
-    theta = np.array([[1e6, -1e6, 1e6], [0.0, 1e6, 0.0]])
-    mu = np.array([0.25, 0.75])
-    nu = np.full(3, 1.0 / 3.0)
-    X = np.array([[1.0], [2.0], [-3.0]])
-    lse, gpsi, gb = kernels.dual_terms(theta, mu, nu, X)
-    alpha = np.array([[0.125, 0.0, 0.125], [0.0, 0.75, 0.0]])
-    np.testing.assert_allclose(lse, [1e6 + np.log(2.0), 1e6], rtol=1e-15)
-    np.testing.assert_allclose(gpsi, nu - alpha.sum(axis=0), atol=1e-15)
-    np.testing.assert_allclose(gb, -(alpha @ X), atol=1e-15)
+def test_column_softmax_stable_under_extreme_scores():
+    # exp(1e6) overflows: column 0 splits its mass over two tied maxima,
+    # columns 1 and 2 put all of it on one entry
+    theta = np.array([[1e6, -1e6, 0.0], [1e6, 0.0, 1e6]])
+    weights = np.array([[1.0, 2.0], [0.5, -3.0], [0.25, 1.0]])
+    lse, moments = kernels.column_softmax(theta, weights)
+    p = np.array([[0.5, 0.0, 0.0], [0.5, 1.0, 1.0]])
+    np.testing.assert_allclose(lse, [1e6 + np.log(2.0), 0.0, 1e6], rtol=1e-15)
+    np.testing.assert_allclose(theta, p, atol=1e-15)
+    np.testing.assert_allclose(moments, p @ weights, atol=1e-15)

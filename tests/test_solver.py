@@ -93,6 +93,8 @@ def test_gradient_equals_minus_residuals(rng):
                        b=rng.standard_normal((grid.n_nodes, data.n_cov)))
     eps = 0.6
     gpsi, gb = solver.dual_gradient(dv, data, grid, eps)
+    np.testing.assert_allclose(np.concatenate([gpsi, gb.ravel()]),
+                               _naive_gradient(dv, data, grid, eps), atol=1e-12)
     coupling = solver.extract_coupling(dv, data, grid, eps)
     np.testing.assert_allclose(gpsi, -coupling.col_residual, atol=1e-12)
     np.testing.assert_allclose(gb, -coupling.mi_residual, atol=1e-12)
@@ -158,6 +160,11 @@ def test_solver_config_validation():
         SolverConfig(epsilon=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(epsilon=0.1, tol=-1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            SolverConfig(epsilon=bad)
+        with pytest.raises(ConfigError):
+            SolverConfig(epsilon=0.1, tol=bad)
 
 
 def test_nonconvergence_carries_best_iterate(rng):
@@ -187,79 +194,113 @@ def test_model_save_load_roundtrip(tmp_path, rng):
 
 
 @pytest.mark.parametrize("n_cov", [0, 2])
-def test_oracle_views_share_one_cached_pass(rng, monkeypatch, n_cov):
+def test_semidual_derivatives_match_finite_differences(rng, n_cov):
     data, grid = random_instance(rng, I=5, J=12, N=n_cov)
-    eps = 0.5
-    J, I = data.n_obs, grid.n_nodes
-    z = np.concatenate([rng.standard_normal(J), rng.standard_normal(I * n_cov)])
-    passes = []
-    real_terms = kernels.dual_terms
-    monkeypatch.setattr(kernels, "dual_terms",
-                        lambda *args: passes.append(1) or real_terms(*args))
-
-    def naive(point):
-        dv = DualVariables(psi=point[:J], b=point[J:].reshape(I, n_cov))
-        return _naive_objective(dv, data, grid, eps), _naive_gradient(dv, data, grid, eps)
-
-    real = solver.accelerated_minimize
-    ran = []
-
-    def spy(fun, grad, x0, **kwargs):
-        g = grad(z)
-        f = fun(z)
-        assert len(passes) == 1
-        f_ref, g_ref = naive(z)
-        assert abs(f - f_ref) <= 1e-12
-        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
-        # the cache compares values: mutating the point in place recomputes
-        z[0] += 0.3
-        f = fun(z)
-        g = grad(z)
-        assert len(passes) == 2
-        f_ref, g_ref = naive(z)
-        assert abs(f - f_ref) <= 1e-12
-        np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
-        ran.append(True)
-        return real(fun, grad, x0, **kwargs)
-
-    monkeypatch.setattr(solver, "accelerated_minimize", spy)
-    solver.solve(data, grid, SolverConfig(epsilon=eps))
-    assert ran
+    eps, h = 0.5, 1e-5
+    sd = solver.SemiDual(data, grid)
+    z = rng.standard_normal((grid.n_nodes, 1 + n_cov))
+    f, grad, lse = sd.evaluate(z, eps)
+    H = sd.hessian(eps)
+    # F against its definition, unstabilized
+    s = (grid.U @ data.Y.T - z @ np.vstack([np.ones(data.n_obs), data.X.T])) / eps
+    assert abs(f - (grid.mu @ z[:, 0] + eps * data.nu @ np.log(np.exp(s).sum(axis=0)))) < 1e-12
+    np.testing.assert_allclose(lse, np.log(np.exp(s).sum(axis=0)), rtol=1e-13)
+    np.testing.assert_allclose(H, H.T, atol=1e-14)
+    scale = np.abs(H).max()
+    for c in range(z.size):
+        e = np.zeros(z.size)
+        e[c] = h
+        e = e.reshape(z.shape)
+        f_p, g_p, _ = sd.evaluate(z + e, eps)
+        f_m, g_m, _ = sd.evaluate(z - e, eps)
+        assert abs((f_p - f_m) / (2 * h) - grad.flat[c]) <= 1e-8 * max(1.0, abs(grad).max())
+        np.testing.assert_allclose(((g_p - g_m) / (2 * h)).ravel(), H[:, c],
+                                   rtol=0, atol=1e-6 * scale)
+    # phi + c and b + v leave F unchanged (X is centered): null directions
+    for k in range(1 + n_cov):
+        v = np.zeros(z.shape)
+        v[:, k] = 1.0
+        assert np.abs(H @ v.ravel()).max() <= 1e-12 * scale
 
 
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     data, grid = random_instance(rng, I=5, J=20, N=1)
-    requests = []
     passes = []
-    real_terms = kernels.dual_terms
-    monkeypatch.setattr(kernels, "dual_terms",
-                        lambda *args: passes.append(1) or real_terms(*args))
-    real = solver.accelerated_minimize
-
-    def counting(fun, grad, x0, **kwargs):
-        return real(lambda z: requests.append(1) or fun(z),
-                    lambda z: requests.append(1) or grad(z), x0, **kwargs)
-
-    monkeypatch.setattr(solver, "accelerated_minimize", counting)
+    real = kernels.column_softmax
+    monkeypatch.setattr(kernels, "column_softmax",
+                        lambda *args: passes.append(1) or real(*args))
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
-    assert report.iterations < report.oracle_calls < len(requests)
-    # every kernel pass is a counted descent pass: none after the descent
+    assert report.iterations < report.oracle_calls
+    # every semi-dual pass is counted: psi is read off the last one
     assert len(passes) == report.oracle_calls
 
 
 def test_oracle_calls_add_up(rng):
-    # one pass at x0; per iteration one pass at the extrapolated point y
-    # (none where y = x: the first iteration and each one after a restart),
-    # one per backtracking trial, accepted or rejected, and a restart's
-    # accepted trial from x; grad at the accepted point is the cached pass.
-    # A restart in the last iteration adds one pass, a polish phase one per
-    # polish step.
+    # one pass at the start of each epsilon stage, one per Newton step at
+    # its accepted trial, one per rejected trial
+    data, grid = random_instance(rng, I=9, J=40, N=2, d=2)
+    _, _, r = solver.solve(data, grid, SolverConfig(epsilon=0.02, tol=1e-9))
+    assert r.stages > 1 and r.backtracks > 0
+    assert r.oracle_calls == r.stages + r.iterations + r.backtracks
+
+
+def test_failed_line_search_ends_as_nonconvergence(rng, monkeypatch):
+    # a direction whose trials are never finite: the line search gives up
+    # after MAX_HALVINGS rejected trials and the solve stops there, carrying
+    # the last accepted point
     data, grid = random_instance(rng, I=5, J=20, N=1)
-    _, _, r = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-6))
-    assert r.n_restarts > 0 and r.backtracks > 0
-    extrapolated = r.iterations - 1 - r.n_restarts
-    accepted = r.iterations + r.n_restarts
-    assert r.oracle_calls == 1 + extrapolated + accepted + r.backtracks
+    monkeypatch.setattr(solver, "_newton_step",
+                        lambda H, grad, r: np.full_like(grad, np.nan))
+    with pytest.raises(NonConvergenceError) as exc:
+        solver.solve(data, grid, SolverConfig(epsilon=0.5))
+    r = exc.value.report
+    assert r.iterations == 0 and r.backtracks == solver.MAX_HALVINGS
+    assert r.oracle_calls == r.stages + r.backtracks
+    dv, coupling = exc.value.best
+    assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
+
+
+def test_report_objective_is_psi_dual_value(rng):
+    data, grid = random_instance(rng, I=6, J=30, N=2)
+    dv, coupling, r = solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-9))
+    ref = solver.dual_objective(dv, data, grid, 0.1)
+    assert abs(r.objective - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert r.grad_inf == max(np.abs(coupling.col_residual).max(),
+                             np.abs(coupling.mi_residual).max())
+
+
+def _synth_fit(X, Y, eps, grid):
+    data = center_covariates(Dataset(X=X, Y=Y, nu=np.full(len(Y), 1.0 / len(Y)),
+                                     x_mean=np.zeros(X.shape[1])))
+    return solver.solve(data, grid, SolverConfig(epsilon=eps, tol=1e-9))
+
+
+@pytest.mark.parametrize("columns", ["constant", "x_and_constant", "collinear"])
+def test_degenerate_covariate_columns_converge(columns):
+    data, _ = synth.generate(synth.SynthSpec(n_samples=500, seed=3))
+    x = data.X
+    X = {"constant": np.full_like(x, 0.1),
+         "x_and_constant": np.hstack([x, np.full_like(x, 0.3)]),
+         "collinear": np.hstack([x, 2.0 * x])}[columns]
+    grid = make_rank_grid(1, 10)
+    for eps in (0.1, 0.01):
+        _, coupling, r = _synth_fit(X, data.Y, eps, grid)
+        assert r.converged and r.iterations < 20
+        assert np.abs(coupling.mi_residual).max() <= 1e-9
+        assert r.duality_gap <= 1e-9
+
+
+def test_step_count_and_coupling_are_scale_free():
+    data, _ = synth.generate(synth.SynthSpec(n_samples=300, seed=5, d=2, n_cov=2))
+    grid = make_rank_grid(2, 4)
+    eps = 0.05
+    _, base, r0 = _synth_fit(data.X, data.Y, eps, grid)
+    for X, Y, e in ((data.X * 1e3, data.Y, eps), (data.X / 1e3, data.Y, eps),
+                    (data.X, data.Y * 1e3, eps * 1e3)):
+        _, coupling, r = _synth_fit(X, Y, e, grid)
+        assert (r.iterations, r.stages, r.backtracks) == \
+            (r0.iterations, r0.stages, r0.backtracks)
+        np.testing.assert_allclose(coupling.alpha, base.alpha, rtol=0, atol=1e-9)
 
 
 def test_reported_gap_bounded_by_tol():

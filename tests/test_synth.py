@@ -46,6 +46,15 @@ def test_rejects_bad_shape_and_law():
         synth.SynthSpec(x_law="cauchy")
 
 
+@pytest.mark.parametrize("field", ["a0", "a1", "b0", "b1"])
+def test_rejects_non_finite_coefficients(field):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            synth.SynthSpec(**{field: bad})
+    with pytest.raises(ConfigError):
+        synth.SynthSpec(weights=((1.0, float("nan")),), n_cov=2)
+
+
 def test_write_csv_and_truth(tmp_path):
     spec = synth.SynthSpec(n_samples=5, seed=2)
     data, _ = synth.generate(spec)
