@@ -11,8 +11,8 @@ theta_ij = [u_i.y_j - b_i.x_j - psi_j] / epsilon, and the dual objective is
 regularized optimal transport, SIAM Review 2018). With z_i = (phi_i, b_i)
 and a_j = (1, x_j) it minimizes over the I (1 + N) numbers z
 
-    F(z) = sum_i mu_i phi_i + eps * sum_j nu_j log sum_i exp(s_ij),
-    s_ij = (u_i.y_j - z_i.a_j) / eps,
+    F(z) = sum_i mu_i z_i.a_bar + eps * sum_j nu_j log sum_i exp(s_ij),
+    s_ij = (u_i.y_j - z_i.a_j) / eps,  a_bar = sum_j nu_j a_j,
 
 whose coupling nu_j softmax_i(s_ij) meets the column marginals exactly, and
 returns psi_j = eps log sum_i exp(s_ij) - eps log nu_j, the psi-dual point
@@ -35,16 +35,22 @@ from .errors import ConfigError, DataError, NonConvergenceError, RvqrError
 from .measures import RankGrid
 
 MAX_HALVINGS = 60  # rejected trials before a line search gives up
-# Marquardt damping 1e-6 min(1, r) diag(H); diagonal entries below
-# 1e-10 max(diag H), such as a constant covariate's, damp with the max
+# Marquardt damping 1e-6 min(1, r) D, D an upper bound on the Hessian's
+# diagonal; entries of D below 1e-10 max(D), such as a constant covariate's,
+# damp with the max
 MARQUARDT = 1e-6
 DIAG_FLOOR = 1e-10
+# inexact Newton: conjugate gradients stop at this relative residual, or
+# after CG_MAX_ITER Hessian-vector products
+CG_FORCING = 1e-3
+CG_MAX_ITER = 200
 # epsilon ladder eps 4^k, k = K..0: the top rung is the largest at most
 # LADDER_TOP times the spread of u_i.y_j; every rung but the last stops at
 # the residual STAGE_TOL
 LADDER_RATIO = 4.0
 LADDER_TOP = 0.4
 STAGE_TOL = 1e-1
+X_SCALE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -170,24 +176,33 @@ def dual_value_centered(dv, data, grid, epsilon):
 
 
 class SemiDual:
-    """F(z), its gradient and Hessian over z = (phi, b), an I x K array with
-    K = 1 + N, through an I x J workspace p and one I x J scratch.
+    """F(z), its gradient and Hessian-vector products over z = (phi, b), an
+    I x K array with K = 1 + N, through one I x J workspace p.
 
     `evaluate` leaves the column softmax p of its point in the workspace,
-    and `hessian` reads it from there, so the Hessian is that of the last
-    point evaluated.
+    with the I x K x K blocks m_i = sum_j nu_j p_ij a_j a_j' of its second
+    moments, and `hvp` reads both from there, so the products are with the
+    Hessian of the last point evaluated.
     """
 
     def __init__(self, data, grid):
         self.data, self.grid = data, grid
         d, I, J = data.n_dim, grid.n_nodes, data.n_obs
+        K = 1 + data.n_cov
         # s = [U, -z] @ [Y'; a'] / eps: one product of inner dimension d + K
-        self.coef = np.empty((I, d + 1 + data.n_cov))
+        self.coef = np.empty((I, d + K))
         self.feats = np.vstack([data.Y.T, np.ones((1, J)), data.X.T])
         self.a = self.feats[d:]  # K x J, column j is a_j = (1, x_j)
         self.a_nu = self.a * data.nu  # nu_j a_j
+        # the sum_j nu_j a_j of the mean-independence constraints
+        # sum_j alpha_ij a_j = mu_i a_bar, which X's centering leaves at
+        # (1, rounding noise)
+        self.a_bar = self.a_nu.sum(axis=1)
+        # column r K + s is nu_j a_rj a_sj; as a_0 = 1, the columns s = 0
+        # give the moments nu_j a_j of the gradient
+        self.weights = (self.a_nu[:, None, :] * self.a[None, :, :]).reshape(K * K, J).T
         self.p = np.empty((I, J))
-        self.scratch = np.empty((I, J))
+        self.m = None
         self.calls = 0
 
     def evaluate(self, z, eps):
@@ -197,50 +212,69 @@ class SemiDual:
         np.divide(self.grid.U, eps, out=self.coef[:, :d])
         np.divide(z, -eps, out=self.coef[:, d:])
         np.matmul(self.coef, self.feats, out=self.p)
-        lse, moments = kernels.column_softmax(self.p, self.a_nu.T)
+        lse, moments = kernels.column_softmax(self.p, self.weights)
         self.calls += 1
-        f = float(self.grid.mu @ z[:, 0]) + eps * float(self.data.nu @ lse)
-        grad = -moments
-        grad[:, 0] += self.grid.mu
+        self.m = moments.reshape(len(z), len(self.a), len(self.a))
+        f = float(self.grid.mu @ (z @ self.a_bar)) + eps * float(self.data.nu @ lse)
+        grad = np.outer(self.grid.mu, self.a_bar) - self.m[:, :, 0]
         return f, grad, lse
 
-    def hessian(self, eps):
-        """(IK x IK) Hessian at the last point evaluated:
-        (1/eps) [blockdiag_i sum_j nu_j p_ij a_j a_j' - sum_j nu_j (p_j a_j)(p_j a_j)'],
-        one product p diag(w) p' per pair r <= s of w = nu a_r a_s."""
-        p, a, I = self.p, self.a, self.p.shape[0]
-        K = a.shape[0]
-        H = np.empty((I, K, I, K))
-        for r in range(K):
-            for s in range(r, K):
-                w = self.a_nu[r] * a[s]
-                if r == s:
-                    # w >= 0: q q' for q = p diag(sqrt w), which numpy
-                    # computes as a symmetric rank-k update at half the cost
-                    np.multiply(p, np.sqrt(w), out=self.scratch)
-                    blk = self.scratch @ self.scratch.T
-                else:
-                    np.multiply(p, w, out=self.scratch)
-                    blk = self.scratch @ p.T
-                np.negative(blk, out=blk)
-                blk.flat[::I + 1] += p @ w
-                H[:, r, :, s] = blk
-                H[:, s, :, r] = blk.T
-        H /= eps
-        return H.reshape(I * K, I * K)
+    def hvp(self, v, eps):
+        """H v at the last point evaluated, for an I x K array v:
+        (H v)_i = (1/eps) [m_i v_i - sum_j nu_j p_ij c_j a_j] with
+        c_j = sum_k p_kj a_j.v_k, two products with p and no I x J
+        temporary."""
+        c = np.einsum("jk,kj->j", self.p.T @ v, self.a)
+        return (np.einsum("irs,is->ir", self.m, v) - self.p @ (self.a_nu * c).T) / eps
 
 
-def _newton_step(H, grad, r):
+def _newton_step(sd, grad, r, eps):
     """Damped Newton direction with node 1 pinned: (H + lam D) d = -grad
-    over the other nodes, for lam = MARQUARDT min(1, r) and D = diag(H) with
-    its entries below DIAG_FLOOR max(diag H) raised to the max."""
-    K = grad.shape[1]
-    H = H[K:, K:]
-    D = np.diag(H).copy()
+    over the other nodes, for lam = MARQUARDT min(1, r) and D = diag(m)/eps
+    with its entries below DIAG_FLOOR max(D) raised to the max.
+
+    Conjugate gradients on Hessian-vector products, preconditioned by the
+    blocks m_i/eps + lam D_i: the Hessian's diagonal blocks but for their
+    part -sum_j nu_j p_ij^2 a_j a_j' / eps, they carry every per-node
+    degeneracy (a constant or collinear covariate). They stop once the
+    preconditioned residual norm is CG_FORCING times that of -grad, or
+    after CG_MAX_ITER products.
+    """
+    I, K = grad.shape
+    blocks = sd.m[1:] / eps
+    D = np.einsum("ikk->ik", blocks).copy()
     D[D < DIAG_FLOOR * D.max()] = D.max()
-    H[np.diag_indices_from(H)] += MARQUARDT * min(1.0, r) * D
+    D *= MARQUARDT * min(1.0, r)
+    blocks[:, np.arange(K), np.arange(K)] += D
+    inverse = np.linalg.inv(blocks)
+
+    v = np.zeros((I, K))
+
+    def product(x):
+        v[1:] = x
+        return sd.hvp(v, eps)[1:] + D * x
+
+    def precondition(x):
+        return np.einsum("irs,is->ir", inverse, x)
+
+    x = np.zeros((I - 1, K))
+    res = -grad[1:]
+    y = precondition(res)
+    direction = y
+    ry = float(np.sum(res * y))
+    stop = CG_FORCING ** 2 * ry
+    for _ in range(CG_MAX_ITER):
+        hd = product(direction)
+        alpha = ry / float(np.sum(direction * hd))
+        x = x + alpha * direction
+        res = res - alpha * hd
+        y = precondition(res)
+        ry, ry_old = float(np.sum(res * y)), ry
+        if ry <= stop:
+            break
+        direction = y + (ry / ry_old) * direction
     step = np.zeros_like(grad)
-    step[1:] = np.linalg.solve(H, -grad[1:].ravel()).reshape(-1, K)
+    step[1:] = x
     return step
 
 
@@ -253,6 +287,17 @@ def _ladder(epsilon, spread):
     return [epsilon * LADDER_RATIO ** k for k in range(top, -1, -1)]
 
 
+def _stop_weights(data, grid):
+    """I x K weights (1, 1/|x_1|max, ..., 1/|x_N|max) / mu_i of the stop
+    residual r = max |grad * weights|. |x_k|max is covariate k's largest
+    centered magnitude, at least X_SCALE_FLOOR times its largest magnitude
+    before centering: a constant covariate centers to rounding noise."""
+    x_scale = np.maximum(np.abs(data.X).max(axis=0, initial=0.0), X_SCALE_FLOOR
+                         * np.abs(data.X + data.x_mean).max(axis=0, initial=0.0))
+    scale = 1.0 / np.concatenate([[1.0], np.where(x_scale > 0, x_scale, 1.0)])
+    return scale / grid.mu[:, None]
+
+
 def solve(data, grid, cfg):
     """Damped Newton on the (phi, b) semi-dual from z = 0, warm-started
     along the epsilon ladder (Schmitzer, arXiv 1610.06519).
@@ -260,9 +305,10 @@ def solve(data, grid, cfg):
     Each stage stops on the scale-free residual
     r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
     relative row and mean-independence residuals of the semi-dual coupling
-    (|x_k|max is covariate k's largest magnitude before centering): at
-    STAGE_TOL, and the last stage at cfg.tol. max_iter bounds the Newton
-    steps of all stages together.
+    (see _stop_weights): at STAGE_TOL, and the last stage at cfg.tol.
+    max_iter bounds the Newton steps of all stages together; a step whose
+    direction does not descend, or whose line search rejects MAX_HALVINGS
+    trials, ends the solve.
 
     Returns (DualVariables, Coupling, SolveReport): psi is read off the
     last accepted pass, and normalize and extract_coupling give the
@@ -280,11 +326,7 @@ def solve(data, grid, cfg):
     start = time.perf_counter()
     ladder = _ladder(cfg.epsilon, float(np.ptp(grid.U @ data.Y.T)))
     sd = SemiDual(data, grid)
-    # a constant covariate centers to rounding noise; against its magnitude
-    # before centering, so is its mean-independence residual
-    x_scale = np.abs(data.X + data.x_mean).max(axis=0, initial=0.0)
-    scale = 1.0 / np.concatenate([[1.0], np.where(x_scale > 0, x_scale, 1.0)])
-    weight = scale / grid.mu[:, None]
+    weight = _stop_weights(data, grid)
 
     z = np.zeros((grid.n_nodes, 1 + data.n_cov))
     iterations = backtracks = 0
@@ -294,15 +336,20 @@ def solve(data, grid, cfg):
         f, grad, lse = sd.evaluate(z, eps)
         r = float(np.max(np.abs(grad) * weight))
         while r > stage_tol and iterations < cfg.max_iter and not stalled:
-            step = _newton_step(sd.hessian(eps), grad, r)
+            step = _newton_step(sd, grad, r, eps)
             slope = float(np.sum(grad * step))
+            if not slope < 0:  # not a descent direction
+                stalled = True
+                break
+            # where the full step's Armijo decrease is below the rounding
+            # error of F the test cannot be decided: that step is taken if F
+            # stays finite
+            at_floor = SUFFICIENT_DECREASE * -slope < F_RESOLUTION * max(1.0, abs(f))
             t = 1.0
             for _ in range(MAX_HALVINGS):
                 f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
-                need = SUFFICIENT_DECREASE * t * abs(slope)
-                # past the rounding floor the Armijo test cannot be decided:
-                # the step is taken as it is
-                if f_t <= f - need or need < F_RESOLUTION * max(1.0, abs(f)):
+                if f_t - f <= SUFFICIENT_DECREASE * t * slope or (
+                        at_floor and t == 1.0 and math.isfinite(f_t)):
                     break
                 backtracks += 1
                 t *= 0.5
@@ -315,10 +362,12 @@ def solve(data, grid, cfg):
             r = float(np.max(np.abs(grad) * weight))
     wall = time.perf_counter() - start
     converged = r <= cfg.tol
-    # the psi-dual J at psi = eps (lse - log nu) equals
-    # F - eps nu.log nu + eps mu.log(row sums of the semi-dual coupling)
-    rows = grid.mu - grad[:, 0]
-    objective = (f - eps * float(data.nu @ np.log(data.nu))
+    # the psi-dual J at psi = eps (lse - log nu) equals F - sum_i mu_i
+    # b_i.x_bar - eps nu.log nu + eps mu.log(row sums of the semi-dual
+    # coupling)
+    rows = grid.mu * sd.a_bar[0] - grad[:, 0]
+    objective = (f - float(grid.mu @ (z[:, 1:] @ sd.a_bar[1:]))
+                 - eps * float(data.nu @ np.log(data.nu))
                  + eps * float(grid.mu @ np.log(rows)))
     oracle_calls = sd.calls
     # free the workspaces before the post-solve passes allocate their own

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -193,17 +195,30 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     assert doc["report"]["backtracks"] == report.backtracks
 
 
+def _dense_hessian(sd, z, eps):
+    """The Hessian at z, column by column from Hessian-vector products."""
+    sd.evaluate(z, eps)
+    cols = []
+    for c in range(z.size):
+        e = np.zeros(z.size)
+        e[c] = 1.0
+        cols.append(sd.hvp(e.reshape(z.shape), eps).ravel())
+    return np.array(cols).T
+
+
 @pytest.mark.parametrize("n_cov", [0, 2])
 def test_semidual_derivatives_match_finite_differences(rng, n_cov):
     data, grid = random_instance(rng, I=5, J=12, N=n_cov)
     eps, h = 0.5, 1e-5
     sd = solver.SemiDual(data, grid)
     z = rng.standard_normal((grid.n_nodes, 1 + n_cov))
+    H = _dense_hessian(sd, z, eps)
     f, grad, lse = sd.evaluate(z, eps)
-    H = sd.hessian(eps)
     # F against its definition, unstabilized
-    s = (grid.U @ data.Y.T - z @ np.vstack([np.ones(data.n_obs), data.X.T])) / eps
-    assert abs(f - (grid.mu @ z[:, 0] + eps * data.nu @ np.log(np.exp(s).sum(axis=0)))) < 1e-12
+    a = np.vstack([np.ones(data.n_obs), data.X.T])
+    s = (grid.U @ data.Y.T - z @ a) / eps
+    expect = grid.mu @ (z @ (a @ data.nu)) + eps * data.nu @ np.log(np.exp(s).sum(axis=0))
+    assert abs(f - expect) < 1e-12
     np.testing.assert_allclose(lse, np.log(np.exp(s).sum(axis=0)), rtol=1e-13)
     np.testing.assert_allclose(H, H.T, atol=1e-14)
     scale = np.abs(H).max()
@@ -216,11 +231,30 @@ def test_semidual_derivatives_match_finite_differences(rng, n_cov):
         assert abs((f_p - f_m) / (2 * h) - grad.flat[c]) <= 1e-8 * max(1.0, abs(grad).max())
         np.testing.assert_allclose(((g_p - g_m) / (2 * h)).ravel(), H[:, c],
                                    rtol=0, atol=1e-6 * scale)
-    # phi + c and b + v leave F unchanged (X is centered): null directions
+    # phi + c and b + v leave F unchanged: null directions
     for k in range(1 + n_cov):
         v = np.zeros(z.shape)
         v[:, k] = 1.0
         assert np.abs(H @ v.ravel()).max() <= 1e-12 * scale
+
+
+def test_newton_step_solves_the_damped_system(rng, monkeypatch):
+    # run to a tight forcing, conjugate gradients give the direct solution
+    # of (H + lam D) d = -grad with node 1 pinned
+    data, grid = random_instance(rng, I=6, J=30, N=2)
+    eps, r = 0.3, 0.5
+    sd = solver.SemiDual(data, grid)
+    z = rng.standard_normal((grid.n_nodes, 3))
+    H = _dense_hessian(sd, z, eps)
+    _, grad, _ = sd.evaluate(z, eps)
+    monkeypatch.setattr(solver, "CG_FORCING", 1e-14)
+    step = solver._newton_step(sd, grad, r, eps)
+    assert np.all(step[0] == 0.0)
+    H = H[3:, 3:]
+    D = np.einsum("ikk->ik", sd.m[1:]).ravel() / eps
+    A = H + solver.MARQUARDT * r * np.diag(D)
+    np.testing.assert_allclose(step[1:].ravel(), np.linalg.solve(A, -grad[1:].ravel()),
+                               rtol=1e-9, atol=1e-12)
 
 
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
@@ -245,12 +279,12 @@ def test_oracle_calls_add_up(rng):
 
 
 def test_failed_line_search_ends_as_nonconvergence(rng, monkeypatch):
-    # a direction whose trials are never finite: the line search gives up
-    # after MAX_HALVINGS rejected trials and the solve stops there, carrying
-    # the last accepted point
+    # a descent direction whose trials are never finite: the line search
+    # gives up after MAX_HALVINGS rejected trials and the solve stops there,
+    # carrying the last accepted point
     data, grid = random_instance(rng, I=5, J=20, N=1)
     monkeypatch.setattr(solver, "_newton_step",
-                        lambda H, grad, r: np.full_like(grad, np.nan))
+                        lambda sd, grad, r, eps: -1e300 * grad)
     with pytest.raises(NonConvergenceError) as exc:
         solver.solve(data, grid, SolverConfig(epsilon=0.5))
     r = exc.value.report
@@ -258,6 +292,20 @@ def test_failed_line_search_ends_as_nonconvergence(rng, monkeypatch):
     assert r.oracle_calls == r.stages + r.backtracks
     dv, coupling = exc.value.best
     assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
+
+
+@pytest.mark.parametrize("direction", ["ascent", "nan"])
+def test_non_descent_direction_ends_as_nonconvergence(rng, monkeypatch, direction):
+    # an ascent or NaN direction is never searched: the solve stops at once
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    bad = {"ascent": lambda grad: grad, "nan": lambda grad: np.full_like(grad, np.nan)}
+    monkeypatch.setattr(solver, "_newton_step",
+                        lambda sd, grad, r, eps: bad[direction](grad))
+    with pytest.raises(NonConvergenceError) as exc:
+        solver.solve(data, grid, SolverConfig(epsilon=0.5))
+    r = exc.value.report
+    assert r.iterations == 0 and r.backtracks == 0
+    assert r.oracle_calls == r.stages == 1
 
 
 def test_report_objective_is_psi_dual_value(rng):
@@ -295,12 +343,28 @@ def test_step_count_and_coupling_are_scale_free():
     grid = make_rank_grid(2, 4)
     eps = 0.05
     _, base, r0 = _synth_fit(data.X, data.Y, eps, grid)
+    # the last case shifts X by 1000 times its spread before centering
     for X, Y, e in ((data.X * 1e3, data.Y, eps), (data.X / 1e3, data.Y, eps),
-                    (data.X, data.Y * 1e3, eps * 1e3)):
+                    (data.X, data.Y * 1e3, eps * 1e3),
+                    (data.X + 1e3 * np.ptp(data.X, axis=0), data.Y, eps)):
         _, coupling, r = _synth_fit(X, Y, e, grid)
         assert (r.iterations, r.stages, r.backtracks) == \
             (r0.iterations, r0.stages, r0.backtracks)
         np.testing.assert_allclose(coupling.alpha, base.alpha, rtol=0, atol=1e-9)
+
+
+def test_stop_weights_use_the_centered_spread():
+    # a covariate shifted far from 0 is weighed by its centered spread; a
+    # constant one, which centers to rounding noise, by the floor
+    data, _ = synth.generate(synth.SynthSpec(n_samples=200, seed=2, n_cov=2))
+    grid = make_rank_grid(1, 6)
+    base = solver._stop_weights(center_covariates(data), grid)
+    X = data.X + [2000.0, -5e4]
+    shifted = solver._stop_weights(center_covariates(replace(data, X=X)), grid)
+    np.testing.assert_allclose(shifted, base, rtol=1e-9)
+    X = np.hstack([data.X[:, :1], np.full((200, 1), 7.0)])
+    w = solver._stop_weights(center_covariates(replace(data, X=X)), grid)
+    np.testing.assert_allclose(w[:, 2], 1.0 / (solver.X_SCALE_FLOOR * 7.0 * grid.mu))
 
 
 def test_reported_gap_bounded_by_tol():
