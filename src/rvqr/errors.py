@@ -19,13 +19,17 @@ class MissingColumnError(DataError):
 
 
 class ParseError(DataError):
-    def __init__(self, row, column, value):
-        self.row = row
+    """A requested cell that is missing (value None), non-numeric or non-finite;
+    line is the 1-based line of the file, the header being line 1."""
+
+    def __init__(self, path, line, column, value):
+        self.path = path
+        self.line = line
         self.column = column
         self.value = value
-        super().__init__(
-            f"non-numeric or non-finite value {value!r} in column {column!r} at data row {row}"
-        )
+        what = ("no value (the record has too few fields)" if value is None
+                else f"non-numeric or non-finite value {value!r}")
+        super().__init__(f"{path}, line {line}: {what} in column {column!r}")
 
 
 class EmptyDataError(DataError):

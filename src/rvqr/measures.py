@@ -3,6 +3,7 @@
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,14 +117,40 @@ def value_scale(y):
     return s if s > 0 else 1.0
 
 
-def _parse_cell(raw, row, column):
+# a line of whitespace, separators and quotes only: csv may split it into
+# blank cells alone
+_MAYBE_BLANK = re.compile(r'[\s,"]*')
+
+
+def _is_blank(line):
+    """True for a record whose every cell is whitespace; the reader skips it."""
+    return (_MAYBE_BLANK.fullmatch(line) is not None
+            and all(not c.strip() for c in next(csv.reader([line]), [])))
+
+
+def _check_cell(path, line, column, raw):
+    """ParseError unless raw is a finite number that np.loadtxt also reads:
+    underscores and non-ASCII digits, which float() alone accepts, are
+    refused, so this check is never laxer than the bulk parse."""
+    if raw is None:
+        raise ParseError(path, line, column, None)
+    cell = raw.strip()
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(row, column, raw) from None
+        value = float(cell) if cell.isascii() and "_" not in cell else math.nan
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise ParseError(row, column, raw)
-    return value
+        raise ParseError(path, line, column, raw)
+
+
+def _raise_first_bad_cell(path, lines, columns):
+    """Check every requested cell in file order; raises at the first bad one."""
+    for n, line in enumerate(lines[1:], 2):
+        if _is_blank(line):
+            continue
+        rec = next(csv.reader([line]))
+        for name, k in columns:
+            _check_cell(path, n, name, rec[k] if k < len(rec) else None)
 
 
 def load_csv(path, x_cols, y_cols):
@@ -132,6 +159,11 @@ def load_csv(path, x_cols, y_cols):
     x_cols / y_cols are column names (list or comma-separated string). No
     constant column is added to X: the per-rank marginal constraint already
     plays the intercept role.
+
+    The file is UTF-8, a leading byte-order mark allowed; lines end in LF,
+    CRLF or CR. Cells may be quoted and padded with whitespace; records whose
+    cells are all blank are skipped. A requested cell that is missing,
+    non-numeric or non-finite raises ParseError naming its file line.
     """
     if isinstance(x_cols, str):
         x_cols = [c for c in x_cols.split(",") if c]
@@ -142,33 +174,41 @@ def load_csv(path, x_cols, y_cols):
     if not y_cols:
         raise DataError("at least one response column is required")
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        wanted = x_cols + y_cols
-        for col in wanted:
-            if col not in header:
-                raise MissingColumnError(col, header)
-        idx = {col: header.index(col) for col in wanted}
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise DataError(f"{path}, line {line}: not UTF-8 text "
+                        f"(byte {exc.object[exc.start]:#04x}: {exc.reason})") from None
+    if not text:
+        raise EmptyDataError(f"{path}: file is empty")
+    # universal newlines have made every line end "\n"; str.splitlines would
+    # also break at "\x0b", "\x1c" or "\u2028" inside a line
+    lines = text.split("\n")
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
+    for col in x_cols + y_cols:
+        if col not in header:
+            raise MissingColumnError(col, header)
+    columns = [(col, header.index(col)) for col in x_cols + y_cols]
 
-        rows_x, rows_y = [], []
-        for r, rec in enumerate(reader):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            rows_x.append([_parse_cell(rec[idx[c]], r, c) for c in x_cols])
-            rows_y.append([_parse_cell(rec[idx[c]], r, c) for c in y_cols])
-
-    if not rows_y:
+    records = [line for line in lines[1:] if not _is_blank(line)]
+    if not records:
         raise EmptyDataError(f"{path}: no data rows")
-    J = len(rows_y)
-    X = np.array(rows_x, dtype=float).reshape(J, len(x_cols))
-    Y = np.array(rows_y, dtype=float).reshape(J, len(y_cols))
+    try:
+        values = np.loadtxt(records, delimiter=",", usecols=[k for _, k in columns],
+                            ndmin=2, quotechar='"', comments=None)
+    except ValueError as exc:
+        _raise_first_bad_cell(path, lines, columns)
+        raise DataError(f"{path}: {exc}") from None
+    if not np.isfinite(values).all():
+        _raise_first_bad_cell(path, lines, columns)
+    J = values.shape[0]
+    # contiguous copies: the solver rounds differently on strided views
     return Dataset(
-        X=X, Y=Y, nu=np.full(J, 1.0 / J), x_mean=np.zeros(len(x_cols)),
+        X=np.ascontiguousarray(values[:, :len(x_cols)]),
+        Y=np.ascontiguousarray(values[:, len(x_cols):]),
+        nu=np.full(J, 1.0 / J), x_mean=np.zeros(len(x_cols)),
         x_names=tuple(x_cols), y_names=tuple(y_cols),
         meta={"source": str(path)},
     )

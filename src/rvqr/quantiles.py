@@ -14,6 +14,7 @@ from .errors import ConfigError, EmptyBallError, InsufficientMassError
 from .measures import value_scale
 
 MASS_FLOOR = 1e-14
+PAIR_BLOCK = 1 << 18  # node pairs per block of monotonicity_diagnostic
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,17 @@ def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):
             if drop > tol:
                 violations.append((int(a), int(b), drop))
     else:
-        for a in range(model.n_nodes):
-            for b in range(a + 1, model.n_nodes):
-                val = float((Q[a] - Q[b]) @ (model.U[a] - model.U[b]))
-                if val < -tol:
-                    violations.append((int(a), int(b), val))
+        # (Q_a - Q_b).(u_a - u_b) = qu_a + qu_b - (Q U')_ab - (Q U')_ba over
+        # pairs b > a, a block of rows a at a time: O(I * block) memory
+        U = model.U
+        I = model.n_nodes
+        qu = np.einsum("ik,ik->i", Q, U)
+        block = max(1, PAIR_BLOCK // I)
+        for s in range(0, I, block):
+            e = min(s + block, I)
+            val = (qu[s:e, None] + qu[None, s:]
+                   - Q[s:e] @ U[s:].T - U[s:e] @ Q[s:].T)
+            upper = np.arange(s, I)[None, :] > np.arange(s, e)[:, None]
+            for a, b in zip(*np.nonzero(upper & (val < -tol))):
+                violations.append((int(s + a), int(s + b), float(val[a, b])))
     return violations

@@ -417,8 +417,10 @@ def model_to_json_dict(dv, data, grid, cfg, report):
 
 
 def save_model(path, dv, data, grid, cfg, report):
+    # json.dumps without indent runs json's C encoder; json.dump always runs
+    # the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(dv, data, grid, cfg, report), fh, indent=1)
+        fh.write(json.dumps(model_to_json_dict(dv, data, grid, cfg, report)))
 
 
 def load_model(path):

@@ -158,6 +158,30 @@ def test_missing_column_is_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"a,b\n1,2\n3\n", "line 3: no value (the record has too few fields) in column 'b'"),
+    (b"a,b\n1,2\n3,\xb04\n", "line 3: not UTF-8 text"),
+    (b"a,b\n1,2\n3,1_000\n", "line 3: non-numeric or non-finite value '1_000' in column 'b'"),
+], ids=["ragged", "not_utf8", "underscore"])
+def test_bad_csv_is_data_error(tmp_path, capsys, content, message):
+    data = tmp_path / "d.csv"
+    data.write_bytes(content)
+    model = tmp_path / "m.json"
+    code = cli.main(["fit", "--data", str(data), "--x-cols", "a", "--y-cols", "b",
+                     "--out", str(model)])
+    assert code == cli.EXIT_CONFIG
+    assert f"{data}, {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):
+    plain = _synth(tmp_path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    code, model = _fit(tmp_path, str(bom))
+    assert code == cli.EXIT_OK
+
+
 def test_quantiles_probe_outside_range(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)

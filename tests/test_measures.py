@@ -52,6 +52,81 @@ def test_load_csv_parse_error_names_location(tmp_path):
         load_csv(path, ["a"], ["b"])
     msg = str(exc.value)
     assert "a" in msg and "foo" in msg
+    # 1-based line of the file, the header being line 1; blank lines count
+    assert exc.value.line == 3 and "line 3" in msg and path in msg
+    path = _write(tmp_path, "a,b\n\n1,2\n,,\n3,x\n", name="g.csv")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["a"], ["b"])
+    assert (exc.value.line, exc.value.column, exc.value.value) == (5, "b", "x")
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661", "1d5", "0x10", "", "  ", '"1"x'])
+def test_load_csv_refuses_syntax_loadtxt_does_not_read(tmp_path, cell):
+    # float() accepts "1_000" and the Arabic-Indic digit; the reader does not
+    path = _write(tmp_path, f"a,b\n1,2\n3,{cell}\n5,6\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["a"], ["b"])
+    assert (exc.value.line, exc.value.column) == (3, "b")
+
+
+def test_load_csv_first_bad_cell_in_file_order(tmp_path):
+    # a NaN on line 2 comes before unparseable text on line 3; within a
+    # record the x columns are checked before the y columns
+    path = _write(tmp_path, "y,x\n1,2\nnan,inf\nfoo,5\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["x"], ["y"])
+    assert (exc.value.line, exc.value.column, exc.value.value) == (3, "x", "inf")
+
+
+def test_load_csv_record_loadtxt_cannot_read_is_data_error(tmp_path):
+    # a quoted cell spanning two lines: csv sees two valid records, the bulk
+    # parse one unreadable cell; no cell is to blame, the file is
+    path = _write(tmp_path, 'a,b\n1,"1\n.1,"1.1\n')
+    with pytest.raises(DataError) as exc:
+        load_csv(path, ["a"], ["b"])
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_load_csv_ragged_record_names_column(tmp_path):
+    path = _write(tmp_path, "a,b\n1,2\n3\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path, ["a"], ["b"])
+    assert (exc.value.line, exc.value.column, exc.value.value) == (3, "b", None)
+    assert "'b'" in str(exc.value) and "too few fields" in str(exc.value)
+
+
+def test_load_csv_syntax_reads_the_same_bits_as_float(tmp_path, rng):
+    values = rng.standard_normal((30, 2)) * 10.0 ** rng.integers(-8, 9, (30, 2))
+    forms = [repr, lambda v: f"{v:.17g}", lambda v: f"{v:.3e}", lambda v: f'"{v!r}"',
+             lambda v: f"  {v!r}\t", lambda v: f"{v:+.6f}"]
+    cells = [[forms[(2 * r + k) % len(forms)](v) for k, v in enumerate(row)]
+             for r, row in enumerate(values.tolist())]
+    # a trailing comma, an unrequested text column, or neither
+    records = [",".join(c) + ("," if r % 3 == 0 else ",n/a" if r % 3 == 1 else "")
+               for r, c in enumerate(cells)]
+    records[5:5] = ["", ",,", '"",""', " , "]  # blank records are skipped
+    want = np.array([[float(c.strip().strip('"')) for c in row] for row in cells])
+    for eol, bom in (("\n", ""), ("\r\n", ""), ("\r", ""), ("\n", "\ufeff")):
+        p = tmp_path / "s.csv"
+        p.write_bytes((bom + eol.join(["a,b,note"] + records) + eol).encode("utf-8"))
+        data = load_csv(str(p), ["a"], ["b"])
+        assert np.array_equal(np.hstack([data.X, data.Y]), want)
+
+
+def test_load_csv_splits_lines_at_newlines_only(tmp_path):
+    # str.splitlines would also break at these whitespace characters
+    path = _write(tmp_path, "a,b\n1\x0b,2\n3\u2028,4\x1c\n")
+    data = load_csv(path, ["a"], ["b"])
+    np.testing.assert_array_equal(data.X[:, 0], [1, 3])
+    np.testing.assert_array_equal(data.Y[:, 0], [2, 4])
+
+
+def test_load_csv_non_utf8_is_data_error(tmp_path):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes("a,b\n1,2\n3,4 \u00b0C\n".encode("latin-1"))
+    with pytest.raises(DataError) as exc:
+        load_csv(str(latin), ["a"], ["b"])
+    assert str(latin) in str(exc.value) and "line 3" in str(exc.value)
 
 
 def test_load_csv_rejects_nan_and_empty(tmp_path):

@@ -255,3 +255,38 @@ def test_monotonicity_diagnostic_multidim_pairs():
         X=np.zeros((2, 1)), Y=np.array([[0.0, 0.0], [1.0, 1.0]]),
         U=U, mu=np.full(2, 0.5), nu=np.full(2, 0.5), epsilon=0.1)
     assert len(qt.monotonicity_diagnostic(bad, [0.0], eta=1.0)) == 1
+
+
+def _pairwise_violations(Q, U, tol):
+    """Reference: the definition, one node pair at a time."""
+    out = []
+    for a in range(U.shape[0]):
+        for b in range(a + 1, U.shape[0]):
+            val = float((Q[a] - Q[b]) @ (U[a] - U[b]))
+            if val < -tol:
+                out.append((a, b, val))
+    return out
+
+
+@pytest.mark.parametrize("d, n, rows", [(2, 5, None), (2, 5, 7), (3, 4, None), (3, 4, 1)])
+def test_monotonicity_diagnostic_matches_pairwise_loop(monkeypatch, rng, d, n, rows):
+    U = make_rank_grid(d, n).U
+    I = U.shape[0]
+    if rows is not None:  # blocks of this many rows, the last one partial
+        monkeypatch.setattr(qt, "PAIR_BLOCK", rows * I)
+    # one observation per node, so Q = Y: a monotone map with noise, and
+    # three planted swaps
+    Y = 2.0 * U + 0.1 * rng.standard_normal(U.shape)
+    for a, b in ((0, I - 1), (1, I // 2), (3, I - 2)):
+        Y[[a, b]] = Y[[b, a]]
+    model = QuantileModel(alpha=np.eye(I) / I, X=np.zeros((I, 1)), Y=Y, U=U,
+                          mu=np.full(I, 1.0 / I), nu=np.full(I, 1.0 / I), epsilon=0.1)
+    tol = 1e-3
+    ref = _pairwise_violations(Y, U, tol)
+    vals = [(Y[a] - Y[b]) @ (U[a] - U[b]) for a in range(I) for b in range(a + 1, I)]
+    assert np.abs(np.add(vals, tol)).min() > 1e-6  # no pair near the threshold
+    assert {(0, I - 1), (1, I // 2), (3, I - 2)} <= {(a, b) for a, b, _ in ref}
+    got = qt.monotonicity_diagnostic(model, [0.0], eta=1.0, tol=tol)
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in ref]
+    np.testing.assert_allclose([v for *_, v in got], [v for *_, v in ref],
+                               rtol=1e-12, atol=1e-14)

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,12 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     assert doc["report"]["converged"] is True
     assert doc["report"]["oracle_calls"] == report.oracle_calls > 0
     assert doc["report"]["backtracks"] == report.backtracks
+    # files written with json.dump(..., indent=1) before the compact format
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+    doc3, dv3, _ = solver.load_model(path)
+    assert doc3 == doc
+    np.testing.assert_array_equal(dv3.psi, dv2.psi)
 
 
 def _dense_hessian(sd, z, eps):
