@@ -110,8 +110,8 @@ class RankGrid:
 
 
 def value_scale(y):
-    """Spread (max - min) of a sample, used to size tolerances and smoothing
-    widths; falls back to 1 for degenerate samples."""
+    """Spread (max - min) of a sample, used to size tolerances; falls back to
+    1 for degenerate samples."""
     y = np.asarray(y, dtype=float)
     s = float(y.max() - y.min())
     return s if s > 0 else 1.0
@@ -163,7 +163,8 @@ def load_csv(path, x_cols, y_cols):
     The file is UTF-8, a leading byte-order mark allowed; lines end in LF,
     CRLF or CR. Cells may be quoted and padded with whitespace; records whose
     cells are all blank are skipped. A requested cell that is missing,
-    non-numeric or non-finite raises ParseError naming its file line.
+    non-numeric or non-finite raises ParseError naming its file line. Each
+    requested name must occur once in the header and once in the request.
     """
     if isinstance(x_cols, str):
         x_cols = [c for c in x_cols.split(",") if c]
@@ -187,10 +188,15 @@ def load_csv(path, x_cols, y_cols):
     # also break at "\x0b", "\x1c" or "\u2028" inside a line
     lines = text.split("\n")
     header = [h.strip() for h in next(csv.reader(lines[:1]))]
-    for col in x_cols + y_cols:
+    requested = x_cols + y_cols
+    for col in requested:
         if col not in header:
             raise MissingColumnError(col, header)
-    columns = [(col, header.index(col)) for col in x_cols + y_cols]
+        if header.count(col) > 1 or requested.count(col) > 1:
+            raise DataError(f"{path}: column {col!r} is ambiguous: {header.count(col)} "
+                            f"in the header, {requested.count(col)} in the request "
+                            f"(covariates {x_cols}, responses {y_cols})")
+    columns = [(col, header.index(col)) for col in requested]
 
     records = [line for line in lines[1:] if not _is_blank(line)]
     if not records:

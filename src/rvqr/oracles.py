@@ -2,7 +2,9 @@
 
 Deliberately shares no softmax/log-sum-exp code with the solver: everything
 here goes through scipy.special.logsumexp or explicit summation, so an
-agreement between the two routes is evidence, not tautology.
+agreement between the two routes is evidence, not tautology. The
+Koenker-Bassett reference goes through HiGHS (scipy.optimize.linprog), not
+the classical_qr interior point.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+from . import classical_qr
 from . import solver as rvqr_solver
 from .errors import ConfigError, NonConvergenceError
 from .solver import SolverConfig
@@ -81,15 +84,13 @@ def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
     return float(np.abs(coupling.alpha - sk.coupling).max())
 
 
-def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0,
-                      gradient_fn=None):
+def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
     """Central finite differences of the dual objective against the closed-form
     gradient, on a random subset of coordinates. Returns the max error scaled
     by the gradient's inf-norm."""
     if not 1e-7 <= step <= 1e-3:
         raise ConfigError("step must lie in [1e-7, 1e-3]")
-    grad_fn = gradient_fn or rvqr_solver.dual_gradient
-    gpsi, gb = grad_fn(dv, data, grid, epsilon)
+    gpsi, gb = rvqr_solver.dual_gradient(dv, data, grid, epsilon)
     flat = np.concatenate([gpsi, gb.ravel()])
     scale = max(float(np.abs(flat).max()), 1e-12)
 
@@ -116,6 +117,24 @@ def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0,
         fd = (obj(psi_p, b_p) - obj(psi_m, b_m)) / (2 * step)
         worst = max(worst, abs(fd - flat[c]) / scale)
     return worst
+
+
+def koenker_bassett_lp(data, t):
+    """Koenker-Bassett fit at level t by HiGHS on the rank-score LP
+    max sum_j nu_j y_j a_j s.t. sum_j nu_j a_j (1, x_j) = (1 - t) sum_j nu_j
+    (1, x_j), 0 <= a <= 1. Returns (coef, value): coef = (alpha, beta) is
+    minus the equality rows' multipliers, and value the LP optimum, the
+    minimum of E (Y - alpha - beta.X)^+ + (1 - t)(alpha + beta.E X).
+    """
+    # imported here: scipy.optimize loads scipy.linalg, which no command uses
+    from scipy.optimize import linprog
+
+    A = (data.nu[:, None] * np.column_stack([np.ones(data.n_obs), data.X])).T
+    res = linprog(-data.nu * data.Y[:, 0], A_eq=A, b_eq=(1.0 - t) * A.sum(axis=1),
+                  bounds=(0.0, 1.0), method="highs")
+    if res.status != 0:
+        raise NonConvergenceError(f"HiGHS: {res.message}")
+    return -res.eqlin.marginals, -float(res.fun)
 
 
 def difference_matrix(T):
@@ -214,7 +233,7 @@ def check_equivalence_small(data, grid, epsilons=(1.0, 0.5, 0.1, 0.05), seed=0):
 
 def run_all_checks(seed=0):
     """Full oracle suite; returns {name: {passed, measured, tolerance}}."""
-    from .measures import Dataset, center_covariates, make_rank_grid
+    from .measures import Dataset, center_covariates, make_rank_grid, value_scale
 
     rng = np.random.default_rng(seed)
     results = {}
@@ -257,5 +276,15 @@ def run_all_checks(seed=0):
     record("epsilon_sweep_cauchy", 0.0 if eq["cauchy"] else 1.0, 0.5)
     if "limit_deviation" in eq:
         record("unregularized_limit", eq["limit_deviation"], eq["limit_bound"])
+
+    # interior-point pinball regression against the HiGHS rank-score LP;
+    # t J is not an integer, so the coefficients are unique
+    Xq = rng.standard_normal((203, 2))
+    dataq = center_covariates(Dataset(
+        X=Xq, Y=Xq @ [[1.0], [-0.5]] + rng.standard_normal((203, 1)),
+        nu=np.full(203, 1 / 203), x_mean=np.zeros(2)))
+    worst = max(np.abs(np.r_[f.alpha, f.beta] - koenker_bassett_lp(dataq, f.t)[0]).max()
+                for f in classical_qr.fit_qr_curve(dataq, (0.1, 0.25, 0.5, 0.9)).fits)
+    record("classical_qr_matches_lp", worst / value_scale(dataq.Y[:, 0]), 1e-8)
 
     return results

@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-# the Armijo constant, and the relative rounding error of an objective
-# below which the Armijo test cannot be decided
-from .descent import F_RESOLUTION, SUFFICIENT_DECREASE
 from .errors import ConfigError, DataError, NonConvergenceError, RvqrError
 from .measures import RankGrid
 
+# the Armijo constant, and the relative rounding error of an objective
+# below which the Armijo test cannot be decided
+SUFFICIENT_DECREASE = 1e-4
+F_RESOLUTION = 4e-16
 MAX_HALVINGS = 60  # rejected trials before a line search gives up
 # Marquardt damping 1e-6 min(1, r) D, D an upper bound on the Hessian's
 # diagonal; entries of D below 1e-10 max(D), such as a constant covariate's,

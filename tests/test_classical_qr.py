@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rvqr import classical_qr as cq
-from rvqr.errors import ConfigError
+from rvqr import oracles
+from rvqr.errors import ConfigError, NonConvergenceError
 from rvqr.measures import Dataset, center_covariates
 
 
@@ -21,15 +22,6 @@ def test_pinball_values():
     np.testing.assert_allclose(cq.pinball(np.array([-1.0, 1.0]), 0.5), [0.5, 0.5])
 
 
-def test_smoothed_pinball_matches_outside_kink():
-    t, h = 0.3, 0.01
-    z = np.array([-1.0, 1.0])
-    exact = cq.pinball(z, t)
-    smooth = cq._pinball_smoothed(z, t, h)
-    # Moreau envelope differs from the kinked loss by at most h/2 far from 0
-    assert np.abs(smooth - exact).max() <= 0.5 * h
-
-
 def test_empirical_quantile_hand_cases():
     y = [1.0, 2.0, 3.0, 4.0]
     # generalized inverse inf{a : F(a) > t}
@@ -42,13 +34,17 @@ def test_empirical_quantile_hand_cases():
 
 
 def test_intercept_only_fit_equals_empirical_quantile(rng):
+    # t J = 20, 100, 150: every point between the order statistics k = tJ and
+    # k + 1 minimizes the loss, and the empirical quantile is the upper one
     y = rng.standard_normal(200)
     data = _dataset(y)
+    ys = np.sort(y)
+    tol = 1e-9 * (y.max() - y.min())
     for t in (0.1, 0.5, 0.75):
         fit = cq.fit_qr_t(data, t)
-        h = cq.QrConfig().smoothing * (y.max() - y.min())
-        assert abs(fit.alpha - cq.empirical_quantile(y, t)) <= max(
-            h, 1.5 * np.diff(np.sort(y)).max())
+        k = round(t * y.size)
+        assert ys[k] == cq.empirical_quantile(y, t)
+        assert ys[k - 1] - tol <= fit.alpha <= ys[k] + tol
 
 
 def test_intercept_only_first_order_condition(rng):
@@ -91,6 +87,63 @@ def test_degenerate_column_pinned_with_warning(rng):
     assert fit.beta[0] == 0.0
 
 
+@pytest.mark.parametrize("columns", ["collinear", "constant_after_shift",
+                                     "two_constant", "more_columns_than_rows"])
+def test_rank_deficient_columns_pinned_with_warning(rng, columns):
+    J = 3 if columns == "more_columns_than_rows" else 200
+    x = rng.uniform(0, 1, J)
+    X = {"collinear": np.c_[x, 2 * x, x],
+         "constant_after_shift": np.c_[np.full(J, 1e3), x, x + 0.5],
+         "two_constant": np.c_[np.full(J, 7.3), x, np.full(J, -2.0)],
+         "more_columns_than_rows": np.c_[x, x ** 2, np.exp(x)]}[columns]
+    kept = {"collinear": [0], "constant_after_shift": [1],
+            "two_constant": [1], "more_columns_than_rows": [0, 1]}[columns]
+    y = 1.0 + 3.0 * x + rng.uniform(0, 1, J)
+    data = center_covariates(Dataset(X=X, Y=y[:, None], nu=np.full(J, 1 / J),
+                                     x_mean=np.zeros(3)))
+    reduced = center_covariates(Dataset(X=X[:, kept], Y=y[:, None],
+                                        nu=np.full(J, 1 / J), x_mean=np.zeros(len(kept))))
+    with pytest.warns(RuntimeWarning, match="collinear"):
+        fit = cq.fit_qr_t(data, 0.3)
+    ref = cq.fit_qr_t(reduced, 0.3)
+    pinned = np.setdiff1d(np.arange(3), kept)
+    assert np.all(fit.beta[pinned] == 0.0)
+    np.testing.assert_allclose(fit.beta[kept], ref.beta, rtol=0, atol=1e-12)
+    assert fit.alpha == pytest.approx(ref.alpha, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_cov", [0, 1, 2])
+def test_fit_matches_highs_rank_score_lp(rng, n_cov):
+    scale_errs = []
+    for trial in range(3):
+        J = int(rng.integers(30, 400))
+        X = rng.standard_normal((J, n_cov))
+        y = X @ rng.standard_normal(n_cov) + rng.standard_normal(J)
+        if trial == 2:
+            y = np.round(y, 1)  # ties
+        data = Dataset(X=X + 3.0, Y=y[:, None], nu=np.full(J, 1 / J),
+                       x_mean=np.zeros(n_cov))
+        if trial:
+            data = center_covariates(data)
+        scale = y.max() - y.min()
+        for t in (0.05, 0.3, 0.5, 0.71, 0.95):
+            fit = cq.fit_qr_t(data, t)
+            coef, value = oracles.koenker_bassett_lp(data, t)
+            assert abs(fit.loss - value) <= 1e-12 * scale
+            assert fit.iterations <= 30
+            if trial < 2 and abs(t * J - round(t * J)) > 1e-6:
+                # one minimizer: the coefficients are the LP's
+                scale_errs.append(
+                    np.abs(np.r_[fit.alpha, fit.beta] - coef).max() / scale)
+    assert scale_errs and max(scale_errs) <= 1e-8
+
+
+def test_step_cap_raises_nonconvergence(rng, monkeypatch):
+    monkeypatch.setattr(cq, "MAX_STEPS", 2)
+    with pytest.raises(NonConvergenceError, match="duality gap"):
+        cq.fit_qr_t(_dataset(rng.standard_normal(100)), 0.3)
+
+
 def test_rejects_bad_inputs(rng):
     data = _dataset(rng.standard_normal(10))
     with pytest.raises(ConfigError):
@@ -102,12 +155,7 @@ def test_rejects_bad_inputs(rng):
     with pytest.raises(ConfigError):
         cq.fit_qr_t(wide, 0.5)
     with pytest.raises(ConfigError):
-        cq.QrConfig(tol=-1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ConfigError):
-            cq.QrConfig(tol=bad)
-        with pytest.raises(ConfigError):
-            cq.QrConfig(smoothing=bad)
+        cq.fit_qr_t(data, np.nan)
 
 
 def test_curve_no_crossing_on_location_model(rng):

@@ -124,6 +124,24 @@ def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["collinear", "constant"])
+def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
+    # x_2 = 2 x_1 or x_2 = 3: the baseline pins x_2's slope with a warning
+    rng = np.random.default_rng(2)
+    x1 = rng.uniform(0, 1, 300)
+    x2 = 2 * x1 if column == "collinear" else np.full(300, 3.0)
+    y = x1 + rng.uniform(0, 1, 300)
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.c_[x1, x2, y], delimiter=",", header="x_1,x_2,y_1",
+               comments="")
+    with pytest.warns(RuntimeWarning, match="collinear"):
+        code = cli.main(["compare-qr", "--data", str(data), "--x-cols", "x_1,x_2",
+                         "--y-cols", "y_1", "--epsilons", "1", "--probes", "q30,q70"])
+    assert code == cli.EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "probe,eps_1" and len(rows) == 3
+
+
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):
     code = _compare_qr(tmp_path, "--grid", "2", "--epsilons", "1")
     assert code == cli.EXIT_CONFIG
@@ -171,6 +189,23 @@ def test_bad_csv_is_data_error(tmp_path, capsys, content, message):
                      "--out", str(model)])
     assert code == cli.EXIT_CONFIG
     assert f"{data}, {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("content, x_cols, y_cols, message", [
+    (b"a,b,a\n1,2,3\n4,5,6\n", "a", "b", "'a' is ambiguous: 2 in the header, 1 in"),
+    (b"a,b\n1,2\n3,4\n", "b", "b", "'b' is ambiguous: 1 in the header, 2 in"),
+    (b"a,b\n1,2\n3,4\n", "a,a", "b", "'a' is ambiguous: 1 in the header, 2 in"),
+], ids=["duplicate_header", "covariate_is_response", "covariate_twice"])
+def test_ambiguous_column_is_data_error(tmp_path, capsys, content, x_cols, y_cols,
+                                        message):
+    data = tmp_path / "d.csv"
+    data.write_bytes(content)
+    model = tmp_path / "m.json"
+    code = cli.main(["fit", "--data", str(data), "--x-cols", x_cols,
+                     "--y-cols", y_cols, "--out", str(model)])
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not model.exists()
 
 
