@@ -10,14 +10,12 @@ from .solver import (
     dual_gradient,
     dual_objective,
     extract_coupling,
-    normalize,
     primal_value,
     solve,
 )
 from .quantiles import (
     QuantileModel,
     ball_conditional_quantile,
-    conditional_quantile,
     monotonicity_diagnostic,
     quantile_table,
 )
@@ -26,9 +24,9 @@ from .classical_qr import empirical_quantile, fit_qr_curve, fit_qr_t, pinball
 __all__ = [
     "Dataset", "RankGrid", "center_covariates", "load_csv", "make_rank_grid",
     "Coupling", "DualVariables", "SolveReport", "SolverConfig",
-    "dual_gradient", "dual_objective", "extract_coupling", "normalize",
-    "primal_value", "solve",
-    "QuantileModel", "ball_conditional_quantile", "conditional_quantile",
-    "monotonicity_diagnostic", "quantile_table",
+    "dual_gradient", "dual_objective", "extract_coupling", "primal_value",
+    "solve",
+    "QuantileModel", "ball_conditional_quantile", "monotonicity_diagnostic",
+    "quantile_table",
     "empirical_quantile", "fit_qr_curve", "fit_qr_t", "pinball",
 ]

@@ -9,17 +9,12 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
 from . import classical_qr, quantiles, solver, synth
-from .errors import (
-    ConfigError,
-    DataError,
-    InvalidGridError,
-    NonConvergenceError,
-    RvqrError,
-)
+from .errors import ConfigError, NonConvergenceError, RvqrError
 from .measures import center_covariates, load_csv, make_rank_grid
 
 EXIT_OK = 0
@@ -154,7 +149,13 @@ def cmd_compare_qr(args):
     interior = np.arange(1, grid.n_nodes - 1)
     t_levels = grid.U[interior, 0]
 
-    qr_curve = classical_qr.fit_qr_curve(data, t_levels)
+    # the baseline warns once per level about a rank-deficient covariate;
+    # print each message once, as a CLI warning line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        qr_curve = classical_qr.fit_qr_curve(data, t_levels)
+    for msg in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {msg}", file=sys.stderr)
     qr_q = np.array([[f.alpha + f.beta @ x for f in qr_curve.fits] for x in probes])
 
     if args.eta is not None:
@@ -299,15 +300,9 @@ def main(argv=None):
         raise SystemExit(EXIT_CONFIG if exc.code else EXIT_OK) from None
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ConfigError, InvalidGridError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONV

@@ -33,11 +33,3 @@ def coupling(theta, mu):
     theta *= (mu / theta.sum(axis=1))[:, None]
     return theta
 
-
-def logsumexp_all(theta):
-    """log sum_{ij} exp(theta_ij), stabilized by the global max; theta is
-    overwritten."""
-    m = theta.max()
-    np.subtract(theta, m, out=theta)
-    np.exp(theta, out=theta)
-    return m + np.log(theta.sum())

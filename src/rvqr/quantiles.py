@@ -55,13 +55,8 @@ def default_eta(model):
     return 0.5 * float(np.median(nearest))
 
 
-def conditional_quantile(model, x, i, hard=False):
-    """E[Y | X = x, U = u_i] under the fitted coupling: the eta = 0 ball."""
-    return ball_conditional_quantile(model, x, 0.0, i, hard=hard)
-
-
 def ball_conditional_quantile(model, x, eta, i, hard=False):
-    """E[Y | X in B_eta(x), U = u_i]; eta = 0 reduces to the exact variant.
+    """E[Y | X in B_eta(x), U = u_i]; eta = 0 conditions on X = x exactly.
 
     i is one rank-node index (result shape d) or an array of them (one row
     of d components per node). The ball is formed once for all of them.
@@ -104,7 +99,7 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     return rows
 
 
-def table_to_csv(path, rows, x_names=None, y_names=None):
+def table_to_csv(path, rows, x_names=None):
     if not rows:
         raise ConfigError("empty quantile table")
     n_x = len(rows[0][0])

@@ -1,6 +1,5 @@
 """Smoothed transport dual with mean-independence: the psi-dual objective
-and gradient, gauge fixing, Newton on the (phi, b) semi-dual and coupling
-extraction.
+and gradient, Newton on the (phi, b) semi-dual and coupling extraction.
 
 Conventions: psi has one entry per observation j, b one row per rank node i.
 theta_ij = [u_i.y_j - b_i.x_j - psi_j] / epsilon, and the dual objective is
@@ -16,14 +15,17 @@ and a_j = (1, x_j) it minimizes over the I (1 + N) numbers z
 
 whose coupling nu_j softmax_i(s_ij) meets the column marginals exactly, and
 returns psi_j = eps log sum_i exp(s_ij) - eps log nu_j, the psi-dual point
-of the same coupling. All log-sum-exp / softmax reductions are
-max-stabilized (see kernels).
+of the same coupling. The dual is unchanged by psi -> psi + c and
+(psi, b) -> (psi - X c, b + c); the gauge of the returned point is the
+solver's own: Newton never moves node 1, so phi_1 = 0 and b_1 = 0 exactly,
+and psi is read off the last accepted pass. All log-sum-exp / softmax
+reductions are max-stabilized (see kernels).
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -99,19 +101,6 @@ class SolveReport:
     oracle_calls: int = 0  # semi-dual passes: stages + iterations + backtracks
     backtracks: int = 0  # rejected line-search trials
 
-    def to_dict(self):
-        return {
-            "iterations": self.iterations,
-            "objective": self.objective,
-            "grad_inf": self.grad_inf,
-            "duality_gap": self.duality_gap,
-            "wall_time": self.wall_time,
-            "converged": self.converged,
-            "stages": self.stages,
-            "oracle_calls": self.oracle_calls,
-            "backtracks": self.backtracks,
-        }
-
 
 def theta(dv, data, grid, epsilon):
     """I x J matrix theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon, as one
@@ -132,17 +121,6 @@ def dual_gradient(dv, data, grid, epsilon):
     """(grad_psi, grad_b): minus the column and mean-independence residuals."""
     c = extract_coupling(dv, data, grid, epsilon)
     return -c.col_residual, -c.mi_residual
-
-
-def normalize(dv, data, grid, epsilon):
-    """Pin b_1 = 0 via (b, psi) <- (b - b_1, psi + b_1.x), then shift psi so
-    that sum_{ij} exp(theta_ij) = 1. Leaves the objective unchanged."""
-    b1 = dv.b[0].copy()
-    b = dv.b - b1[None, :]
-    psi = dv.psi + (data.X @ b1 if data.n_cov else 0.0)
-    lam = epsilon * kernels.logsumexp_all(
-        theta(DualVariables(psi=psi, b=b), data, grid, epsilon))
-    return DualVariables(psi=psi + lam, b=b)
 
 
 def extract_coupling(dv, data, grid, epsilon):
@@ -311,11 +289,12 @@ def solve(data, grid, cfg):
     direction does not descend, or whose line search rejects MAX_HALVINGS
     trials, ends the solve.
 
-    Returns (DualVariables, Coupling, SolveReport): psi is read off the
-    last accepted pass, and normalize and extract_coupling give the
-    gauge-normalized psi-dual point and its row-exact coupling. Raises
-    NonConvergenceError (carrying that point) if the last stage ends above
-    cfg.tol.
+    Returns (DualVariables, Coupling, SolveReport): the psi-dual point of
+    the last accepted iterate in the solver's gauge (phi_1 = 0 and b_1 = 0
+    exactly, as no step moves node 1; psi_j = eps (lse_j - log nu_j) read
+    off the last accepted pass), and its row-exact coupling from one
+    extract_coupling pass. Raises NonConvergenceError (carrying that point)
+    if the last stage ends above cfg.tol.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -371,11 +350,10 @@ def solve(data, grid, cfg):
                  - eps * float(data.nu @ np.log(data.nu))
                  + eps * float(grid.mu @ np.log(rows)))
     oracle_calls = sd.calls
-    # free the workspaces before the post-solve passes allocate their own
+    # free the workspaces before the coupling pass allocates its own
     del sd
 
-    dv = normalize(DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:]),
-                   data, grid, cfg.epsilon)
+    dv = DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:])
     coupling = extract_coupling(dv, data, grid, cfg.epsilon)
     # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
     # column and mean-independence residuals
@@ -413,7 +391,7 @@ def model_to_json_dict(dv, data, grid, cfg, report):
         "x_names": list(data.x_names),
         "y_names": list(data.y_names),
         "data_meta": dict(data.meta),
-        "report": report.to_dict(),
+        "report": asdict(report),
     }
 
 

@@ -47,6 +47,20 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     assert rows.shape == (4 * 5, 3)  # 4 probes x 5 rank nodes
 
 
+def test_quantiles_hard_mode_reads_data_responses(tmp_path, capsys):
+    # --phi-mode hard returns, per node, the response of largest weight
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    table = str(tmp_path / "q.csv")
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", "q10,q50,q90", "--phi-mode", "hard", "--out", table])
+    assert code == cli.EXIT_OK
+    q = np.loadtxt(table, delimiter=",", skiprows=1)[:, 2]
+    y = np.loadtxt(data, delimiter=",", skiprows=1, usecols=1)
+    assert q.size == 3 * 5 and np.isin(q, y).all()
+
+
 def test_fit_nonconvergence_exit_code_still_writes_model(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data, extra=("--max-iter", "2", "--tol", "1e-14"))
@@ -134,12 +148,16 @@ def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
     data = tmp_path / "d.csv"
     np.savetxt(data, np.c_[x1, x2, y], delimiter=",", header="x_1,x_2,y_1",
                comments="")
-    with pytest.warns(RuntimeWarning, match="collinear"):
-        code = cli.main(["compare-qr", "--data", str(data), "--x-cols", "x_1,x_2",
-                         "--y-cols", "y_1", "--epsilons", "1", "--probes", "q30,q70"])
+    code = cli.main(["compare-qr", "--data", str(data), "--x-cols", "x_1,x_2",
+                     "--y-cols", "y_1", "--epsilons", "1", "--probes", "q30,q70"])
     assert code == cli.EXIT_OK
-    rows = capsys.readouterr().out.splitlines()
+    out, err = capsys.readouterr()
+    rows = out.splitlines()
     assert rows[0] == "probe,eps_1" and len(rows) == 3
+    # one CLI warning line, not Python's warning with its source location
+    warned = [line for line in err.splitlines() if "collinear" in line]
+    assert len(warned) == 1 and warned[0].startswith("warning: covariate column(s)")
+    assert ".py:" not in err
 
 
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_exact_group_and_single_point(rng):
     data = Dataset(X=X, Y=Y, nu=np.full(3, 1 / 3), x_mean=np.zeros(1))
     model = _fit_model(data, 3, 0.5)
     for i in range(model.n_nodes):
-        q = qt.conditional_quantile(model, X[2], i)
+        q = qt.ball_conditional_quantile(model, X[2], 0.0, i)
         assert q[0] == pytest.approx(5.0)
 
 
@@ -61,7 +61,7 @@ def test_exact_group_unseen_covariate_raises(rng):
     data = _no_cov(rng.standard_normal(10))
     model = _fit_model(data, 3, 0.5)
     with pytest.raises(ConfigError):
-        qt.conditional_quantile(model, [7.0], 0)
+        qt.ball_conditional_quantile(model, [7.0], 0.0, 0)
 
 
 def test_ball_variants(rng):
@@ -69,10 +69,9 @@ def test_ball_variants(rng):
     Y = np.array([[0.0], [1.0]])
     data = Dataset(X=X, Y=Y, nu=np.full(2, 0.5), x_mean=np.zeros(1))
     model = _fit_model(data, 2, 0.5)
-    # eta = 0 reduces to the exact variant
+    # eta = 0 conditions on X = x exactly: the ball holds the one response
     q0 = qt.ball_conditional_quantile(model, X[0], 0.0, 0)
-    qe = qt.conditional_quantile(model, X[0], 0)
-    assert q0[0] == pytest.approx(qe[0])
+    assert q0[0] == Y[0, 0]
     # huge eta covers everything: coupling-row conditional mean
     qa = qt.ball_conditional_quantile(model, X[0], 10.0, 0)
     row = model.alpha[0]
@@ -168,7 +167,8 @@ def test_no_covariate_columns_use_every_row(rng):
     for i in range(model.n_nodes):
         row = model.alpha[i]
         expect = float(row @ y[:, 0]) / row.sum()
-        assert qt.conditional_quantile(model, [], i)[0] == pytest.approx(expect, rel=1e-12)
+        q = qt.ball_conditional_quantile(model, [], 0.0, i)
+        assert q[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_default_eta_lattice():

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,21 +72,26 @@ def test_gauge_invariance(rng):
             <= 1e-12 * max(abs(base), 1.0)
 
 
-def test_normalize_pins_gauge(rng):
-    data, grid = random_instance(rng, I=5, J=10, N=2)
-    dv = DualVariables(psi=rng.standard_normal(data.n_obs),
-                       b=rng.standard_normal((grid.n_nodes, data.n_cov)))
-    eps = 0.4
-    base = solver.dual_objective(dv, data, grid, eps)
-    norm = solver.normalize(dv, data, grid, eps)
-    assert np.abs(norm.b[0]).max() == 0.0
-    total = np.exp(solver.theta(norm, data, grid, eps)).sum()
-    assert abs(total - 1.0) < 1e-12
-    assert abs(solver.dual_objective(norm, data, grid, eps) - base) \
-        <= 1e-12 * max(abs(base), 1.0)
-    again = solver.normalize(norm, data, grid, eps)
-    np.testing.assert_allclose(again.psi, norm.psi, atol=1e-12)
-    np.testing.assert_allclose(again.b, norm.b, atol=1e-12)
+@pytest.mark.parametrize("n_cov", [0, 2])
+def test_solve_returns_its_pinned_gauge(rng, n_cov):
+    # no step moves node 1, so b_1 stays exactly 0; the objective is the
+    # psi-dual value of the returned point, with no second gauge shift
+    data, grid = random_instance(rng, I=5, J=10, N=n_cov)
+    dv, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.4, tol=1e-9))
+    assert dv.b.shape == (grid.n_nodes, n_cov)
+    assert np.all(dv.b[0] == 0.0)
+    ref = solver.dual_objective(dv, data, grid, 0.4)
+    assert abs(report.objective - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_solve_forms_theta_once(rng, monkeypatch):
+    # the post-solve work is one extract_coupling pass
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    calls = []
+    real = solver.theta
+    monkeypatch.setattr(solver, "theta", lambda *args: calls.append(1) or real(*args))
+    solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
+    assert len(calls) == 1
 
 
 def test_gradient_equals_minus_residuals(rng):
@@ -194,6 +199,7 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     assert doc["report"]["converged"] is True
     assert doc["report"]["oracle_calls"] == report.oracle_calls > 0
     assert doc["report"]["backtracks"] == report.backtracks
+    assert set(doc["report"]) == {f.name for f in fields(solver.SolveReport)}
     # files written with json.dump(..., indent=1) before the compact format
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
