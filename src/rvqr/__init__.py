@@ -19,7 +19,7 @@ from .quantiles import (
     monotonicity_diagnostic,
     quantile_table,
 )
-from .classical_qr import empirical_quantile, fit_qr_curve, fit_qr_t, pinball
+from .classical_qr import empirical_quantile, fit_qr_curve
 
 __all__ = [
     "Dataset", "RankGrid", "center_covariates", "load_csv", "make_rank_grid",
@@ -28,5 +28,5 @@ __all__ = [
     "solve",
     "QuantileModel", "ball_conditional_quantile", "monotonicity_diagnostic",
     "quantile_table",
-    "empirical_quantile", "fit_qr_curve", "fit_qr_t", "pinball",
+    "empirical_quantile", "fit_qr_curve",
 ]

@@ -1,7 +1,8 @@
 """Univariate Koenker-Bassett baseline: exact t-by-t quantile regression and
 the right-continuous empirical quantile.
 
-`fit_qr_t` solves the rank-score LP, the dual of pinball regression,
+`fit_qr_curve` solves, level by level, the rank-score LP, the dual of
+pinball regression,
 
     max_a sum_j nu_j y_j a_j  s.t.  A a = (1 - t) A 1,  0 <= a <= 1,
     A = (nu * [1, X])^T  (p x J, p = 1 + N),
@@ -15,7 +16,7 @@ GAP_TOL times the response's spread.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +40,6 @@ class QrFit:
     beta: np.ndarray
     loss: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class QrCurve:
-    t_grid: np.ndarray
-    fits: list
-    crossing_report: list = field(default_factory=list)
-
-
-def pinball(z, t):
-    """rho_t(z) = t z^- + (1 - t) z^+."""
-    z = np.asarray(z, dtype=float)
-    return t * np.maximum(-z, 0.0) + (1.0 - t) * np.maximum(z, 0.0)
 
 
 def empirical_quantile(y, t):
@@ -142,62 +130,39 @@ def _frisch_newton(A, c, t, tol, slack):
         w += fd * dw
 
 
-def fit_qr_t(data, t):
-    """Exact pinball regression of Y on (1, X) at level t; `iterations`
-    counts interior-point steps. A covariate that is constant or collinear
-    with the intercept and the covariates before it gets a warning and a
-    zero coefficient. A gap above GAP_TOL times the spread after MAX_STEPS
-    steps raises NonConvergenceError.
+def fit_qr_curve(data, t_grid):
+    """Exact pinball regression of Y on (1, X) at each level of t_grid, one
+    QrFit per level; `iterations` counts interior-point steps. A covariate
+    that is constant or collinear with the intercept and the covariates
+    before it gets one warning and a zero coefficient at every level. A gap
+    above GAP_TOL times the spread after MAX_STEPS steps raises
+    NonConvergenceError.
     """
     if data.n_dim != 1:
         raise ConfigError("classical QR requires a univariate response")
-    if not 0.0 < t < 1.0:
-        raise ConfigError(f"probability level must be in (0,1), got {t}")
+    t_grid = np.asarray(t_grid, dtype=float).ravel()
+    for t in t_grid:
+        if not 0.0 < t < 1.0:
+            raise ConfigError(f"probability level must be in (0,1), got {t}")
     y, nu, scale = data.Y[:, 0], data.nu, _scale(data.Y[:, 0])
     active = _independent_columns(data)
     if len(active) < data.n_cov:
         warnings.warn("covariate column(s) constant or collinear with the "
                       "others; coefficients pinned to 0", RuntimeWarning)
     A = (nu[:, None] * np.column_stack([np.ones(data.n_obs), data.X[:, active]])).T
-    tol = GAP_TOL * scale
-    y_dual, steps, gap = _frisch_newton(A, -nu * y, t, tol, START_SLACK * scale * nu)
-    coef = -y_dual
-    if not gap <= tol:
-        raise NonConvergenceError(f"pinball fit at t={t}: duality gap {gap:.3e} "
-                                  f"after {steps} interior-point steps", best=coef)
-    beta = np.zeros(data.n_cov)
-    beta[active] = coef[1:]
-    # reported loss is the LP's E((Y - a - b.X)^+) + (1-t) (a + b.E X)
-    resid = y - coef[0] - data.X @ beta
-    loss = float(nu @ np.maximum(resid, 0.0) + (1.0 - t) * (coef[0] + nu @ data.X @ beta))
-    return QrFit(t=float(t), alpha=float(coef[0]), beta=beta,
-                 loss=loss, iterations=steps)
-
-
-def covariate_probes(data, levels=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)):
-    """Componentwise covariate quantiles used as display/diagnostic probes."""
-    if data.n_cov == 0:
-        return np.zeros((1, 0))
-    return np.array([
-        [empirical_quantile(data.X[:, k], lv) for k in range(data.n_cov)]
-        for lv in levels
-    ])
-
-
-def fit_qr_curve(data, t_grid):
-    """Independent t-by-t fits plus a quantile-crossing report at covariate
-    decile probes."""
-    t_grid = np.asarray(t_grid, dtype=float).ravel()
-    if t_grid.size and not np.all(np.diff(t_grid) > 0):
-        raise ConfigError("t_grid must be strictly increasing")
-    fits = [fit_qr_t(data, t) for t in t_grid]
-
-    probes = covariate_probes(data)
-    cross_tol = 1e-10 * _scale(data.Y[:, 0])
-    crossings = []
-    for x in probes:
-        q = np.array([f.alpha + f.beta @ x for f in fits])
-        for k in range(len(fits) - 1):
-            if q[k + 1] < q[k] - cross_tol:
-                crossings.append((tuple(x), (float(t_grid[k]), float(t_grid[k + 1]))))
-    return QrCurve(t_grid=t_grid, fits=fits, crossing_report=crossings)
+    c, tol, slack = -nu * y, GAP_TOL * scale, START_SLACK * scale * nu
+    fits = []
+    for t in t_grid:
+        y_dual, steps, gap = _frisch_newton(A, c, t, tol, slack)
+        coef = -y_dual
+        if not gap <= tol:
+            raise NonConvergenceError(f"pinball fit at t={t}: duality gap {gap:.3e} "
+                                      f"after {steps} interior-point steps", best=coef)
+        beta = np.zeros(data.n_cov)
+        beta[active] = coef[1:]
+        # reported loss is the LP's E((Y - a - b.X)^+) + (1-t) (a + b.E X)
+        resid = y - coef[0] - data.X @ beta
+        loss = float(nu @ np.maximum(resid, 0.0) + (1.0 - t) * (coef[0] + nu @ data.X @ beta))
+        fits.append(QrFit(t=float(t), alpha=float(coef[0]), beta=beta,
+                          loss=loss, iterations=steps))
+    return fits

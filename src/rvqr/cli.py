@@ -149,14 +149,14 @@ def cmd_compare_qr(args):
     interior = np.arange(1, grid.n_nodes - 1)
     t_levels = grid.U[interior, 0]
 
-    # the baseline warns once per level about a rank-deficient covariate;
-    # print each message once, as a CLI warning line
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        qr_curve = classical_qr.fit_qr_curve(data, t_levels)
-    for msg in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {msg}", file=sys.stderr)
-    qr_q = np.array([[f.alpha + f.beta @ x for f in qr_curve.fits] for x in probes])
+    if args.mode == "qr":
+        # the baseline's rank-deficiency warning, as a CLI warning line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            qr_fits = classical_qr.fit_qr_curve(data, t_levels)
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        qr_q = np.array([[f.alpha + f.beta @ x for f in qr_fits] for x in probes])
 
     if args.eta is not None:
         etas = [args.eta] * len(probes)

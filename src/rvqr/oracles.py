@@ -142,7 +142,7 @@ def difference_matrix(T):
     return np.eye(T) - np.eye(T, k=-1)
 
 
-def monotone_cov_transform(V, t_grid=None):
+def monotone_cov_transform(V):
     """Map a feasible monotone dual matrix V (T x J, columns nonincreasing,
     entries in [0,1]) to the transport plan pi = D^T V / J."""
     V = np.asarray(V, dtype=float)
@@ -284,7 +284,7 @@ def run_all_checks(seed=0):
         X=Xq, Y=Xq @ [[1.0], [-0.5]] + rng.standard_normal((203, 1)),
         nu=np.full(203, 1 / 203), x_mean=np.zeros(2)))
     worst = max(np.abs(np.r_[f.alpha, f.beta] - koenker_bassett_lp(dataq, f.t)[0]).max()
-                for f in classical_qr.fit_qr_curve(dataq, (0.1, 0.25, 0.5, 0.9)).fits)
+                for f in classical_qr.fit_qr_curve(dataq, (0.1, 0.25, 0.5, 0.9)))
     record("classical_qr_matches_lp", worst / value_scale(dataq.Y[:, 0]), 1e-8)
 
     return results

@@ -6,7 +6,7 @@ Euclidean ball of radius eta). The "hard" variant replaces the weighted mean
 by the response carrying the largest weight.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,11 @@ class QuantileModel:
     mu: np.ndarray
     nu: np.ndarray
     epsilon: float
-    x_mean: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @classmethod
     def from_fit(cls, coupling, data, grid, epsilon):
         return cls(alpha=coupling.alpha, X=data.X, Y=data.Y, U=grid.U,
-                   mu=grid.mu, nu=data.nu, epsilon=float(epsilon),
-                   x_mean=data.x_mean)
+                   mu=grid.mu, nu=data.nu, epsilon=float(epsilon))
 
     @property
     def n_nodes(self):

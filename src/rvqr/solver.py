@@ -127,7 +127,7 @@ def extract_coupling(dv, data, grid, epsilon):
     alpha = kernels.coupling(theta(dv, data, grid, epsilon), grid.mu)
     row_residual = alpha.sum(axis=1) - grid.mu
     col_residual = alpha.sum(axis=0) - data.nu
-    mi_residual = alpha @ data.X if data.n_cov else np.zeros((grid.n_nodes, 0))
+    mi_residual = alpha @ data.X
     return Coupling(alpha=alpha, row_residual=row_residual,
                     col_residual=col_residual, mi_residual=mi_residual)
 

@@ -81,12 +81,9 @@ def true_quantile(spec, x, t):
 
 
 def write_csv(path, data):
-    names = list(data.x_names) + list(data.y_names)
-    cols = np.hstack([data.X, data.Y])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        for row in cols:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.hstack([data.X, data.Y]), fmt="%.17g", delimiter=",",
+               header=",".join((*data.x_names, *data.y_names)), comments="",
+               encoding="utf-8")
 
 
 def write_truth(path, spec):

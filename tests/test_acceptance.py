@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rvqr import cli, oracles, quantiles, solver, synth
-from rvqr.classical_qr import empirical_quantile, fit_qr_t
+from rvqr.classical_qr import empirical_quantile, fit_qr_curve
 from rvqr.measures import (
     Dataset,
     center_covariates,
@@ -236,7 +236,7 @@ def test_criterion_10_classical_qr_baseline(capsys):
     tol = 1e-9 * value_scale(y)
     worst_pos, worst_count = 0.0, 0.0
     for t in (0.1, 0.25, 0.5, 0.8):
-        fit = fit_qr_t(data, t)
+        fit = fit_qr_curve(data, [t])[0]
         worst_pos = max(worst_pos, abs(fit.alpha - empirical_quantile(y, t)))
         frac_above = float(np.mean(y > fit.alpha))
         worst_count = max(worst_count, abs(frac_above - (1 - t)))

@@ -15,13 +15,6 @@ def _dataset(y, X=None):
     return Dataset(X=X, Y=y, nu=np.full(J, 1.0 / J), x_mean=np.zeros(X.shape[1]))
 
 
-def test_pinball_values():
-    assert cq.pinball(-2.0, 0.3) == pytest.approx(0.3 * 2.0)
-    assert cq.pinball(4.0, 0.3) == pytest.approx(0.7 * 4.0)
-    assert cq.pinball(0.0, 0.9) == 0.0
-    np.testing.assert_allclose(cq.pinball(np.array([-1.0, 1.0]), 0.5), [0.5, 0.5])
-
-
 def test_empirical_quantile_hand_cases():
     y = [1.0, 2.0, 3.0, 4.0]
     # generalized inverse inf{a : F(a) > t}
@@ -41,7 +34,7 @@ def test_intercept_only_fit_equals_empirical_quantile(rng):
     ys = np.sort(y)
     tol = 1e-9 * (y.max() - y.min())
     for t in (0.1, 0.5, 0.75):
-        fit = cq.fit_qr_t(data, t)
+        fit = cq.fit_qr_curve(data, [t])[0]
         k = round(t * y.size)
         assert ys[k] == cq.empirical_quantile(y, t)
         assert ys[k - 1] - tol <= fit.alpha <= ys[k] + tol
@@ -51,7 +44,7 @@ def test_intercept_only_first_order_condition(rng):
     y = rng.standard_normal(500)
     data = _dataset(y)
     for t in (0.2, 0.5, 0.8):
-        fit = cq.fit_qr_t(data, t)
+        fit = cq.fit_qr_curve(data, [t])[0]
         frac_above = float(np.mean(y > fit.alpha))
         assert abs(frac_above - (1 - t)) <= 2.0 / y.size
 
@@ -62,7 +55,7 @@ def test_loss_matches_lattice_brute_force(rng):
     y = rng.standard_normal(50)
     data = _dataset(y)
     t = 0.25
-    fit = cq.fit_qr_t(data, t)
+    fit = cq.fit_qr_curve(data, [t])[0]
     losses = [float(np.mean(np.maximum(y - a, 0.0)) + (1 - t) * a) for a in y]
     assert fit.loss <= min(losses) + 1e-6 * (y.max() - y.min())
 
@@ -72,7 +65,7 @@ def test_location_model_recovers_slope(rng):
     y = 2.0 + 3.0 * X[:, 0] + rng.uniform(0, 1, 400)
     data = center_covariates(Dataset(X=X, Y=y[:, None],
                                      nu=np.full(400, 1 / 400), x_mean=np.zeros(1)))
-    fit = cq.fit_qr_t(data, 0.5)
+    fit = cq.fit_qr_curve(data, [0.5])[0]
     assert abs(fit.beta[0] - 3.0) < 0.1
     # centered intercept = quantile at the mean covariate
     assert abs(fit.alpha - 2.5) < 0.15
@@ -83,7 +76,7 @@ def test_degenerate_column_pinned_with_warning(rng):
     y = rng.standard_normal(50)
     data = Dataset(X=X, Y=y[:, None], nu=np.full(50, 0.02), x_mean=np.zeros(1))
     with pytest.warns(RuntimeWarning):
-        fit = cq.fit_qr_t(data, 0.5)
+        fit = cq.fit_qr_curve(data, [0.5])[0]
     assert fit.beta[0] == 0.0
 
 
@@ -104,8 +97,8 @@ def test_rank_deficient_columns_pinned_with_warning(rng, columns):
     reduced = center_covariates(Dataset(X=X[:, kept], Y=y[:, None],
                                         nu=np.full(J, 1 / J), x_mean=np.zeros(len(kept))))
     with pytest.warns(RuntimeWarning, match="collinear"):
-        fit = cq.fit_qr_t(data, 0.3)
-    ref = cq.fit_qr_t(reduced, 0.3)
+        fit = cq.fit_qr_curve(data, [0.3])[0]
+    ref = cq.fit_qr_curve(reduced, [0.3])[0]
     pinned = np.setdiff1d(np.arange(3), kept)
     assert np.all(fit.beta[pinned] == 0.0)
     np.testing.assert_allclose(fit.beta[kept], ref.beta, rtol=0, atol=1e-12)
@@ -127,7 +120,7 @@ def test_fit_matches_highs_rank_score_lp(rng, n_cov):
             data = center_covariates(data)
         scale = y.max() - y.min()
         for t in (0.05, 0.3, 0.5, 0.71, 0.95):
-            fit = cq.fit_qr_t(data, t)
+            fit = cq.fit_qr_curve(data, [t])[0]
             coef, value = oracles.koenker_bassett_lp(data, t)
             assert abs(fit.loss - value) <= 1e-12 * scale
             assert fit.iterations <= 30
@@ -141,21 +134,21 @@ def test_fit_matches_highs_rank_score_lp(rng, n_cov):
 def test_step_cap_raises_nonconvergence(rng, monkeypatch):
     monkeypatch.setattr(cq, "MAX_STEPS", 2)
     with pytest.raises(NonConvergenceError, match="duality gap"):
-        cq.fit_qr_t(_dataset(rng.standard_normal(100)), 0.3)
+        cq.fit_qr_curve(_dataset(rng.standard_normal(100)), [0.3])
 
 
 def test_rejects_bad_inputs(rng):
     data = _dataset(rng.standard_normal(10))
     with pytest.raises(ConfigError):
-        cq.fit_qr_t(data, 0.0)
+        cq.fit_qr_curve(data, [0.0])
     with pytest.raises(ConfigError):
-        cq.fit_qr_t(data, 1.0)
+        cq.fit_qr_curve(data, [0.5, 1.0])
     wide = Dataset(X=np.zeros((5, 0)), Y=rng.standard_normal((5, 2)),
                    nu=np.full(5, 0.2), x_mean=np.zeros(0))
     with pytest.raises(ConfigError):
-        cq.fit_qr_t(wide, 0.5)
+        cq.fit_qr_curve(wide, [0.5])
     with pytest.raises(ConfigError):
-        cq.fit_qr_t(data, np.nan)
+        cq.fit_qr_curve(data, [np.nan])
 
 
 def test_curve_no_crossing_on_location_model(rng):
@@ -163,13 +156,23 @@ def test_curve_no_crossing_on_location_model(rng):
     y = X[:, 0] + rng.uniform(0, 1, 300)
     data = center_covariates(Dataset(X=X, Y=y[:, None],
                                      nu=np.full(300, 1 / 300), x_mean=np.zeros(1)))
-    curve = cq.fit_qr_curve(data, np.linspace(0.1, 0.9, 9))
-    assert curve.crossing_report == []
-    t_mid = [f.alpha for f in curve.fits]
-    assert np.all(np.diff(t_mid) > 0)
+    fits = cq.fit_qr_curve(data, np.linspace(0.1, 0.9, 9))
+    deciles = [cq.empirical_quantile(data.X[:, 0], lv) for lv in np.linspace(0.1, 0.9, 9)]
+    q = np.array([[f.alpha + f.beta[0] * x for f in fits] for x in deciles])
+    assert np.all(np.diff(q, axis=1) > 0)
 
 
-def test_curve_rejects_unsorted_grid(rng):
-    data = _dataset(rng.standard_normal(10))
-    with pytest.raises(ConfigError):
-        cq.fit_qr_curve(data, [0.5, 0.25])
+def test_curve_tests_rank_once(rng, monkeypatch):
+    # x_2 = 2 x_1: one rank test and one warning for the whole curve
+    x = rng.uniform(0, 1, 200)
+    y = x + rng.uniform(0, 1, 200)
+    data = center_covariates(Dataset(X=np.c_[x, 2 * x], Y=y[:, None],
+                                     nu=np.full(200, 1 / 200), x_mean=np.zeros(2)))
+    calls = []
+    rank_test = cq._independent_columns
+    monkeypatch.setattr(cq, "_independent_columns",
+                        lambda d: calls.append(d) or rank_test(d))
+    with pytest.warns(RuntimeWarning, match="collinear") as caught:
+        fits = cq.fit_qr_curve(data, np.linspace(0.05, 0.95, 19))
+    assert len(fits) == 19 and len(calls) == 1 and len(caught) == 1
+    assert all(f.beta[1] == 0.0 for f in fits)

@@ -138,8 +138,7 @@ def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("column", ["collinear", "constant"])
-def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
+def _compare_qr_two_covariates(tmp_path, column, *extra):
     # x_2 = 2 x_1 or x_2 = 3: the baseline pins x_2's slope with a warning
     rng = np.random.default_rng(2)
     x1 = rng.uniform(0, 1, 300)
@@ -148,8 +147,14 @@ def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
     data = tmp_path / "d.csv"
     np.savetxt(data, np.c_[x1, x2, y], delimiter=",", header="x_1,x_2,y_1",
                comments="")
-    code = cli.main(["compare-qr", "--data", str(data), "--x-cols", "x_1,x_2",
-                     "--y-cols", "y_1", "--epsilons", "1", "--probes", "q30,q70"])
+    return cli.main(["compare-qr", "--data", str(data), "--x-cols", "x_1,x_2",
+                     "--y-cols", "y_1", "--epsilons", "1", "--probes", "q30,q70",
+                     *extra])
+
+
+@pytest.mark.parametrize("column", ["collinear", "constant"])
+def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
+    code = _compare_qr_two_covariates(tmp_path, column)
     assert code == cli.EXIT_OK
     out, err = capsys.readouterr()
     rows = out.splitlines()
@@ -158,6 +163,16 @@ def test_compare_qr_rank_deficient_covariates(tmp_path, capsys, column):
     warned = [line for line in err.splitlines() if "collinear" in line]
     assert len(warned) == 1 and warned[0].startswith("warning: covariate column(s)")
     assert ".py:" not in err
+
+
+def test_compare_qr_softhard_skips_baseline(tmp_path, capsys):
+    # softhard compares soft and hard readouts only; the baseline's rank
+    # warning would be about a fit nothing reads
+    code = _compare_qr_two_covariates(tmp_path, "collinear", "--mode", "softhard")
+    assert code == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "probe,eps_1" and len(out.splitlines()) == 3
+    assert "warning: covariate" not in err
 
 
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):

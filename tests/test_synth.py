@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_rejects_non_finite_coefficients(field):
             synth.SynthSpec(**{field: bad})
     with pytest.raises(ConfigError):
         synth.SynthSpec(weights=((1.0, float("nan")),), n_cov=2)
+
+
+@pytest.mark.parametrize("d,n_cov", [(2, 2), (1, 0)])
+def test_write_csv_bytes_match_17g_format(tmp_path, d, n_cov):
+    # every value as "%.17g" (round-trip exact), comma separated, one header
+    data, _ = synth.generate(synth.SynthSpec(n_samples=6, seed=3, d=d, n_cov=n_cov))
+    odd = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, 1 / 3]
+    data = replace(data, Y=np.r_[data.Y, np.tile(np.c_[odd], (1, d))],
+                   X=np.r_[data.X, np.tile(np.c_[odd], (1, n_cov))],
+                   nu=np.full(13, 1 / 13))
+    out = tmp_path / "s.csv"
+    synth.write_csv(str(out), data)
+    rows = np.hstack([data.X, data.Y])
+    expected = ",".join(data.x_names + data.y_names) + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert out.read_bytes() == expected.encode()
 
 
 def test_write_csv_and_truth(tmp_path):
