@@ -14,7 +14,6 @@ exact: it stops at a duality gap, which bounds the excess pinball loss, of
 GAP_TOL times the response's spread.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,16 +42,21 @@ class QrFit:
 
 
 def empirical_quantile(y, t):
-    """inf{a : F_hat(a) > t}, the right-continuous generalized inverse."""
+    """inf{a : F_hat(a) > t}, the right-continuous generalized inverse.
+
+    t is one level (returns a float) or an array of levels (returns an
+    array of the same shape, from one sort of y).
+    """
     y = np.sort(np.asarray(y, dtype=float).ravel())
     J = y.size
     if J == 0:
         raise ConfigError("empty sample")
+    t = np.asarray(t, dtype=float)
     # smallest k with k/J strictly greater than t; the tiny slack keeps
     # t = k/J atoms on the strict side despite float rounding
-    k = int(math.floor(t * J + 1e-9)) + 1
-    k = min(max(k, 1), J)
-    return float(y[k - 1])
+    k = np.clip(np.floor(t * J + 1e-9).astype(int) + 1, 1, J)
+    q = y[k - 1]
+    return float(q) if t.ndim == 0 else q
 
 
 def _independent_columns(data):

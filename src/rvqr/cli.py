@@ -53,19 +53,24 @@ def _parse_probes(spec_str):
     return probes
 
 
+def _eta(v):
+    """The --eta value: None (the command's default radius) or a finite
+    number >= 0; ConfigError naming the flag otherwise."""
+    if v is not None and not (math.isfinite(v) and v >= 0):
+        raise ConfigError(f"--eta: {v!r} is not a finite number >= 0")
+    return v
+
+
 def _resolve_probes(probes, data):
-    """Map probe specs to centered covariate vectors (componentwise levels)."""
-    out = []
-    for kind, val in probes:
-        if kind == "level":
-            x = np.array([
-                classical_qr.empirical_quantile(data.X[:, k] + data.x_mean[k], val)
-                for k in range(data.n_cov)
-            ])
-        else:
-            x = np.full(data.n_cov, val)
-        out.append(x - data.x_mean)
-    return np.array(out).reshape(len(out), data.n_cov)
+    """Map probe specs to centered covariate vectors (componentwise levels),
+    one row per probe."""
+    level = np.array([kind == "level" for kind, _ in probes], dtype=bool)
+    val = np.array([v for _, v in probes], dtype=float)
+    x = np.repeat(val[:, None], data.n_cov, axis=1)
+    for k in range(data.n_cov):
+        x[level, k] = classical_qr.empirical_quantile(
+            data.X[:, k] + data.x_mean[k], val[level])
+    return x - data.x_mean
 
 
 def _load_centered(args):
@@ -121,15 +126,17 @@ def _model_from_files(args):
 
 
 def cmd_quantiles(args):
+    eta = _eta(args.eta)
     doc, data, model = _model_from_files(args)
     probes = _resolve_probes(_parse_probes(args.probes), data)
-    eta = args.eta if args.eta is not None else quantiles.default_eta(model)
-    rows = quantiles.quantile_table(
+    if eta is None:
+        eta = quantiles.default_eta(model)
+    Q = quantiles.quantile_table(
         model, probes, eta=eta, hard=(args.phi_mode == "hard"))
     # report probes in raw covariate coordinates
-    rows = [(tuple(np.array(x) + data.x_mean), u, q) for x, u, q in rows]
-    quantiles.table_to_csv(args.out, rows, x_names=doc["x_names"])
-    print(f"quantile table ({len(rows)} rows) written to {args.out}")
+    quantiles.table_to_csv(args.out, probes + data.x_mean, model.U, Q,
+                           x_names=doc["x_names"])
+    print(f"quantile table ({Q.shape[0] * Q.shape[1]} rows) written to {args.out}")
     return EXIT_OK
 
 
@@ -138,6 +145,7 @@ def cmd_compare_qr(args):
     if data.n_dim != 1:
         raise ConfigError("compare-qr supports univariate responses only")
     eps_list = [_number(e, "--epsilons") for e in args.epsilons.split(",")]
+    eta = _eta(args.eta)
     # validated before the baseline fit, which a bad --tol would waste
     cfgs = [solver.SolverConfig(epsilon=e, tol=args.tol, max_iter=args.max_iter)
             for e in eps_list]
@@ -158,8 +166,8 @@ def cmd_compare_qr(args):
             print(f"warning: {w.message}", file=sys.stderr)
         qr_q = np.array([[f.alpha + f.beta @ x for f in qr_fits] for x in probes])
 
-    if args.eta is not None:
-        etas = [args.eta] * len(probes)
+    if eta is not None:
+        etas = [eta] * len(probes)
     else:
         # per-probe radius: 5% quantile of covariate distances, so the ball
         # always holds a stable share of the sample

@@ -46,7 +46,12 @@ def default_eta(model):
     # imported here: scipy.spatial adds ~50 ms to every `import rvqr`
     from scipy.spatial import cKDTree
 
-    Xd = np.unique(model.X, axis=0)
+    X = model.X
+    if X.shape[1] == 0:
+        return 0.0  # every observation sits at the one (empty) covariate
+    # distinct rows: a lexicographic sort puts equal rows next to each other
+    Xs = X[np.lexsort(X.T)]
+    Xd = Xs[np.r_[True, (Xs[1:] != Xs[:-1]).any(axis=1)]]
     if Xd.shape[0] < 2:
         return 0.0
     nearest = cKDTree(Xd).query(Xd, k=2)[0][:, 1]
@@ -82,33 +87,42 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
 
 
 def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
-    """Rows (x-probe components, u_i components, quantile components).
+    """Quantiles at every (probe, node) pair: a P x |nodes| x d array whose
+    [p, k] entry is the readout at probe p and rank node i_set[k].
 
     Deterministic given a fitted model. Probes are in the model's (centered)
-    covariate coordinates.
+    covariate coordinates; errors are raised at the first offending probe.
     """
     nodes = np.arange(model.n_nodes) if i_set is None else np.asarray(i_set, dtype=int)
     if eta is None:
         eta = default_eta(model)
-    rows = []
-    for x in np.atleast_2d(np.asarray(x_probes, dtype=float)):
-        Q = ball_conditional_quantile(model, x, eta, nodes, hard=hard)
-        rows += [(tuple(x), tuple(model.U[i]), tuple(q)) for i, q in zip(nodes, Q)]
-    return rows
+    probes = np.atleast_2d(np.asarray(x_probes, dtype=float))
+    Q = np.empty((probes.shape[0], nodes.size, model.n_dim))
+    for p, x in enumerate(probes):
+        Q[p] = ball_conditional_quantile(model, x, eta, nodes, hard=hard)
+    return Q
 
 
-def table_to_csv(path, rows, x_names=None):
-    if not rows:
+def table_to_csv(path, x, u, q, x_names=None):
+    """Write the table of q (P x |nodes| x d, from quantile_table) as CSV:
+    one row per (probe, node), with the probe's x (P x N), the node's u
+    (|nodes| x d) and its quantile, every value as %.17g. Each probe's
+    block of rows is formatted and written at once."""
+    x, u, q = (np.asarray(a, dtype=float) for a in (x, u, q))
+    if q.size == 0:
         raise ConfigError("empty quantile table")
-    n_x = len(rows[0][0])
-    n_d = len(rows[0][2])
+    (P, n_nodes, n_d), n_x = q.shape, x.shape[1]
     xh = list(x_names) if x_names else [f"x_{k + 1}" for k in range(n_x)]
     head = xh + [f"u_{k + 1}" for k in range(n_d)] + [f"q_{k + 1}" for k in range(n_d)]
+    block_fmt = (",".join(["%.17g"] * (n_x + 2 * n_d)) + "\n") * n_nodes
+    block = np.empty((n_nodes, n_x + 2 * n_d))
+    block[:, n_x:n_x + n_d] = u
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(head) + "\n")
-        for x, u, q in rows:
-            cells = [f"{v:.17g}" for v in (*x, *u, *q)]
-            fh.write(",".join(cells) + "\n")
+        for p in range(P):
+            block[:, :n_x] = x[p]
+            block[:, n_x + n_d:] = q[p]
+            fh.write(block_fmt % tuple(block.ravel().tolist()))
 
 
 def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):

@@ -388,8 +388,9 @@ def model_to_json_dict(dv, data, grid, cfg, report):
         "psi": dv.psi.tolist(),
         "b": dv.b.tolist(),
         "x_mean": data.x_mean.tolist(),
-        "x_names": list(data.x_names),
-        "y_names": list(data.y_names),
+        # a dataset built without names gets the CSV writer's x_k, y_k
+        "x_names": list(data.x_names) or [f"x_{k + 1}" for k in range(data.n_cov)],
+        "y_names": list(data.y_names) or [f"y_{k + 1}" for k in range(data.n_dim)],
         "data_meta": dict(data.meta),
         "report": asdict(report),
     }
@@ -404,7 +405,8 @@ def save_model(path, dv, data, grid, cfg, report):
 
 def load_model(path):
     """(doc, DualVariables, RankGrid) from a model file; DataError if it is
-    not valid JSON or lacks a key that a reader of the model needs."""
+    not valid JSON, lacks a key that a reader of the model needs, or its
+    shapes or epsilon do not make a fit."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -413,6 +415,17 @@ def load_model(path):
             raise KeyError(", ".join(missing))
         dv = DualVariables(psi=np.array(doc["psi"]), b=np.array(doc["b"]))
         grid = RankGrid.from_json_dict(doc["grid"])
+        n_rows, n_cov = dv.b.shape
+        n_means, n_names = len(doc["x_mean"]), len(doc["x_names"])
+        if n_rows != grid.n_nodes or n_means != n_cov or n_names != n_cov:
+            raise ValueError(f"b is {n_rows} x {n_cov} on a {grid.n_nodes}-node grid, "
+                             f"with {n_means} covariate means and {n_names} names")
+        if len(doc["y_names"]) != grid.n_dim:
+            raise ValueError(f"{len(doc['y_names'])} response names for a "
+                             f"{grid.n_dim}-dimensional grid")
+        eps = doc["epsilon"]
+        if not (type(eps) in (int, float) and math.isfinite(eps) and eps > 0):
+            raise ValueError(f"epsilon {eps!r} is not a finite number > 0")
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path} is not a valid model file "
                         f"({type(exc).__name__}: {exc})") from None

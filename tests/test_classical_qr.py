@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,21 @@ def test_empirical_quantile_hand_cases():
     assert cq.empirical_quantile(y, 0.9) == 4.0
     # t = 1/3 with J = 3: float rounding must not skip the atom
     assert cq.empirical_quantile([1.0, 2.0, 3.0], 1 / 3) == 2.0
+
+
+@pytest.mark.parametrize("J", [3, 7, 200])
+def test_empirical_quantile_levels_array_matches_scalar_calls(rng, J):
+    y = np.round(rng.standard_normal(J), 1)  # ties at J = 200
+    t = np.array([0.0, *(np.arange(1, J + 1) / J), 0.999, 1.0, 0.5])
+    got = cq.empirical_quantile(y, t)
+    assert got.shape == t.shape
+    scalar = [cq.empirical_quantile(y, float(lv)) for lv in t]
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_array_equal(got, scalar)
+    # the index rule written out: k = floor(t J + 1e-9) + 1, clipped to [1, J]
+    ys = np.sort(y)
+    ref = [ys[min(max(math.floor(lv * J + 1e-9) + 1, 1), J) - 1] for lv in t]
+    np.testing.assert_array_equal(got, ref)
 
 
 def test_intercept_only_fit_equals_empirical_quantile(rng):

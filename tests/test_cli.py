@@ -201,6 +201,50 @@ def test_malformed_model_is_data_error(tmp_path, capsys, damage):
     assert model in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: d["b"].pop(), "b is 4 x 1 on a 5-node grid"),
+    (lambda d: d["x_mean"].append(0.0), "2 covariate means"),
+    (lambda d: d["x_names"].append("x_2"), "2 names"),
+    (lambda d: d.update(epsilon=-1), "epsilon -1 is not"),
+    (lambda d: d.update(epsilon=0), "epsilon 0 is not"),
+    (lambda d: d.update(epsilon=float("nan")), "epsilon nan is not"),
+    (lambda d: d.update(epsilon="0.5"), "epsilon '0.5' is not"),
+    (lambda d: d["y_names"].append("y_2"), "2 response names"),
+], ids=["b_rows", "x_mean", "x_names", "eps_negative", "eps_zero", "eps_nan",
+        "eps_string", "y_names"])
+def test_inconsistent_model_is_data_error(tmp_path, capsys, damage, message):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    doc = json.loads(open(model).read())
+    damage(doc)
+    with open(model, "w") as fh:
+        fh.write(json.dumps(doc))
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--out", str(table)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{model} is not a valid model file" in err and message in err
+    assert not table.exists()
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "-1", "-inf"])
+def test_bad_eta_is_config_error(tmp_path, capsys, eta):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     f"--eta={eta}", "--out", str(table)])
+    assert code == cli.EXIT_CONFIG
+    assert f"--eta: {float(eta)!r} is not a finite number >= 0" in capsys.readouterr().err
+    assert not table.exists()
+    assert _compare_qr(tmp_path, "--epsilons", "1", f"--eta={eta}") == cli.EXIT_CONFIG
+    assert "--eta: " in capsys.readouterr().err
+
+
 def test_missing_column_is_config_error(tmp_path, capsys):
     data = _synth(tmp_path)
     model = str(tmp_path / "m.json")

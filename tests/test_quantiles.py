@@ -155,8 +155,9 @@ def test_node_array_readout_matches_per_node_loop(rng):
         np.testing.assert_allclose(soft[k], one, rtol=0, atol=atol)
         np.testing.assert_array_equal(
             hard[k], _per_node_readout(model, x, eta, i, hard=True))
-    rows = qt.quantile_table(model, [x], i_set=nodes, eta=eta)
-    np.testing.assert_array_equal([q for _, _, q in rows], soft)
+    table = qt.quantile_table(model, [x], i_set=nodes, eta=eta)
+    assert table.shape == (1, nodes.size, 2)
+    np.testing.assert_array_equal(table[0], soft)
 
 
 def test_no_covariate_columns_use_every_row(rng):
@@ -204,25 +205,72 @@ def test_default_eta_memory_is_linear():
     assert peak < 8e6
 
 
+def test_default_eta_invariant_under_row_permutation(rng):
+    X = rng.standard_normal((80, 2))
+    X = np.vstack([X, X[:20]])  # duplicates, removed before the median
+    eta = qt.default_eta(_covariates_only(X))
+    for _ in range(3):
+        assert qt.default_eta(_covariates_only(X[rng.permutation(len(X))])) == eta
+
+
 def test_quantile_table_shape_and_determinism(rng):
     data = _no_cov(rng.standard_normal(20))
     model = _fit_model(data, 4, 0.2)
-    rows1 = qt.quantile_table(model, [[0.0]], eta=1.0)
-    rows2 = qt.quantile_table(model, [[0.0]], eta=1.0)
-    assert len(rows1) == 4
-    assert rows1 == rows2
+    table1 = qt.quantile_table(model, [[0.0]], eta=1.0)
+    table2 = qt.quantile_table(model, [[0.0]], eta=1.0)
+    assert table1.shape == (1, 4, 1)
+    np.testing.assert_array_equal(table1, table2)
 
 
 def test_table_to_csv(tmp_path, rng):
     data = _no_cov(rng.standard_normal(15))
     model = _fit_model(data, 3, 0.3)
-    rows = qt.quantile_table(model, [[0.0]], eta=1.0)
+    table = qt.quantile_table(model, [[0.0]], eta=1.0)
     path = str(tmp_path / "q.csv")
-    qt.table_to_csv(path, rows, x_names=["x"])
+    qt.table_to_csv(path, [[0.0]], model.U, table, x_names=["x"])
     out = np.loadtxt(path, delimiter=",", skiprows=1)
     assert out.shape == (3, 3)
     with pytest.raises(ConfigError):
-        qt.table_to_csv(str(tmp_path / "e.csv"), [])
+        qt.table_to_csv(str(tmp_path / "e.csv"), np.empty((0, 1)), model.U,
+                        np.empty((0, 3, 1)))
+
+
+def _csv_cell_by_cell(x, u, q, x_names):
+    """Reference table text: one row per (probe, node), each cell formatted
+    on its own."""
+    n_d = u.shape[1]
+    head = list(x_names) + [f"u_{k + 1}" for k in range(n_d)] + [f"q_{k + 1}" for k in range(n_d)]
+    lines = [",".join(head)]
+    for p in range(q.shape[0]):
+        for k in range(u.shape[0]):
+            lines.append(",".join(f"{v:.17g}" for v in (*x[p], *u[k], *q[p, k])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("hard", [False, True])
+def test_table_to_csv_bytes_match_per_cell_format(tmp_path, rng, d, hard):
+    data = center_covariates(Dataset(
+        X=rng.standard_normal((40, 2)), Y=rng.standard_normal((40, d)),
+        nu=np.full(40, 1 / 40), x_mean=np.zeros(2)))
+    model = _fit_model(data, 4 if d == 1 else 3, 0.3)
+    probes = data.X[:3]
+    table = qt.quantile_table(model, probes, eta=1.5, hard=hard)
+    x_raw = probes + np.array([0.5, -2.0])
+    path = tmp_path / "q.csv"
+    qt.table_to_csv(str(path), x_raw, model.U, table, x_names=["a", "b"])
+    assert path.read_bytes() == _csv_cell_by_cell(
+        x_raw, model.U, table, ["a", "b"]).encode()
+
+
+def test_table_to_csv_bytes_on_adversarial_values(tmp_path):
+    vals = np.array([0.0, -0.0, 5e-324, -2.5e-308, 1e300, -1e-300, 1 / 3, 1e16 + 2])
+    x = vals[:4, None]
+    u = np.array([[0.5, 1.0], [1.0, 0.5]])
+    q = np.resize(vals, (4, 2, 2))
+    path = tmp_path / "q.csv"
+    qt.table_to_csv(str(path), x, u, q)
+    assert path.read_bytes() == _csv_cell_by_cell(x, u, q, ["x_1"]).encode()
 
 
 def test_monotonicity_diagnostic_clean_and_planted(rng):
