@@ -129,8 +129,6 @@ def cmd_quantiles(args):
     eta = _eta(args.eta)
     doc, data, model = _model_from_files(args)
     probes = _resolve_probes(_parse_probes(args.probes), data)
-    if eta is None:
-        eta = quantiles.default_eta(model)
     Q = quantiles.quantile_table(
         model, probes, eta=eta, hard=(args.phi_mode == "hard"))
     # report probes in raw covariate coordinates
@@ -164,15 +162,9 @@ def cmd_compare_qr(args):
             qr_fits = classical_qr.fit_qr_curve(data, t_levels)
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        qr_q = np.array([[f.alpha + f.beta @ x for f in qr_fits] for x in probes])
-
-    if eta is not None:
-        etas = [eta] * len(probes)
-    else:
-        # per-probe radius: 5% quantile of covariate distances, so the ball
-        # always holds a stable share of the sample
-        etas = [float(np.quantile(np.linalg.norm(data.X - x[None, :], axis=1), 0.05))
-                for x in probes]
+        # P x T baseline quantiles, empty when no probe is given
+        qr_q = (np.array([f.alpha for f in qr_fits])
+                + probes @ np.array([f.beta for f in qr_fits]).T)
 
     header = ["probe"] + [f"eps_{e:g}" for e in eps_list]
     lines = [",".join(header)]
@@ -188,16 +180,13 @@ def cmd_compare_qr(args):
             exit_code = EXIT_NONCONV
             continue
         model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
-        col = []
-        for p, (x, eta) in enumerate(zip(probes, etas)):
-            soft = quantiles.ball_conditional_quantile(model, x, eta, interior)[:, 0]
-            if args.mode == "qr":
-                ref, est = qr_q[p], soft
-            else:
-                ref, est = soft, quantiles.ball_conditional_quantile(
-                    model, x, eta, interior, hard=True)[:, 0]
-            col.append(float(np.linalg.norm(ref - est) / np.linalg.norm(ref)))
-        table.append(col)
+        soft = quantiles.quantile_table(model, probes, interior, eta=eta)[:, :, 0]
+        if args.mode == "qr":
+            ref, est = qr_q, soft
+        else:
+            ref, est = soft, quantiles.quantile_table(
+                model, probes, interior, eta=eta, hard=True)[:, :, 0]
+        table.append(np.linalg.norm(ref - est, axis=1) / np.linalg.norm(ref, axis=1))
     for p in range(len(probes)):
         cells = [f"p{p + 1}"] + [f"{table[e][p]:.6g}" for e in range(len(eps_list))]
         lines.append(",".join(cells))

@@ -2,7 +2,8 @@
 
 The quantile at covariate x and rank node u_i is the coupling-weighted
 conditional mean of Y over the observations matching x (exactly, or within a
-Euclidean ball of radius eta). The "hard" variant replaces the weighted mean
+Euclidean ball of radius eta; by default the ball of the ceil(J / 20)
+nearest observations). The "hard" variant replaces the weighted mean
 by the response carrying the largest weight.
 """
 
@@ -41,33 +42,29 @@ class QuantileModel:
         return self.Y.shape[1]
 
 
-def default_eta(model):
-    """Half the median nearest-neighbor distance between distinct covariates."""
-    # imported here: scipy.spatial adds ~50 ms to every `import rvqr`
-    from scipy.spatial import cKDTree
-
-    X = model.X
-    if X.shape[1] == 0:
-        return 0.0  # every observation sits at the one (empty) covariate
-    # distinct rows: a lexicographic sort puts equal rows next to each other
-    Xs = X[np.lexsort(X.T)]
-    Xd = Xs[np.r_[True, (Xs[1:] != Xs[:-1]).any(axis=1)]]
-    if Xd.shape[0] < 2:
-        return 0.0
-    nearest = cKDTree(Xd).query(Xd, k=2)[0][:, 1]
-    return 0.5 * float(np.median(nearest))
+def default_eta(dist):
+    """The default ball radius around a probe, from its distance to every
+    observation: the k-th smallest distance, k = ceil(J / 20). The ball then
+    holds the 5 % of the sample nearest to the probe, and every observation
+    tied with the k-th.
+    """
+    k = -(-dist.size // 20)
+    return float(np.partition(dist, k - 1)[k - 1])
 
 
 def ball_conditional_quantile(model, x, eta, i, hard=False):
-    """E[Y | X in B_eta(x), U = u_i]; eta = 0 conditions on X = x exactly.
+    """E[Y | X in B_eta(x), U = u_i]; eta = 0 conditions on X = x exactly and
+    eta = None takes default_eta's radius.
 
     i is one rank-node index (result shape d) or an array of them (one row
     of d components per node). The ball is formed once for all of them.
     """
-    if eta < 0:
+    if eta is not None and eta < 0:
         raise ConfigError("eta must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
     dist = np.linalg.norm(model.X - x[None, :], axis=1)
+    if eta is None:
+        eta = default_eta(dist)
     idx = np.nonzero(dist <= eta)[0]
     if idx.size == 0:
         raise EmptyBallError(x, eta, float(dist.min()))
@@ -94,8 +91,6 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     covariate coordinates; errors are raised at the first offending probe.
     """
     nodes = np.arange(model.n_nodes) if i_set is None else np.asarray(i_set, dtype=int)
-    if eta is None:
-        eta = default_eta(model)
     probes = np.atleast_2d(np.asarray(x_probes, dtype=float))
     Q = np.empty((probes.shape[0], nodes.size, model.n_dim))
     for p, x in enumerate(probes):
@@ -131,8 +126,6 @@ def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):
     d = 1: adjacent nodes (sorted by u) where Q decreases by more than tol.
     d >= 2: node pairs with (Q(u1) - Q(u2)) . (u1 - u2) < -tol.
     """
-    if eta is None:
-        eta = default_eta(model)
     if tol is None:
         tol = 1e-6 * value_scale(model.Y)
     Q = ball_conditional_quantile(model, x_probe, eta, np.arange(model.n_nodes))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rvqr import cli
+from rvqr import classical_qr, cli, quantiles, solver, synth
+from rvqr.measures import center_covariates, load_csv, make_rank_grid
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -61,6 +62,46 @@ def test_quantiles_hard_mode_reads_data_responses(tmp_path, capsys):
     assert q.size == 3 * 5 and np.isin(q, y).all()
 
 
+def test_quantiles_default_radius_at_two_dimensions(tmp_path, capsys):
+    # componentwise probes are not observed points; the default ball still
+    # holds the ceil(J / 20) observations nearest to each
+    data = str(tmp_path / "data2.csv")
+    assert cli.main(["synth", "--out", data, "--dim", "2", "--n-cov", "2",
+                     "--n-samples", "2000", "--seed", "7"]) == cli.EXIT_OK
+    model = str(tmp_path / "model2.json")
+    assert cli.main(["fit", "--data", data, "--x-cols", "x_1,x_2", "--y-cols",
+                     "y_1,y_2", "--grid", "6", "--epsilon", "0.05",
+                     "--out", model]) == cli.EXIT_OK
+    table = str(tmp_path / "q.csv")
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", "q10,q25,q50,q90", "--out", table])
+    assert code == cli.EXIT_OK
+    rows = np.loadtxt(table, delimiter=",", skiprows=1)
+    assert rows.shape == (4 * 36, 6) and np.isfinite(rows).all()
+
+
+def test_quantiles_default_radius_follows_u(tmp_path, capsys):
+    # J = 5,000, grid 20, eps 0.1: the q10 and q90 curves rise with u and
+    # stay near the synthetic truth (max interior error 0.26 at q50)
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["synth", "--out", data, "--n-samples", "5000",
+                     "--seed", "7"]) == cli.EXIT_OK
+    code, model = _fit(tmp_path, data, grid=20, eps=0.1)
+    assert code == cli.EXIT_OK
+    table = str(tmp_path / "q.csv")
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", "q10,q50,q90", "--out", table])
+    assert code == cli.EXIT_OK
+    rows = np.loadtxt(table, delimiter=",", skiprows=1).reshape(3, 20, 3)
+    spec = synth.SynthSpec(n_samples=5000, seed=7)
+    for p, (x, u, q) in enumerate(rows.transpose(0, 2, 1)):
+        if p != 1:
+            assert (np.diff(q) >= 0).all() and q[-1] - q[0] > 0.5
+        truth = np.array([synth.true_quantile(spec, x[:1], u[i:i + 1])[0]
+                          for i in range(1, 19)])
+        assert np.abs(q[1:19] - truth).max() < 0.3
+
+
 def test_fit_nonconvergence_exit_code_still_writes_model(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data, extra=("--max-iter", "2", "--tol", "1e-14"))
@@ -87,6 +128,20 @@ def test_import_loads_no_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_quantiles_loads_no_scipy_submodules(tmp_path, capsys):
+    # the default radius is a partition of the probe's distances, not a KD-tree
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    script = (f"import sys; from rvqr import cli; rc = cli.main(['quantiles', "
+              f"'--model', {model!r}, '--data', {data!r}, '--out', "
+              f"{str(tmp_path / 'q.csv')!r}]); print(rc, sorted(m for m in sys.modules "
+              f"if m.startswith(('scipy.spatial', 'scipy.special', 'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
 
 
 def test_missing_file_is_io_error(tmp_path, capsys):
@@ -173,6 +228,49 @@ def test_compare_qr_softhard_skips_baseline(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out.splitlines()[0] == "probe,eps_1" and len(out.splitlines()) == 3
     assert "warning: covariate" not in err
+
+
+@pytest.mark.parametrize("mode", ["qr", "softhard"])
+def test_compare_qr_matches_per_probe_reference(tmp_path, capsys, mode):
+    # the table against compare-qr's definition, one probe at a time: each
+    # probe's ball is the 5% quantile of its covariate distances
+    path = _synth(tmp_path, n=300)
+    out = tmp_path / "cmp.csv"
+    code = cli.main(["compare-qr", "--data", path, "--x-cols", "x_1", "--y-cols", "y_1",
+                     "--grid", "5", "--epsilons", "1,0.5", "--probes", "q30,q70",
+                     "--mode", mode, "--out", str(out)])
+    assert code == cli.EXIT_OK
+    data = center_covariates(load_csv(path, ["x_1"], ["y_1"]))
+    grid = make_rank_grid(1, 5)
+    interior = np.arange(1, 4)
+    x_raw = data.X[:, 0] + data.x_mean[0]
+    probes = [classical_qr.empirical_quantile(x_raw, t) - data.x_mean[0] for t in (0.3, 0.7)]
+    fits = classical_qr.fit_qr_curve(data, grid.U[interior, 0])
+    rows = [["p1"], ["p2"]]
+    for eps in (1.0, 0.5):
+        _, coupling, _ = solver.solve(data, grid, solver.SolverConfig(epsilon=eps, tol=1e-7))
+        model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
+        for row, x in zip(rows, probes):
+            eta = float(np.quantile(np.abs(data.X[:, 0] - x), 0.05))
+            soft = quantiles.ball_conditional_quantile(model, [x], eta, interior)[:, 0]
+            if mode == "qr":
+                ref, est = np.array([f.alpha + f.beta[0] * x for f in fits]), soft
+            else:
+                ref, est = soft, quantiles.ball_conditional_quantile(
+                    model, [x], eta, interior, hard=True)[:, 0]
+            row.append(f"{np.linalg.norm(ref - est) / np.linalg.norm(ref):.6g}")
+    assert out.read_text() == "probe,eps_1,eps_0.5\n" + "".join(
+        ",".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("mode", ["qr", "softhard"])
+def test_compare_qr_empty_probe_list_prints_header_only(tmp_path, capsys, mode):
+    out = tmp_path / "cmp.csv"
+    code = _compare_qr(tmp_path, "--epsilons", "1,0.5", "--mode", mode,
+                       "--probes", ",", "--out", str(out))
+    assert code == cli.EXIT_OK
+    assert out.read_text() == "probe,eps_1,eps_0.5\n"
+    assert capsys.readouterr().err == ""
 
 
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):

@@ -1,9 +1,7 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.spatial  # noqa: F401  loaded before the tracemalloc window below
 
 from rvqr import quantiles as qt
 from rvqr import solver
@@ -25,14 +23,6 @@ def _no_cov(y):
     J = y.shape[0]
     return Dataset(X=np.zeros((J, 1)), Y=y, nu=np.full(J, 1.0 / J),
                    x_mean=np.zeros(1))
-
-
-def _covariates_only(X):
-    """A model for default_eta, which reads only the covariates."""
-    J = X.shape[0]
-    return QuantileModel(alpha=np.full((1, J), 1.0 / J), X=X, Y=np.zeros((J, 1)),
-                         U=np.ones((1, 1)), mu=np.ones(1), nu=np.full(J, 1.0 / J),
-                         epsilon=0.1)
 
 
 def _per_node_readout(model, x, eta, i, hard=False):
@@ -164,53 +154,46 @@ def test_no_covariate_columns_use_every_row(rng):
     y = rng.standard_normal(12)[:, None]
     data = Dataset(X=np.zeros((12, 0)), Y=y, nu=np.full(12, 1 / 12), x_mean=np.zeros(0))
     model = _fit_model(data, 4, 0.3)
-    assert qt.default_eta(model) == 0.0
+    # every observation sits at the one (empty) covariate
+    assert qt.default_eta(np.linalg.norm(model.X, axis=1)) == 0.0
     for i in range(model.n_nodes):
         row = model.alpha[i]
         expect = float(row @ y[:, 0]) / row.sum()
-        q = qt.ball_conditional_quantile(model, [], 0.0, i)
-        assert q[0] == pytest.approx(expect, rel=1e-12)
+        for eta in (0.0, None):
+            q = qt.ball_conditional_quantile(model, [], eta, i)
+            assert q[0] == pytest.approx(expect, rel=1e-12)
 
 
-def test_default_eta_lattice():
-    X = np.array([[0.0], [1.0], [2.0], [5.0]])
-    model = QuantileModel(alpha=np.full((2, 4), 0.125), X=X,
-                          Y=np.zeros((4, 1)), U=np.array([[0.5], [1.0]]),
-                          mu=np.full(2, 0.5), nu=np.full(4, 0.25), epsilon=0.1)
-    # nearest-neighbor distances (1, 1, 1, 3), median 1, halved
-    assert qt.default_eta(model) == pytest.approx(0.5)
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("J", [1, 7, 19, 20, 21, 39, 40, 41, 399, 1000, 2003])
+def test_default_ball_is_five_percent_distance_quantile(rng, N, J):
+    # compare-qr's former radius: the 5% quantile of the covariate distances
+    X = rng.standard_normal((J, N))
+    alpha = rng.uniform(0.1, 1.0, (3, J))
+    model = QuantileModel(alpha=alpha, X=X, Y=rng.standard_normal((J, 1)),
+                          U=np.array([[1 / 3], [2 / 3], [1.0]]), mu=np.full(3, 1 / 3),
+                          nu=np.full(J, 1.0 / J), epsilon=0.1)
+    nodes = np.arange(3)
+    for x in (X[J // 2], rng.standard_normal(N)):  # an observed and an unseen probe
+        dist = np.linalg.norm(X - x, axis=1)
+        ball = dist <= qt.default_eta(dist)
+        np.testing.assert_array_equal(ball, dist <= np.quantile(dist, 0.05))
+        assert ball.sum() >= -(-J // 20)
+        np.testing.assert_array_equal(
+            qt.ball_conditional_quantile(model, x, None, nodes),
+            qt.ball_conditional_quantile(model, x, float(np.quantile(dist, 0.05)), nodes))
+        np.testing.assert_array_equal(
+            qt.quantile_table(model, [x], nodes)[0],
+            qt.ball_conditional_quantile(model, x, None, nodes))
 
 
-def test_default_eta_matches_brute_force_with_duplicates(rng):
-    X = rng.standard_normal((60, 2))
-    X = np.vstack([X, X[:15], X[:5]])
-    Xd = np.unique(X, axis=0)
-    dist = np.linalg.norm(Xd[:, None, :] - Xd[None, :, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    brute = 0.5 * float(np.median(dist.min(axis=1)))
-    assert qt.default_eta(_covariates_only(X)) == pytest.approx(
-        brute, rel=4 * np.finfo(float).eps)
-
-
-def test_default_eta_memory_is_linear():
-    # pairwise differences of 3,000 distinct x would need 72 MB
-    model = _covariates_only(np.linspace(-1.0, 1.0, 3000)[:, None])
-    tracemalloc.start()
-    try:
-        eta = qt.default_eta(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert eta == pytest.approx(0.5 * 2.0 / 2999)
-    assert peak < 8e6
-
-
-def test_default_eta_invariant_under_row_permutation(rng):
-    X = rng.standard_normal((80, 2))
-    X = np.vstack([X, X[:20]])  # duplicates, removed before the median
-    eta = qt.default_eta(_covariates_only(X))
-    for _ in range(3):
-        assert qt.default_eta(_covariates_only(X[rng.permutation(len(X))])) == eta
+def test_default_ball_keeps_ties_at_the_kth_distance():
+    # J = 40 on the integers: k = 2, and the probe's two neighbours tie at 1
+    dist = np.abs(np.arange(40.0) - 10.0)
+    assert qt.default_eta(dist) == 1.0
+    assert np.flatnonzero(dist <= qt.default_eta(dist)).tolist() == [9, 10, 11]
+    # more rows: k = 3 at J = 41, still the same three
+    assert qt.default_eta(np.r_[dist, 30.0]) == 1.0
 
 
 def test_quantile_table_shape_and_determinism(rng):
