@@ -83,9 +83,10 @@ class RankGrid:
         object.__setattr__(self, "mu", mu)
         if U.shape[0] != mu.shape[0]:
             raise InvalidGridError("U and mu row counts differ")
-        if (mu <= 0).any() or abs(mu.sum() - 1.0) > WEIGHT_TOL:
+        # written so that a NaN fails them
+        if not ((mu > 0).all() and abs(mu.sum() - 1.0) <= WEIGHT_TOL):
             raise InvalidGridError("mu must be positive and sum to 1")
-        if (U <= 0).any() or (U > 1).any():
+        if not ((U > 0) & (U <= 1)).all():
             raise InvalidGridError("grid nodes must lie in (0, 1]")
 
     @property
@@ -120,6 +121,9 @@ def value_scale(y):
 # a line of whitespace, separators and quotes only: csv may split it into
 # blank cells alone
 _MAYBE_BLANK = re.compile(r'[\s,"]*')
+# such a line after the header, found by one search of the whole text: a
+# file without blank records then makes no per-line call
+_MAYBE_BLANK_LINE = re.compile(r'\n(?:[^\S\n]|[,"])*(?:\n|\Z)')
 
 
 def _is_blank(line):
@@ -198,7 +202,12 @@ def load_csv(path, x_cols, y_cols):
                             f"(covariates {x_cols}, responses {y_cols})")
     columns = [(col, header.index(col)) for col in requested]
 
-    records = [line for line in lines[1:] if not _is_blank(line)]
+    # the empty string after a final newline is no record
+    final = text.endswith("\n")
+    if _MAYBE_BLANK_LINE.search(text, len(lines[0]), len(text) - final):
+        records = [line for line in lines[1:] if not _is_blank(line)]
+    else:
+        records = lines[1:len(lines) - final]
     if not records:
         raise EmptyDataError(f"{path}: no data rows")
     try:

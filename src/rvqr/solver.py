@@ -22,6 +22,7 @@ and psi is read off the last accepted pass. All log-sum-exp / softmax
 reductions are max-stabilized (see kernels).
 """
 
+import base64
 import json
 import math
 import time
@@ -30,7 +31,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, NonConvergenceError, RvqrError
+from .errors import (
+    ConfigError,
+    DataError,
+    InvalidGridError,
+    NonConvergenceError,
+    RvqrError,
+)
 from .measures import RankGrid
 
 # the Armijo constant, and the relative rounding error of an objective
@@ -385,7 +392,7 @@ def model_to_json_dict(dv, data, grid, cfg, report):
     return {
         "epsilon": cfg.epsilon,
         "grid": grid.to_json_dict(),
-        "psi": dv.psi.tolist(),
+        "psi": base64.b64encode(dv.psi.astype("<f8").tobytes()).decode("ascii"),
         "b": dv.b.tolist(),
         "x_mean": data.x_mean.tolist(),
         # a dataset built without names gets the CSV writer's x_k, y_k
@@ -403,18 +410,34 @@ def save_model(path, dv, data, grid, cfg, report):
         fh.write(json.dumps(model_to_json_dict(dv, data, grid, cfg, report)))
 
 
+def _decode_psi(text):
+    """psi from its base64 string of little-endian float64, bit for bit;
+    ValueError for anything else, such as the list of an older file."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+        return np.frombuffer(raw, "<f8").astype(np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"psi is not base64 of little-endian float64 ({exc}); "
+                         "refit the model") from None
+
+
 def load_model(path):
     """(doc, DualVariables, RankGrid) from a model file; DataError if it is
-    not valid JSON, lacks a key that a reader of the model needs, or its
-    shapes or epsilon do not make a fit."""
+    not valid JSON, lacks a key that a reader of the model needs, holds a
+    NaN or Inf in psi, b, x_mean or the grid, or its shapes or epsilon do
+    not make a fit."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         missing = [k for k in MODEL_KEYS if k not in doc]
         if missing:
             raise KeyError(", ".join(missing))
-        dv = DualVariables(psi=np.array(doc["psi"]), b=np.array(doc["b"]))
+        dv = DualVariables(psi=_decode_psi(doc["psi"]), b=np.array(doc["b"]))
         grid = RankGrid.from_json_dict(doc["grid"])
+        x_mean = np.array(doc["x_mean"], dtype=float)
+        for key, value in (("psi", dv.psi), ("b", dv.b), ("x_mean", x_mean)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} holds a NaN or Inf")
         n_rows, n_cov = dv.b.shape
         n_means, n_names = len(doc["x_mean"]), len(doc["x_names"])
         if n_rows != grid.n_nodes or n_means != n_cov or n_names != n_cov:
@@ -426,7 +449,7 @@ def load_model(path):
         eps = doc["epsilon"]
         if not (type(eps) in (int, float) and math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon {eps!r} is not a finite number > 0")
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, InvalidGridError) as exc:
         raise DataError(f"{path} is not a valid model file "
                         f"({type(exc).__name__}: {exc})") from None
     return doc, dv, grid

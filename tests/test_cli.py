@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -279,7 +280,12 @@ def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys)
     assert "--grid" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "drop_key"])
+def _psi(doc):
+    return np.frombuffer(base64.b64decode(doc["psi"]), "<f8").copy()
+
+
+@pytest.mark.parametrize("damage", [
+    "truncate", "drop_key", "psi_list", "psi_not_base64", "psi_12_bytes"])
 def test_malformed_model_is_data_error(tmp_path, capsys, damage):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
@@ -289,14 +295,29 @@ def test_malformed_model_is_data_error(tmp_path, capsys, damage):
         text = text[:len(text) // 2]
     else:
         doc = json.loads(text)
-        del doc["x_names"]
+        {
+            "drop_key": lambda d: d.pop("x_names"),
+            # the format of files written before psi was one binary block
+            "psi_list": lambda d: d.update(psi=_psi(d).tolist()),
+            "psi_not_base64": lambda d: d.update(psi=d["psi"][:8] + "*" + d["psi"][8:]),
+            "psi_12_bytes": lambda d: d.update(psi=base64.b64encode(bytes(12)).decode()),
+        }[damage](doc)
         text = json.dumps(doc)
     with open(model, "w") as fh:
         fh.write(text)
     code = cli.main(["quantiles", "--model", model, "--data", data,
                      "--out", str(tmp_path / "q.csv")])
     assert code == cli.EXIT_CONFIG
-    assert model in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert model in err
+    if damage.startswith("psi"):
+        assert "psi is not base64 of little-endian float64" in err and "refit" in err
+
+
+def _nan_psi_entry(doc):
+    psi = _psi(doc)
+    psi[3] = float("nan")
+    doc["psi"] = base64.b64encode(psi.astype("<f8").tobytes()).decode("ascii")
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -308,8 +329,14 @@ def test_malformed_model_is_data_error(tmp_path, capsys, damage):
     (lambda d: d.update(epsilon=float("nan")), "epsilon nan is not"),
     (lambda d: d.update(epsilon="0.5"), "epsilon '0.5' is not"),
     (lambda d: d["y_names"].append("y_2"), "2 response names"),
+    (_nan_psi_entry, "psi holds a NaN or Inf"),
+    (lambda d: d["b"][2].__setitem__(0, float("inf")), "b holds a NaN or Inf"),
+    (lambda d: d.update(x_mean=[float("-inf")]), "x_mean holds a NaN or Inf"),
+    (lambda d: d["grid"]["U"][0].__setitem__(2, float("nan")), "grid nodes must lie"),
+    (lambda d: d["grid"]["mu"].__setitem__(2, float("nan")), "mu must be positive"),
 ], ids=["b_rows", "x_mean", "x_names", "eps_negative", "eps_zero", "eps_nan",
-        "eps_string", "y_names"])
+        "eps_string", "y_names", "psi_nan", "b_inf", "x_mean_inf", "grid_u_nan",
+        "grid_mu_nan"])
 def test_inconsistent_model_is_data_error(tmp_path, capsys, damage, message):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from rvqr import measures
 from rvqr.errors import (
     DataError,
     EmptyDataError,
@@ -113,6 +116,57 @@ def test_load_csv_syntax_reads_the_same_bits_as_float(tmp_path, rng):
         assert np.array_equal(np.hstack([data.X, data.Y]), want)
 
 
+@pytest.mark.parametrize("text, rows", [
+    ("a,b\n\n1,2\n3,4\n", 2),  # blank first data record
+    ("a,b\n \t\n1,2\n3,4", 2),
+    ("a,b\n1,2\n3,4\n\n", 2),  # blank last record, with a final newline
+    ("a,b\n1,2\n3,4\n,,", 2),  # and without one
+    ("a,b\n1,2\n3,4\n", 2),  # no blank record, with a final newline
+    ("a,b\n1,2\n3,4", 2),  # and without one
+    ("a,b\n1,2\n\t\n\x0c\n,,\n\" \"\n3,4\n", 2),
+    ("a,b\r\n1,2\r\n\r\n3,4\r\n", 2),  # CRLF
+    ("a,b\r\n1,2\r\n3,4\r\n", 2),
+    ("a,b\n\n", 0),
+    ("a,b\n", 0),
+], ids=["first", "first_ws", "last_eol", "last_no_eol", "clean_eol", "clean_no_eol",
+        "ws_only", "crlf", "crlf_clean", "only_blank", "header_only"])
+def test_load_csv_bulk_blank_scan_matches_per_line_filter(tmp_path, monkeypatch,
+                                                          text, rows):
+    path = tmp_path / "b.csv"
+    path.write_bytes(text.encode("utf-8"))
+
+    def load():
+        try:
+            data = load_csv(str(path), ["a"], ["b"])
+        except EmptyDataError as exc:
+            return str(exc)
+        return np.hstack([data.X, data.Y])
+
+    got = load()
+    # an always-matching scan sends every file through the per-line filter
+    monkeypatch.setattr(measures, "_MAYBE_BLANK_LINE", re.compile(""))
+    want = load()
+    if rows:
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, [[1, 2], [3, 4]])
+    else:
+        assert got == want == f"{path}: no data rows"
+
+
+@pytest.mark.parametrize("text, calls", [
+    ("a,b\n1,2\n3,4\n", 0), ("a,b\n1,2\n3,4", 0), ("a,b\r\n 1, 2\r\n3,4\r\n", 0),
+    ("a,b\n1,2\n\n3,4\n", 4),
+])
+def test_load_csv_clean_file_makes_no_per_line_call(tmp_path, monkeypatch, text, calls):
+    seen = []
+    is_blank = measures._is_blank
+    monkeypatch.setattr(measures, "_is_blank", lambda line: seen.append(line) or is_blank(line))
+    path = tmp_path / "c.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_csv(str(path), ["a"], ["b"]).n_obs == 2
+    assert len(seen) == calls
+
+
 def test_load_csv_splits_lines_at_newlines_only(tmp_path):
     # str.splitlines would also break at these whitespace characters
     path = _write(tmp_path, "a,b\n1\x0b,2\n3\u2028,4\x1c\n")
@@ -185,6 +239,10 @@ def test_make_rank_grid_rejects_bad_shapes():
         RankGrid(U=np.array([[0.0], [0.5]]), mu=np.full(2, 0.5))
     with pytest.raises(InvalidGridError):
         RankGrid(U=np.array([[0.5], [1.1]]), mu=np.full(2, 0.5))
+    with pytest.raises(InvalidGridError):
+        RankGrid(U=np.array([[0.5], [np.nan]]), mu=np.full(2, 0.5))
+    with pytest.raises(InvalidGridError):
+        RankGrid(U=np.array([[0.5], [1.0]]), mu=np.array([np.nan, 0.5]))
 
 
 def test_value_scale():

@@ -189,10 +189,16 @@ def test_model_save_load_roundtrip(tmp_path, rng):
     data, grid = random_instance(rng, I=4, J=10, N=1)
     cfg = SolverConfig(epsilon=0.5, tol=1e-8)
     dv, coupling, report = solver.solve(data, grid, cfg)
+    # extremes of float64 next to the fitted entries
+    psi = dv.psi.copy()
+    psi[:6] = [-0.0, 5e-324, 1e300, -1e300, 1 / 3, -1 / 3]
+    dv = DualVariables(psi=psi, b=dv.b)
     path = str(tmp_path / "model.json")
     solver.save_model(path, dv, data, grid, cfg, report)
     doc, dv2, grid2 = solver.load_model(path)
-    np.testing.assert_allclose(dv2.psi, dv.psi, atol=1e-15)
+    np.testing.assert_array_equal(dv2.psi, dv.psi)
+    assert dv2.psi.tobytes() == psi.tobytes()  # -0.0 keeps its sign
+    assert dv2.psi.dtype == np.float64 and dv2.psi.flags.writeable
     np.testing.assert_allclose(dv2.b, dv.b, atol=1e-15)
     np.testing.assert_allclose(grid2.U, grid.U)
     assert doc["epsilon"] == 0.5
