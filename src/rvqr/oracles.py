@@ -285,6 +285,6 @@ def run_all_checks(seed=0):
         nu=np.full(203, 1 / 203), x_mean=np.zeros(2)))
     worst = max(np.abs(np.r_[f.alpha, f.beta] - koenker_bassett_lp(dataq, f.t)[0]).max()
                 for f in classical_qr.fit_qr_curve(dataq, (0.1, 0.25, 0.5, 0.9)))
-    record("classical_qr_matches_lp", worst / value_scale(dataq.Y[:, 0]), 1e-8)
+    record("classical_qr_matches_lp", worst / value_scale(dataq.Y[:, 0]), 1e-13)
 
     return results

@@ -145,7 +145,83 @@ def test_fit_matches_highs_rank_score_lp(rng, n_cov):
                 # one minimizer: the coefficients are the LP's
                 scale_errs.append(
                     np.abs(np.r_[fit.alpha, fit.beta] - coef).max() / scale)
-    assert scale_errs and max(scale_errs) <= 1e-8
+    assert scale_errs and max(scale_errs) <= 1e-13
+
+
+def _count_vertex_calls(monkeypatch, reject=False):
+    """Wrap _vertex; the returned dict counts its calls and its rejections.
+    With reject=True every vertex is rejected: the pure interior point."""
+    counts = {"calls": 0, "rejected": 0}
+    vertex = cq._vertex
+
+    def counted(*args):
+        out = None if reject else vertex(*args)
+        counts["calls"] += 1
+        counts["rejected"] += out is None
+        return out
+
+    monkeypatch.setattr(cq, "_vertex", counted)
+    return counts
+
+
+def test_vertex_finish_ends_the_fit(rng, monkeypatch):
+    counts = _count_vertex_calls(monkeypatch)
+    X = rng.standard_normal((300, 2))
+    data = center_covariates(Dataset(X=X, Y=(X @ [1.0, -2.0] + rng.standard_normal(300))[:, None],
+                                     nu=np.full(300, 1 / 300), x_mean=np.zeros(2)))
+    fits = cq.fit_qr_curve(data, (0.1, 0.37, 0.9))
+    # every level ends at an accepted vertex, one try each or a few more
+    assert counts["calls"] - counts["rejected"] == 3
+    for fit in fits:
+        coef, _ = oracles.koenker_bassett_lp(data, fit.t)
+        np.testing.assert_allclose(np.r_[fit.alpha, fit.beta], coef, rtol=0,
+                                   atol=1e-13 * np.ptp(data.Y))
+
+
+@pytest.mark.parametrize("n_cov", [0, 1, 2])
+def test_pure_interior_point_matches_highs(rng, monkeypatch, n_cov):
+    # every vertex rejected: the steps alone reach the gap
+    counts = _count_vertex_calls(monkeypatch, reject=True)
+    for trial in range(2):
+        J = int(rng.integers(30, 400))
+        X = rng.standard_normal((J, n_cov))
+        y = X @ rng.standard_normal(n_cov) + rng.standard_normal(J)
+        if trial:
+            y = np.round(y, 1)  # ties
+        data = center_covariates(Dataset(X=X + 3.0, Y=y[:, None], nu=np.full(J, 1 / J),
+                                         x_mean=np.zeros(n_cov)))
+        for t in (0.05, 0.5, 0.95):
+            fit = cq.fit_qr_curve(data, [t])[0]
+            _, value = oracles.koenker_bassett_lp(data, t)
+            assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
+    assert counts["calls"] > 0 and counts["rejected"] == counts["calls"]
+
+
+def test_singular_basis_falls_back_to_steps(rng, monkeypatch):
+    # every row twice: the most fractional x_j come in identical pairs, so
+    # the basis is singular and each vertex try is rejected
+    counts = _count_vertex_calls(monkeypatch)
+    x = rng.uniform(0, 1, 100)
+    y = x + rng.standard_normal(100)
+    data = center_covariates(Dataset(X=np.r_[x, x][:, None], Y=np.r_[y, y][:, None],
+                                     nu=np.full(200, 1 / 200), x_mean=np.zeros(1)))
+    fit = cq.fit_qr_curve(data, [0.3])[0]
+    assert counts["calls"] > 0 and counts["rejected"] == counts["calls"]
+    _, value = oracles.koenker_bassett_lp(data, 0.3)
+    assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
+
+
+def test_heavy_tailed_response_converges(rng):
+    # Cauchy errors: the fit at t = 0.95 takes more than the 50 steps that
+    # were once the cap
+    X = rng.uniform(0, 1, (5000, 1))
+    y = X[:, 0] + rng.standard_cauchy(5000)
+    data = center_covariates(Dataset(X=X, Y=y[:, None], nu=np.full(5000, 1 / 5000),
+                                     x_mean=np.zeros(1)))
+    fit = cq.fit_qr_curve(data, [0.95])[0]
+    _, value = oracles.koenker_bassett_lp(data, 0.95)
+    assert fit.iterations > 50
+    assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
 
 
 def test_step_cap_raises_nonconvergence(rng, monkeypatch):
