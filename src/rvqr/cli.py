@@ -97,6 +97,7 @@ def cmd_fit(args):
     print(f"newton steps      {report.iterations}")
     print(f"oracle calls      {report.oracle_calls}")
     print(f"backtracks        {report.backtracks}")
+    print(f"cg products       {report.cg_products}")
     print(f"dual objective    {report.objective:.10g}")
     print(f"gradient inf-norm {report.grad_inf:.3e}")
     print(f"duality gap       {report.duality_gap:.3e}")

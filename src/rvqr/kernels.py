@@ -1,8 +1,8 @@
 """Hot numeric kernels: max-stabilized log-sum-exp / softmax reductions.
 
-Every kernel overwrites the I x J score array it is given, so a caller that
-evaluates many points reuses one workspace and allocates no I x J
-temporaries.
+Every kernel overwrites the score array it is given (I x J, or a column
+block of it), so a caller that evaluates many points reuses one workspace
+and allocates no temporaries of its size.
 """
 
 import numpy as np

@@ -61,6 +61,11 @@ LADDER_RATIO = 4.0
 LADDER_TOP = 0.4
 STAGE_TOL = 1e-1
 X_SCALE_FLOOR = 1e-8
+# entries per column block of the semi-dual workspace: 2^17 float64 (1 MB)
+# fit in a core's L2 cache, so the passes over one block of p after the
+# first read it from there, not from memory
+BLOCK_ENTRIES = 2 ** 17
+LINE = 8  # float64 entries per 64-byte cache line
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,10 @@ class SolveReport:
     duality_gap: float
     wall_time: float
     converged: bool
-    stages: int = 0  # epsilon stages
+    stages: int = 0  # epsilon stages evaluated
     oracle_calls: int = 0  # semi-dual passes: stages + iterations + backtracks
     backtracks: int = 0  # rejected line-search trials
+    cg_products: int = 0  # Hessian-vector products over all Newton directions
 
 
 def theta(dv, data, grid, epsilon):
@@ -163,44 +169,79 @@ def dual_value_centered(dv, data, grid, epsilon):
 
 class SemiDual:
     """F(z), its gradient and Hessian-vector products over z = (phi, b), an
-    I x K array with K = 1 + N, through one I x J workspace p.
+    I x K array with K = 1 + N, through one I x J workspace p held as
+    contiguous column blocks of about BLOCK_ENTRIES entries.
 
     `evaluate` leaves the column softmax p of its point in the workspace,
     with the I x K x K blocks m_i = sum_j nu_j p_ij a_j a_j' of its second
     moments, and `hvp` reads both from there, so the products are with the
-    Hessian of the last point evaluated.
+    Hessian of the last point evaluated. Each pass runs block by block, so
+    that the passes over one block of p find it in cache; the blocks depend
+    only on (I, J), so neither do the results depend on the machine.
     """
 
     def __init__(self, data, grid):
         self.data, self.grid = data, grid
         d, I, J = data.n_dim, grid.n_nodes, data.n_obs
         K = 1 + data.n_cov
+        # equal widths, each a whole number of cache lines, so that every
+        # block but a short last one starts its rows on a line: GEMM output
+        # rows that straddle lines made a pass at I = 400 45 % slower
+        width = -(-J // -(-I * J // BLOCK_ENTRIES))
+        width = min(J, -(-width // LINE) * LINE)
+        self.bounds = [(s, min(s + width, J)) for s in range(0, J, width)]
+        # one I x J buffer, from a cache-line boundary, cut into the blocks
+        work = np.empty(I * J + LINE)
+        work = work[(-work.ctypes.data // 8) % LINE:][:I * J]
         # s = [U, -z] @ [Y'; a'] / eps: one product of inner dimension d + K
         self.coef = np.empty((I, d + K))
-        self.feats = np.vstack([data.Y.T, np.ones((1, J)), data.X.T])
-        self.a = self.feats[d:]  # K x J, column j is a_j = (1, x_j)
-        self.a_nu = self.a * data.nu  # nu_j a_j
+        # per block: feats = [Y'; a'], column j of a = feats[d:] is
+        # a_j = (1, x_j), a_nu = nu_j a_j, and the J x K K weights whose
+        # column r K + s is nu_j a_rj a_sj; as a_0 = 1, the columns s = 0
+        # give the moments nu_j a_j of the gradient
+        self.feats, self.a_nu, self.weights, self.p = [], [], [], []
+        for s, e in self.bounds:
+            feats = np.empty((d + K, e - s))
+            feats[:d] = data.Y[s:e].T
+            feats[d] = 1.0
+            feats[d + 1:] = data.X[s:e].T
+            a_nu = feats[d:] * data.nu[s:e]
+            self.feats.append(feats)
+            self.a_nu.append(a_nu)
+            self.weights.append((a_nu[:, None, :] * feats[None, d:, :])
+                                .reshape(K * K, e - s).T)
+            self.p.append(work[I * s:I * e].reshape(I, e - s))
         # the sum_j nu_j a_j of the mean-independence constraints
         # sum_j alpha_ij a_j = mu_i a_bar, which X's centering leaves at
         # (1, rounding noise)
-        self.a_bar = self.a_nu.sum(axis=1)
-        # column r K + s is nu_j a_rj a_sj; as a_0 = 1, the columns s = 0
-        # give the moments nu_j a_j of the gradient
-        self.weights = (self.a_nu[:, None, :] * self.a[None, :, :]).reshape(K * K, J).T
-        self.p = np.empty((I, J))
+        self.a_bar = np.concatenate([[data.nu.sum()], (data.X.T * data.nu).sum(axis=1)])
         self.m = None
-        self.calls = 0
+        self.calls = self.products = 0
+
+    def spread(self):
+        """max_ij u_i.y_j - min_ij u_i.y_j, block by block in the workspace,
+        which it overwrites: call it before `evaluate`."""
+        d = self.data.n_dim
+        hi, lo = -math.inf, math.inf
+        for feats, p in zip(self.feats, self.p):
+            np.matmul(self.grid.U, feats[:d], out=p)
+            hi, lo = max(hi, float(p.max())), min(lo, float(p.min()))
+        return hi - lo
 
     def evaluate(self, z, eps):
         """(F, grad, lse) at z, grad an I x K array and lse_j = log sum_i
         exp(s_ij)."""
-        d = self.data.n_dim
+        d, (I, K) = self.data.n_dim, z.shape
         np.divide(self.grid.U, eps, out=self.coef[:, :d])
         np.divide(z, -eps, out=self.coef[:, d:])
-        np.matmul(self.coef, self.feats, out=self.p)
-        lse, moments = kernels.column_softmax(self.p, self.weights)
+        lse = np.empty(self.data.n_obs)
+        moments = np.zeros((I, K * K))
+        for (s, e), feats, weights, p in zip(self.bounds, self.feats, self.weights, self.p):
+            np.matmul(self.coef, feats, out=p)
+            lse[s:e], block_moments = kernels.column_softmax(p, weights)
+            moments += block_moments
         self.calls += 1
-        self.m = moments.reshape(len(z), len(self.a), len(self.a))
+        self.m = moments.reshape(I, K, K)
         f = float(self.grid.mu @ (z @ self.a_bar)) + eps * float(self.data.nu @ lse)
         grad = np.outer(self.grid.mu, self.a_bar) - self.m[:, :, 0]
         return f, grad, lse
@@ -208,10 +249,17 @@ class SemiDual:
     def hvp(self, v, eps):
         """H v at the last point evaluated, for an I x K array v:
         (H v)_i = (1/eps) [m_i v_i - sum_j nu_j p_ij c_j a_j] with
-        c_j = sum_k p_kj a_j.v_k, two products with p and no I x J
+        c_j = sum_k p_kj a_j.v_k = (v'p)_0j + sum_{r>=1} (v'p)_rj a_rj, as
+        a_0 = 1: two skinny products with each block of p and no I x J
         temporary."""
-        c = np.einsum("jk,kj->j", self.p.T @ v, self.a)
-        return (np.einsum("irs,is->ir", self.m, v) - self.p @ (self.a_nu * c).T) / eps
+        d = self.data.n_dim
+        cross = np.zeros(v.shape[::-1])
+        for feats, a_nu, p in zip(self.feats, self.a_nu, self.p):
+            vp = v.T @ p
+            vp[1:] *= feats[d + 1:]
+            cross += (a_nu * vp.sum(axis=0)) @ p.T
+        self.products += 1
+        return (np.einsum("irs,is->ir", self.m, v) - cross.T) / eps
 
 
 def _newton_step(sd, grad, r, eps):
@@ -294,7 +342,8 @@ def solve(data, grid, cfg):
     (see _stop_weights): at STAGE_TOL, and the last stage at cfg.tol.
     max_iter bounds the Newton steps of all stages together; a step whose
     direction does not descend, or whose line search rejects MAX_HALVINGS
-    trials, ends the solve.
+    trials, ends the solve. Either way the rungs between are skipped: only
+    the last one is evaluated, once, for psi at cfg.epsilon.
 
     Returns (DualVariables, Coupling, SolveReport): the psi-dual point of
     the last accepted iterate in the solver's gauge (phi_1 = 0 and b_1 = 0
@@ -311,15 +360,19 @@ def solve(data, grid, cfg):
         raise ConfigError("covariates must be centered before solving")
 
     start = time.perf_counter()
-    ladder = _ladder(cfg.epsilon, float(np.ptp(grid.U @ data.Y.T)))
     sd = SemiDual(data, grid)
+    ladder = _ladder(cfg.epsilon, sd.spread())
     weight = _stop_weights(data, grid)
 
     z = np.zeros((grid.n_nodes, 1 + data.n_cov))
-    iterations = backtracks = 0
+    iterations = backtracks = stages = 0
     stalled = False
     for k, eps in enumerate(ladder):
-        stage_tol = cfg.tol if k == len(ladder) - 1 else STAGE_TOL
+        last = k == len(ladder) - 1
+        if not last and (stalled or iterations >= cfg.max_iter):
+            continue  # no step can be taken: on to the last rung, for psi
+        stages += 1
+        stage_tol = cfg.tol if last else STAGE_TOL
         f, grad, lse = sd.evaluate(z, eps)
         r = float(np.max(np.abs(grad) * weight))
         while r > stage_tol and iterations < cfg.max_iter and not stalled:
@@ -356,7 +409,7 @@ def solve(data, grid, cfg):
     objective = (f - float(grid.mu @ (z[:, 1:] @ sd.a_bar[1:]))
                  - eps * float(data.nu @ np.log(data.nu))
                  + eps * float(grid.mu @ np.log(rows)))
-    oracle_calls = sd.calls
+    oracle_calls, cg_products = sd.calls, sd.products
     # free the workspaces before the coupling pass allocates its own
     del sd
 
@@ -371,7 +424,8 @@ def solve(data, grid, cfg):
     report = SolveReport(
         iterations=iterations, objective=objective, grad_inf=grad_inf,
         duality_gap=gap, wall_time=wall, converged=converged,
-        stages=len(ladder), oracle_calls=oracle_calls, backtracks=backtracks,
+        stages=stages, oracle_calls=oracle_calls, backtracks=backtracks,
+        cg_products=cg_products,
     )
     if not converged:
         raise NonConvergenceError(

@@ -39,6 +39,7 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert f"oracle calls      {doc['report']['oracle_calls']}" in printed
     assert f"backtracks        {doc['report']['backtracks']}" in printed
+    assert f"cg products       {doc['report']['cg_products']}" in printed
     assert f"epsilon stages    {doc['report']['stages']}" in printed
 
     table = str(tmp_path / "q.csv")

@@ -225,36 +225,95 @@ def _dense_hessian(sd, z, eps):
     return np.array(cols).T
 
 
-@pytest.mark.parametrize("n_cov", [0, 2])
-def test_semidual_derivatives_match_finite_differences(rng, n_cov):
-    data, grid = random_instance(rng, I=5, J=12, N=n_cov)
-    eps, h = 0.5, 1e-5
+def _blocked(monkeypatch, data, grid, entries, line=None):
+    """A SemiDual whose workspace blocks hold about `entries` entries, their
+    widths rounded up to multiples of `line` (default LINE), and its block
+    widths."""
+    monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
+    if line is not None:
+        monkeypatch.setattr(solver, "LINE", line)
     sd = solver.SemiDual(data, grid)
-    z = rng.standard_normal((grid.n_nodes, 1 + n_cov))
-    H = _dense_hessian(sd, z, eps)
-    f, grad, lse = sd.evaluate(z, eps)
-    # F against its definition, unstabilized
+    return sd, [p.shape[1] for p in sd.p]
+
+
+def _closed_form_hessian(data, grid, z, eps):
+    """(1/eps) [blockdiag_i(sum_j nu_j p_ij a_j a_j') - sum_j nu_j g_j g_j']
+    with g_j = p_.j (x) a_j, from the softmax p formed directly."""
     a = np.vstack([np.ones(data.n_obs), data.X.T])
     s = (grid.U @ data.Y.T - z @ a) / eps
-    expect = grid.mu @ (z @ (a @ data.nu)) + eps * data.nu @ np.log(np.exp(s).sum(axis=0))
-    assert abs(f - expect) < 1e-12
-    np.testing.assert_allclose(lse, np.log(np.exp(s).sum(axis=0)), rtol=1e-13)
-    np.testing.assert_allclose(H, H.T, atol=1e-14)
+    p = np.exp(s - s.max(axis=0))
+    p /= p.sum(axis=0)
+    I, K = z.shape
+    H = np.zeros((I * K, I * K))
+    for i in range(I):
+        H[i * K:(i + 1) * K, i * K:(i + 1) * K] = (data.nu * p[i] * a) @ a.T
+    g = np.einsum("ij,kj->jik", p, a).reshape(data.n_obs, I * K)
+    return (H - g.T @ (data.nu[:, None] * g)) / eps
+
+
+@pytest.mark.parametrize("n_cov", [0, 2])
+def test_semidual_derivatives_match_finite_differences(rng, monkeypatch, n_cov):
+    data, grid = random_instance(rng, I=5, J=12, N=n_cov)
+    eps, h = 0.5, 1e-5
+    z = rng.standard_normal((grid.n_nodes, 1 + n_cov))
+    # with one workspace block, and with three of 4 columns
+    for entries, widths in ((solver.BLOCK_ENTRIES, [12]), (25, [4, 4, 4])):
+        sd, blocks = _blocked(monkeypatch, data, grid, entries, line=1)
+        assert blocks == widths
+        H = _dense_hessian(sd, z, eps)
+        f, grad, lse = sd.evaluate(z, eps)
+        # F against its definition, unstabilized
+        a = np.vstack([np.ones(data.n_obs), data.X.T])
+        s = (grid.U @ data.Y.T - z @ a) / eps
+        expect = grid.mu @ (z @ (a @ data.nu)) + eps * data.nu @ np.log(np.exp(s).sum(axis=0))
+        assert abs(f - expect) < 1e-12
+        np.testing.assert_allclose(lse, np.log(np.exp(s).sum(axis=0)), rtol=1e-13)
+        np.testing.assert_allclose(H, H.T, atol=1e-14)
+        scale = np.abs(H).max()
+        for c in range(z.size):
+            e = np.zeros(z.size)
+            e[c] = h
+            e = e.reshape(z.shape)
+            f_p, g_p, _ = sd.evaluate(z + e, eps)
+            f_m, g_m, _ = sd.evaluate(z - e, eps)
+            assert abs((f_p - f_m) / (2 * h) - grad.flat[c]) <= 1e-8 * max(1.0, abs(grad).max())
+            np.testing.assert_allclose(((g_p - g_m) / (2 * h)).ravel(), H[:, c],
+                                       rtol=0, atol=1e-6 * scale)
+        # phi + c and b + v leave F unchanged: null directions
+        for k in range(1 + n_cov):
+            v = np.zeros(z.shape)
+            v[:, k] = 1.0
+            assert np.abs(H @ v.ravel()).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n_cov, d", [(0, 1), (2, 1), (1, 2)])
+def test_blocked_workspace_matches_one_block(rng, monkeypatch, n_cov, d):
+    data, grid = random_instance(rng, I=9, J=29, N=n_cov, d=d)
+    I, J, eps = grid.n_nodes, data.n_obs, 0.3
+    z = rng.standard_normal((I, 1 + n_cov))
+    v = rng.standard_normal(z.shape)
+    one = solver.SemiDual(data, grid)
+    assert len(one.p) == 1
+    f1, g1, lse1 = one.evaluate(z, eps)
+    # widths are whole cache lines, but for a short last block
+    assert _blocked(monkeypatch, data, grid, I * J // 3)[1] == [16, 13]
+    sd, blocks = _blocked(monkeypatch, data, grid, I * J // 4)
+    assert blocks == [8, 8, 8, 5]
+    assert all(p.flags.c_contiguous for p in sd.p)
+    f, g, lse = sd.evaluate(z, eps)
+    # the column softmax is taken column by column: bit for bit the same
+    assert lse.tobytes() == lse1.tobytes()
+    np.testing.assert_array_equal(np.hstack(sd.p), one.p[0])
+    assert abs(f - f1) <= 1e-14 * max(1.0, abs(f1))
+    np.testing.assert_allclose(g, g1, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(sd.m, one.m, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(sd.a_bar, one.a_bar)
+    H = _closed_form_hessian(data, grid, z, eps)
     scale = np.abs(H).max()
-    for c in range(z.size):
-        e = np.zeros(z.size)
-        e[c] = h
-        e = e.reshape(z.shape)
-        f_p, g_p, _ = sd.evaluate(z + e, eps)
-        f_m, g_m, _ = sd.evaluate(z - e, eps)
-        assert abs((f_p - f_m) / (2 * h) - grad.flat[c]) <= 1e-8 * max(1.0, abs(grad).max())
-        np.testing.assert_allclose(((g_p - g_m) / (2 * h)).ravel(), H[:, c],
-                                   rtol=0, atol=1e-6 * scale)
-    # phi + c and b + v leave F unchanged: null directions
-    for k in range(1 + n_cov):
-        v = np.zeros(z.shape)
-        v[:, k] = 1.0
-        assert np.abs(H @ v.ravel()).max() <= 1e-12 * scale
+    for s in (one, sd):
+        np.testing.assert_allclose(s.hvp(v, eps).ravel(), H @ v.ravel(),
+                                   rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(s.spread(), np.ptp(grid.U @ data.Y.T), rtol=1e-15)
 
 
 def test_newton_step_solves_the_damped_system(rng, monkeypatch):
@@ -276,16 +335,26 @@ def test_newton_step_solves_the_damped_system(rng, monkeypatch):
                                rtol=1e-9, atol=1e-12)
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Wrap owner.name; the returned list gets one entry per call."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     data, grid = random_instance(rng, I=5, J=20, N=1)
-    passes = []
-    real = kernels.column_softmax
-    monkeypatch.setattr(kernels, "column_softmax",
-                        lambda *args: passes.append(1) or real(*args))
+    assert _blocked(monkeypatch, data, grid, 35, line=1)[1] == [7, 7, 6]
+    passes = _count_calls(monkeypatch, solver.SemiDual, "evaluate")
+    blocks = _count_calls(monkeypatch, kernels, "column_softmax")
+    products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert report.iterations < report.oracle_calls
-    # every semi-dual pass is counted: psi is read off the last one
+    # every semi-dual pass is counted: psi is read off the last one; each
+    # pass covers every block
     assert len(passes) == report.oracle_calls
+    assert len(blocks) == 3 * report.oracle_calls
+    assert len(products) == report.cg_products >= report.iterations
 
 
 def test_oracle_calls_add_up(rng):
@@ -325,6 +394,28 @@ def test_non_descent_direction_ends_as_nonconvergence(rng, monkeypatch, directio
     r = exc.value.report
     assert r.iterations == 0 and r.backtracks == 0
     assert r.oracle_calls == r.stages == 1
+
+
+def test_spent_steps_skip_to_the_last_rung(rng, monkeypatch):
+    # once max_iter is spent, the rungs between are skipped: the last one is
+    # evaluated once, for psi at cfg.epsilon
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    seen = []
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate",
+                        lambda sd, z, eps: seen.append(eps) or real(sd, z, eps))
+    cfg = SolverConfig(epsilon=1e-30, max_iter=1)
+    with pytest.raises(NonConvergenceError) as exc:
+        solver.solve(data, grid, cfg)
+    r = exc.value.report
+    ladder = solver._ladder(cfg.epsilon, float(np.ptp(grid.U @ data.Y.T)))
+    rungs = list(dict.fromkeys(seen))
+    assert r.iterations == 1 and len(ladder) > 40
+    assert rungs == ladder[:r.stages - 1] + [ladder[-1]] and r.stages < 5
+    assert seen.count(cfg.epsilon) == 1 and seen[-1] == cfg.epsilon
+    assert r.oracle_calls == len(seen) == r.stages + r.iterations + r.backtracks
+    dv, _ = exc.value.best
+    assert np.isfinite(dv.psi).all()
 
 
 def test_report_objective_is_psi_dual_value(rng):
