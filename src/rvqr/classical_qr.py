@@ -111,11 +111,11 @@ def _step_length(worst):
     return min(1.0, STEP_FRACTION / worst) if worst > 0 else 1.0
 
 
-def _frisch_newton(A, c, t, tol, slack):
+def _frisch_newton(A, c, t, tol, y, z, w):
     """min c.x s.t. A x = b = A 1 (1 - t), x + s = 1, x, s >= 0, and its dual
     max b.y - sum(w) s.t. A'y + z - w = c, z, w >= 0, from the feasible
-    x = 1 - t and the least-squares y, whose slacks z, w are shifted up by
-    `slack`. Steps keep both sides feasible and drive x z and s w to 0.
+    x = 1 - t and the dual start (y, z, w), which it updates in place.
+    Steps keep both sides feasible and drive x z and s w to 0.
     Once the gap is below VERTEX_SHARE of its first value, each step first
     tries the vertex the iterate points to (`_vertex`).
     Returns (y, steps, gap) at the first gap <= tol or after MAX_STEPS.
@@ -123,11 +123,7 @@ def _frisch_newton(A, c, t, tol, slack):
     J = c.size
     x, s = np.full(J, 1.0 - t), np.full(J, t)
     b = A @ x
-    y = np.linalg.lstsq(A.T, c, rcond=None)[0]
-    r = c - A.T @ y
-    z = np.maximum(r, 0.0) + slack
-    w = z - r
-    ix, is_, zx, ws, h, rx, rs = (np.empty(J) for _ in range(7))
+    ix, is_, zx, ws, h, r, rx, rs = (np.empty(J) for _ in range(8))
     for steps in range(MAX_STEPS + 1):
         # the dual value of y at its best w = max(A'y - c, 0), not at the
         # iterate's w, whose rounding grows with the largest step taken
@@ -240,9 +236,15 @@ def fit_qr_curve(data, t_grid):
     # rows contiguous: the interior point's passes run along them
     A = np.vstack([nu, (nu[:, None] * data.X[:, active]).T])
     c, tol, slack = -nu * y, GAP_TOL * scale, START_SLACK * scale * nu
+    # the dual start does not depend on t: the least-squares y, whose
+    # slacks z, w are shifted up by the slack; each level steps a copy
+    y0 = np.linalg.lstsq(A.T, c, rcond=None)[0]
+    r = c - A.T @ y0
+    z0 = np.maximum(r, 0.0) + slack
+    start = (y0, z0, z0 - r)
     fits = []
     for t in t_grid:
-        y_dual, steps, gap = _frisch_newton(A, c, t, tol, slack)
+        y_dual, steps, gap = _frisch_newton(A, c, t, tol, *(v.copy() for v in start))
         coef = -y_dual
         if not gap <= tol:
             raise NonConvergenceError(f"pinball fit at t={t}: duality gap {gap:.3e} "

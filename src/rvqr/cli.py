@@ -167,19 +167,7 @@ def cmd_compare_qr(args):
         qr_q = (np.array([f.alpha for f in qr_fits])
                 + probes @ np.array([f.beta for f in qr_fits]).T)
 
-    header = ["probe"] + [f"eps_{e:g}" for e in eps_list]
-    lines = [",".join(header)]
-    table = []
-    exit_code = EXIT_OK
-    for eps, cfg in zip(eps_list, cfgs):
-        try:
-            _, coupling, _ = solver.solve(data, grid, cfg)
-        except NonConvergenceError as exc:
-            # keep the sweep going; this column reads nan
-            print(f"warning: eps {eps:g}: {exc}", file=sys.stderr)
-            table.append([math.nan] * len(probes))
-            exit_code = EXIT_NONCONV
-            continue
+    def relative_errors(coupling, eps):
         model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
         soft = quantiles.quantile_table(model, probes, interior, eta=eta)[:, :, 0]
         if args.mode == "qr":
@@ -187,7 +175,26 @@ def cmd_compare_qr(args):
         else:
             ref, est = soft, quantiles.quantile_table(
                 model, probes, interior, eta=eta, hard=True)[:, :, 0]
-        table.append(np.linalg.norm(ref - est, axis=1) / np.linalg.norm(ref, axis=1))
+        return np.linalg.norm(ref - est, axis=1) / np.linalg.norm(ref, axis=1)
+
+    header = ["probe"] + [f"eps_{e:g}" for e in eps_list]
+    lines = [",".join(header)]
+    # one descending chain, largest epsilon first, each solve warm-started
+    # from the last converged one; the columns keep the order of --epsilons
+    order = sorted(range(len(cfgs)), key=lambda k: -eps_list[k])
+    table = [None] * len(cfgs)
+    exit_code = EXIT_OK
+    chain = solver.solve_chain(data, grid, [cfgs[k] for k in order])
+    for k in order:
+        result = next(chain)
+        if isinstance(result, NonConvergenceError):
+            # keep the sweep going; this column reads nan
+            print(f"warning: eps {eps_list[k]:g}: {result}", file=sys.stderr)
+            table[k] = [math.nan] * len(probes)
+            exit_code = EXIT_NONCONV
+        else:
+            table[k] = relative_errors(result[1], eps_list[k])
+        del result  # the next coupling is extracted with this one freed
     for p in range(len(probes)):
         cells = [f"p{p + 1}"] + [f"{table[e][p]:.6g}" for e in range(len(eps_list))]
         lines.append(",".join(cells))

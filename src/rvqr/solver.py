@@ -332,25 +332,37 @@ def _stop_weights(data, grid):
     return scale / grid.mu[:, None]
 
 
-def solve(data, grid, cfg):
-    """Damped Newton on the (phi, b) semi-dual from z = 0, warm-started
-    along the epsilon ladder (Schmitzer, arXiv 1610.06519).
+def solve_chain(data, grid, cfgs):
+    """Damped Newton on the (phi, b) semi-dual at each config of `cfgs` in
+    turn, all on one SemiDual workspace with one spread pass: a generator
+    of one result per config, in the order given.
+
+    A config starts from the z of the last config that converged, and walks
+    down only the rungs eps 4^k of its epsilon ladder that lie strictly
+    below that config's epsilon (Schmitzer's epsilon scaling, arXiv
+    1610.06519); the configs before the first that converges start from
+    z = 0 and walk down the whole ladder. Given in descending epsilon, the
+    list is one descending chain.
 
     Each stage stops on the scale-free residual
     r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
     relative row and mean-independence residuals of the semi-dual coupling
-    (see _stop_weights): at STAGE_TOL, and the last stage at cfg.tol.
-    max_iter bounds the Newton steps of all stages together; a step whose
-    direction does not descend, or whose line search rejects MAX_HALVINGS
-    trials, ends the solve. Either way the rungs between are skipped: only
-    the last one is evaluated, once, for psi at cfg.epsilon.
+    (see _stop_weights): at STAGE_TOL, and the config's own epsilon at its
+    tol. max_iter bounds the config's own Newton steps over its stages; a
+    step whose direction does not descend, or whose line search rejects
+    MAX_HALVINGS trials, ends that config's solve. Either way the rungs
+    between are skipped: only the last one is evaluated, once, for psi at
+    cfg.epsilon.
 
-    Returns (DualVariables, Coupling, SolveReport): the psi-dual point of
-    the last accepted iterate in the solver's gauge (phi_1 = 0 and b_1 = 0
-    exactly, as no step moves node 1; psi_j = eps (lse_j - log nu_j) read
-    off the last accepted pass), and its row-exact coupling from one
-    extract_coupling pass. Raises NonConvergenceError (carrying that point)
-    if the last stage ends above cfg.tol.
+    Yields (DualVariables, Coupling, SolveReport) for a config that
+    converges: the psi-dual point of the last accepted iterate in the
+    solver's gauge (phi_1 = 0 and b_1 = 0 exactly, as no step moves node 1;
+    psi_j = eps (lse_j - log nu_j) read off the last accepted pass), its
+    row-exact coupling from one extract_coupling pass, and a report whose
+    counters are the config's own. For a config that ends above its tol it
+    yields a NonConvergenceError carrying that point and report. The
+    generator drops each result when it resumes, so a caller that drops it
+    too before asking for the next keeps one I x J coupling alive at a time.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -361,79 +373,103 @@ def solve(data, grid, cfg):
 
     start = time.perf_counter()
     sd = SemiDual(data, grid)
-    ladder = _ladder(cfg.epsilon, sd.spread())
+    spread = sd.spread()
     weight = _stop_weights(data, grid)
-
-    z = np.zeros((grid.n_nodes, 1 + data.n_cov))
-    iterations = backtracks = stages = 0
-    stalled = False
-    for k, eps in enumerate(ladder):
-        last = k == len(ladder) - 1
-        if not last and (stalled or iterations >= cfg.max_iter):
-            continue  # no step can be taken: on to the last rung, for psi
-        stages += 1
-        stage_tol = cfg.tol if last else STAGE_TOL
-        f, grad, lse = sd.evaluate(z, eps)
-        r = float(np.max(np.abs(grad) * weight))
-        while r > stage_tol and iterations < cfg.max_iter and not stalled:
-            step = _newton_step(sd, grad, r, eps)
-            slope = float(np.sum(grad * step))
-            if not slope < 0:  # not a descent direction
-                stalled = True
-                break
-            # where the full step's Armijo decrease is below the rounding
-            # error of F the test cannot be decided: that step is taken if F
-            # stays finite
-            at_floor = SUFFICIENT_DECREASE * -slope < F_RESOLUTION * max(1.0, abs(f))
-            t = 1.0
-            for _ in range(MAX_HALVINGS):
-                f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
-                if f_t - f <= SUFFICIENT_DECREASE * t * slope or (
-                        at_floor and t == 1.0 and math.isfinite(f_t)):
-                    break
-                backtracks += 1
-                t *= 0.5
-            else:
-                stalled = True
-                break
-            iterations += 1
-            z = z + t * step
-            f, grad, lse = f_t, grad_t, lse_t
+    # the last converged z and its epsilon; z = 0 is warm at no epsilon
+    z_warm, eps_warm = np.zeros((grid.n_nodes, 1 + data.n_cov)), math.inf
+    for n, cfg in enumerate(cfgs):
+        rungs = _ladder(cfg.epsilon, spread)
+        ladder = [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
+        z = z_warm
+        calls, products = sd.calls, sd.products
+        iterations = backtracks = stages = 0
+        stalled = False
+        for k, eps in enumerate(ladder):
+            last = k == len(ladder) - 1
+            if not last and (stalled or iterations >= cfg.max_iter):
+                continue  # no step can be taken: on to the last rung, for psi
+            stages += 1
+            stage_tol = cfg.tol if last else STAGE_TOL
+            f, grad, lse = sd.evaluate(z, eps)
             r = float(np.max(np.abs(grad) * weight))
-    wall = time.perf_counter() - start
-    converged = r <= cfg.tol
-    # the psi-dual J at psi = eps (lse - log nu) equals F - sum_i mu_i
-    # b_i.x_bar - eps nu.log nu + eps mu.log(row sums of the semi-dual
-    # coupling)
-    rows = grid.mu * sd.a_bar[0] - grad[:, 0]
-    objective = (f - float(grid.mu @ (z[:, 1:] @ sd.a_bar[1:]))
-                 - eps * float(data.nu @ np.log(data.nu))
-                 + eps * float(grid.mu @ np.log(rows)))
-    oracle_calls, cg_products = sd.calls, sd.products
-    # free the workspaces before the coupling pass allocates its own
-    del sd
+            while r > stage_tol and iterations < cfg.max_iter and not stalled:
+                step = _newton_step(sd, grad, r, eps)
+                slope = float(np.sum(grad * step))
+                if not slope < 0:  # not a descent direction
+                    stalled = True
+                    break
+                # where the full step's Armijo decrease is below the rounding
+                # error of F the test cannot be decided: that step is taken if
+                # F stays finite
+                at_floor = SUFFICIENT_DECREASE * -slope < F_RESOLUTION * max(1.0, abs(f))
+                t = 1.0
+                for _ in range(MAX_HALVINGS):
+                    f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
+                    if f_t - f <= SUFFICIENT_DECREASE * t * slope or (
+                            at_floor and t == 1.0 and math.isfinite(f_t)):
+                        break
+                    backtracks += 1
+                    t *= 0.5
+                else:
+                    stalled = True
+                    break
+                iterations += 1
+                z = z + t * step
+                f, grad, lse = f_t, grad_t, lse_t
+                r = float(np.max(np.abs(grad) * weight))
+        wall = time.perf_counter() - start
+        converged = r <= cfg.tol
+        if converged:
+            z_warm, eps_warm = z, cfg.epsilon
+        # the psi-dual J at psi = eps (lse - log nu) equals F - sum_i mu_i
+        # b_i.x_bar - eps nu.log nu + eps mu.log(row sums of the semi-dual
+        # coupling)
+        rows = grid.mu * sd.a_bar[0] - grad[:, 0]
+        objective = (f - float(grid.mu @ (z[:, 1:] @ sd.a_bar[1:]))
+                     - eps * float(data.nu @ np.log(data.nu))
+                     + eps * float(grid.mu @ np.log(rows)))
+        oracle_calls, cg_products = sd.calls - calls, sd.products - products
+        if n == len(cfgs) - 1:
+            # free the workspace before the last coupling pass allocates its own
+            del sd
 
-    dv = DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:])
-    coupling = extract_coupling(dv, data, grid, cfg.epsilon)
-    # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
-    # column and mean-independence residuals
-    gap = abs(float(dv.psi @ coupling.col_residual)
-              + float(np.sum(dv.b * coupling.mi_residual)))
-    grad_inf = max(float(np.abs(coupling.col_residual).max()),
-                   float(np.abs(coupling.mi_residual).max(initial=0.0)))
-    report = SolveReport(
-        iterations=iterations, objective=objective, grad_inf=grad_inf,
-        duality_gap=gap, wall_time=wall, converged=converged,
-        stages=stages, oracle_calls=oracle_calls, backtracks=backtracks,
-        cg_products=cg_products,
-    )
-    if not converged:
-        raise NonConvergenceError(
-            f"not converged after {iterations} Newton steps: residual "
-            f"{r:.3e} (tol {cfg.tol:g}), duality gap {gap:.3e}",
-            best=(dv, coupling), report=report,
+        dv = DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:])
+        coupling = extract_coupling(dv, data, grid, cfg.epsilon)
+        # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
+        # column and mean-independence residuals
+        gap = abs(float(dv.psi @ coupling.col_residual)
+                  + float(np.sum(dv.b * coupling.mi_residual)))
+        grad_inf = max(float(np.abs(coupling.col_residual).max()),
+                       float(np.abs(coupling.mi_residual).max(initial=0.0)))
+        report = SolveReport(
+            iterations=iterations, objective=objective, grad_inf=grad_inf,
+            duality_gap=gap, wall_time=wall, converged=converged,
+            stages=stages, oracle_calls=oracle_calls, backtracks=backtracks,
+            cg_products=cg_products,
         )
-    return dv, coupling, report
+        if converged:
+            yield dv, coupling, report
+        else:
+            yield NonConvergenceError(
+                f"not converged after {iterations} Newton steps: residual "
+                f"{r:.3e} (tol {cfg.tol:g}), duality gap {gap:.3e}",
+                best=(dv, coupling), report=report,
+            )
+        del dv, coupling  # the next coupling pass runs with this one freed
+        start = time.perf_counter()
+
+
+def solve(data, grid, cfg):
+    """solve_chain at one config, from z = 0 down the whole epsilon ladder.
+
+    Returns (DualVariables, Coupling, SolveReport); raises the
+    NonConvergenceError (carrying the point and report) if the solve ends
+    above cfg.tol.
+    """
+    result = next(solve_chain(data, grid, [cfg]))
+    if isinstance(result, NonConvergenceError):
+        raise result
+    return result
 
 
 # --- fitted-model persistence -------------------------------------------------

@@ -269,3 +269,18 @@ def test_curve_tests_rank_once(rng, monkeypatch):
         fits = cq.fit_qr_curve(data, np.linspace(0.05, 0.95, 19))
     assert len(fits) == 19 and len(calls) == 1 and len(caught) == 1
     assert all(f.beta[1] == 0.0 for f in fits)
+
+
+def test_curve_start_shared_by_levels_matches_per_level_start(rng):
+    # the curve computes the dual start once and steps a copy of it at each
+    # level; every fit is bit for bit that of its level fitted alone
+    x = rng.normal(size=(400, 2))
+    y = x @ [1.0, -0.5] + rng.standard_normal(400)
+    data = center_covariates(Dataset(X=x, Y=y[:, None], nu=np.full(400, 1 / 400),
+                                     x_mean=np.zeros(2)))
+    levels = np.linspace(0.05, 0.95, 9)
+    for fit, t in zip(cq.fit_qr_curve(data, levels), levels):
+        (alone,) = cq.fit_qr_curve(data, [t])
+        assert (fit.alpha, fit.loss, fit.iterations) == (alone.alpha, alone.loss,
+                                                          alone.iterations)
+        assert fit.beta.tobytes() == alone.beta.tobytes()

@@ -483,22 +483,56 @@ def test_compare_qr_table_shape(tmp_path, capsys):
     assert np.isfinite(vals).all() and (vals >= 0).all()
 
 
-def test_compare_qr_nonconvergent_epsilon_keeps_other_columns(tmp_path, capsys):
-    # eps 1 converges within 5 Newton steps (it takes 4), eps 0.01 does not
-    # (it takes 7)
-    data = _synth(tmp_path, n=300)
-    out = str(tmp_path / "cmp.csv")
+def _compare_qr_table(tmp_path, data, epsilons, *extra):
+    """(exit code, header, P x E values) of compare-qr on a 5-node grid."""
+    out = tmp_path / "cmp.csv"
     code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1",
-                     "--y-cols", "y_1", "--grid", "5",
-                     "--epsilons", "1,0.01", "--probes", "q30,q70",
-                     "--tol", "1e-8", "--max-iter", "5", "--out", out])
+                     "--y-cols", "y_1", "--grid", "5", "--epsilons", epsilons,
+                     "--probes", "q30,q70", "--tol", "1e-8", *extra,
+                     "--out", str(out)])
+    head, *rows = out.read_text().strip().splitlines()
+    return code, head, np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+
+
+def test_compare_qr_nonconvergent_epsilon_keeps_other_columns(tmp_path, capsys):
+    # eps 1 converges within 5 Newton steps (it takes 4); eps 0.001, warm
+    # started from eps 1's solution, does not
+    data = _synth(tmp_path, n=300)
+    code, head, vals = _compare_qr_table(tmp_path, data, "1,0.001", "--max-iter", "5")
     assert code == cli.EXIT_NONCONV
-    assert "eps 0.01" in capsys.readouterr().err
-    lines = open(out).read().strip().splitlines()
-    assert lines[0] == "probe,eps_1,eps_0.01"
-    vals = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
+    assert "eps 0.001" in capsys.readouterr().err
+    assert head == "probe,eps_1,eps_0.001"
     assert vals.shape == (2, 2)
     assert np.isfinite(vals[:, 0]).all() and np.isnan(vals[:, 1]).all()
+
+
+def test_compare_qr_failed_middle_epsilon_restarts_from_last_converged(
+        tmp_path, capsys, monkeypatch):
+    # eps 0.5 stalls (its Newton directions ascend); eps 0.1, solved after
+    # it, starts from eps 1's solution as it would without eps 0.5 in the list
+    data = _synth(tmp_path, n=300)
+    _, _, ref = _compare_qr_table(tmp_path, data, "1,0.1")
+    real = solver._newton_step
+    monkeypatch.setattr(solver, "_newton_step", lambda sd, grad, r, eps: (
+        grad if eps == 0.5 else real(sd, grad, r, eps)))
+    code, head, vals = _compare_qr_table(tmp_path, data, "0.1,0.5,1")
+    assert code == cli.EXIT_NONCONV
+    assert "eps 0.5" in capsys.readouterr().err
+    assert head == "probe,eps_0.1,eps_0.5,eps_1"
+    assert np.isnan(vals[:, 1]).all() and np.isfinite(vals[:, [0, 2]]).all()
+    np.testing.assert_array_equal(vals[:, [2, 0]], ref)
+
+
+def test_compare_qr_column_order_does_not_change_cells(tmp_path, capsys):
+    # the epsilons are solved largest first whatever their order on the
+    # command line, so each column reads the same
+    data = _synth(tmp_path, n=300)
+    code, head, up = _compare_qr_table(tmp_path, data, "0.05,0.1,0.5,1")
+    assert code == cli.EXIT_OK and head == "probe,eps_0.05,eps_0.1,eps_0.5,eps_1"
+    code, head, down = _compare_qr_table(tmp_path, data, "1,0.5,0.1,0.05")
+    assert code == cli.EXIT_OK and head == "probe,eps_1,eps_0.5,eps_0.1,eps_0.05"
+    assert np.isfinite(up).all()
+    np.testing.assert_array_equal(up, down[:, ::-1])
 
 
 def test_check_command(tmp_path, capsys):

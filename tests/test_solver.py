@@ -418,6 +418,67 @@ def test_spent_steps_skip_to_the_last_rung(rng, monkeypatch):
     assert np.isfinite(dv.psi).all()
 
 
+@pytest.mark.parametrize("d, n_grid", [(1, 20), (2, 5)])
+def test_chain_meets_the_gates_of_a_cold_solve(monkeypatch, d, n_grid):
+    # each epsilon of a descending chain converges as a cold solve does, and
+    # its counters are its own: they add up per epsilon and sum to the
+    # passes and products made over the whole chain
+    data, _ = synth.generate(synth.SynthSpec(n_samples=2000, seed=7, d=d, n_cov=d))
+    data, grid, tol = center_covariates(data), make_rank_grid(d, n_grid), 1e-7
+    passes = _count_calls(monkeypatch, solver.SemiDual, "evaluate")
+    products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
+    cfgs = [SolverConfig(epsilon=eps, tol=tol) for eps in (1.0, 0.5, 0.1, 0.05)]
+    reports = []
+    for result in solver.solve_chain(data, grid, cfgs):
+        assert not isinstance(result, NonConvergenceError)
+        _, coupling, r = result
+        assert r.converged and r.grad_inf <= tol
+        assert r.duality_gap <= 10 * tol * max(1.0, abs(r.objective))
+        assert np.abs(coupling.row_residual).max() <= 1e-12
+        assert np.abs(coupling.col_residual).max() <= 1e-6
+        assert np.abs(coupling.mi_residual).max() <= 1e-6
+        assert r.oracle_calls == r.stages + r.iterations + r.backtracks
+        reports.append(r)
+    assert len(reports) == len(cfgs)
+    assert sum(r.oracle_calls for r in reports) == len(passes)
+    assert sum(r.cg_products for r in reports) == len(products)
+
+
+def test_chain_walks_the_rungs_below_the_last_converged_epsilon(rng, monkeypatch):
+    # a config starts from the last converged z and walks only the rungs
+    # strictly below its epsilon: none for a repeated epsilon, 0.4 for 0.1
+    # after 1
+    data, grid = random_instance(rng, I=5, J=40, N=1)
+    seen = []
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate",
+                        lambda sd, z, eps: seen.append(eps) or real(sd, z, eps))
+    cfgs = [SolverConfig(epsilon=eps, tol=1e-9) for eps in (1.0, 1.0, 0.1)]
+    rungs = []
+    for result in solver.solve_chain(data, grid, cfgs):
+        rungs.append(list(dict.fromkeys(seen)))
+        seen.clear()
+        if len(rungs) == 2:
+            assert result[2].iterations == 0 and result[2].stages == 1
+    assert rungs[0] == solver._ladder(1.0, float(np.ptp(grid.U @ data.Y.T)))
+    assert rungs[1:] == [[1.0], [0.4, 0.1]]
+
+
+def test_chain_restarts_cold_until_a_config_converges(rng):
+    # the first config runs out of Newton steps; the next starts from z = 0
+    # down its whole ladder, as a cold solve, bit for bit
+    data, grid = random_instance(rng, I=5, J=40, N=1)
+    cold = SolverConfig(epsilon=0.1, tol=1e-9)
+    failed, result = solver.solve_chain(
+        data, grid, [SolverConfig(epsilon=0.5, tol=1e-12, max_iter=1), cold])
+    assert isinstance(failed, NonConvergenceError) and failed.report.iterations == 1
+    dv, _, r = result
+    dv_cold, _, r_cold = solver.solve(data, grid, cold)
+    assert dv.psi.tobytes() == dv_cold.psi.tobytes()
+    assert dv.b.tobytes() == dv_cold.b.tobytes()
+    assert replace(r, wall_time=0.0) == replace(r_cold, wall_time=0.0)
+
+
 def test_report_objective_is_psi_dual_value(rng):
     data, grid = random_instance(rng, I=6, J=30, N=2)
     dv, coupling, r = solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-9))
