@@ -110,17 +110,14 @@ def cmd_fit(args):
 
 def _model_from_files(args):
     doc, dv, grid = solver.load_model(args.model)
-    data = load_csv(args.data, doc["x_names"], doc["y_names"])
-    data = center_covariates(data)
-    fitted = (dv.psi.size, dv.b.shape[1], grid.n_dim)
-    given = (data.n_obs, data.n_cov, data.n_dim)
-    if fitted != given:
-        raise ConfigError(
-            f"{args.data} does not match the model: (rows, covariates, response "
-            f"dimensions) are {given} in the data and {fitted} in the fit")
-    if np.abs(data.x_mean - np.array(doc["x_mean"])).max(initial=0.0) > 1e-8:
-        print("warning: data covariate mean differs from the fitted model's",
-              file=sys.stderr)
+    data = center_covariates(load_csv(args.data, doc["x_names"], doc["y_names"]))
+    meta = doc.get("data_meta")
+    crc = meta.get("crc32") if isinstance(meta, dict) else None
+    # psi has one entry per row: the same rows in another order are other data
+    if crc != data.meta["crc32"]:
+        why = (f"{args.model} has no data checksum (data_meta.crc32); refit it"
+               if crc is None else f"{args.model} was fitted on other values")
+        raise ConfigError(f"{args.data} does not match the model: {why}")
     coupling = solver.extract_coupling(dv, data, grid, doc["epsilon"])
     model = quantiles.QuantileModel.from_fit(coupling, data, grid, doc["epsilon"])
     return doc, data, model

@@ -26,10 +26,11 @@ def column_softmax(theta, weights):
 
 def coupling(theta, mu):
     """Row-softmax coupling alpha_ij = mu_i exp(theta_ij) / sum_k exp(theta_ik),
-    written into theta and returned."""
+    written into theta, and its row log-sum-exps: returns (alpha, lse)."""
     m = theta.max(axis=1)
     np.subtract(theta, m[:, None], out=theta)
     np.exp(theta, out=theta)
-    theta *= (mu / theta.sum(axis=1))[:, None]
-    return theta
+    s = theta.sum(axis=1)
+    theta *= (mu / s)[:, None]
+    return theta, m + np.log(s)
 

@@ -4,6 +4,7 @@ import csv
 import itertools
 import math
 import re
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -219,13 +220,15 @@ def load_csv(path, x_cols, y_cols):
     if not np.isfinite(values).all():
         _raise_first_bad_cell(path, lines, columns)
     J = values.shape[0]
-    # contiguous copies: the solver rounds differently on strided views
+    # contiguous copies: the solver rounds differently on strided views; the
+    # checksum binds a model fitted on the values to them, row order included
     return Dataset(
         X=np.ascontiguousarray(values[:, :len(x_cols)]),
         Y=np.ascontiguousarray(values[:, len(x_cols):]),
         nu=np.full(J, 1.0 / J), x_mean=np.zeros(len(x_cols)),
         x_names=tuple(x_cols), y_names=tuple(y_cols),
-        meta={"source": str(path)},
+        meta={"source": str(path),
+              "crc32": zlib.crc32(values.astype("<f8", copy=False))},
     )
 
 

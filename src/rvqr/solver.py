@@ -1,5 +1,5 @@
-"""Smoothed transport dual with mean-independence: the psi-dual objective
-and gradient, Newton on the (phi, b) semi-dual and coupling extraction.
+"""Smoothed transport dual with mean-independence: the psi-dual objective,
+its gradient and coupling from one pass, and Newton on the (phi, b) semi-dual.
 
 Conventions: psi has one entry per observation j, b one row per rank node i.
 theta_ij = [u_i.y_j - b_i.x_j - psi_j] / epsilon, and the dual objective is
@@ -99,6 +99,7 @@ class Coupling:
     row_residual: np.ndarray
     col_residual: np.ndarray
     mi_residual: np.ndarray
+    objective: float  # psi-dual J at the dual point the coupling was read off
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,10 @@ def theta(dv, data, grid, epsilon):
 
 
 def dual_objective(dv, data, grid, epsilon):
-    """J(psi, b), with the row log-sum-exps taken by numpy's logaddexp."""
+    """J(psi, b), read off the extract_coupling pass."""
     if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
         raise RvqrError("dual variables contain NaN or Inf")
-    lse = np.logaddexp.reduce(theta(dv, data, grid, epsilon), axis=1)
-    return float(dv.psi @ data.nu + epsilon * (grid.mu @ lse))
+    return extract_coupling(dv, data, grid, epsilon).objective
 
 
 def dual_gradient(dv, data, grid, epsilon):
@@ -137,12 +137,11 @@ def dual_gradient(dv, data, grid, epsilon):
 
 
 def extract_coupling(dv, data, grid, epsilon):
-    alpha = kernels.coupling(theta(dv, data, grid, epsilon), grid.mu)
-    row_residual = alpha.sum(axis=1) - grid.mu
-    col_residual = alpha.sum(axis=0) - data.nu
-    mi_residual = alpha @ data.X
-    return Coupling(alpha=alpha, row_residual=row_residual,
-                    col_residual=col_residual, mi_residual=mi_residual)
+    """The row-softmax coupling of (psi, b), its residuals and J, in one pass."""
+    alpha, lse = kernels.coupling(theta(dv, data, grid, epsilon), grid.mu)
+    return Coupling(alpha=alpha, row_residual=alpha.sum(axis=1) - grid.mu,
+                    col_residual=alpha.sum(axis=0) - data.nu, mi_residual=alpha @ data.X,
+                    objective=float(dv.psi @ data.nu + epsilon * (grid.mu @ lse)))
 
 
 def primal_value(coupling, grid, data, epsilon):
@@ -358,9 +357,9 @@ def solve_chain(data, grid, cfgs):
     converges: the psi-dual point of the last accepted iterate in the
     solver's gauge (phi_1 = 0 and b_1 = 0 exactly, as no step moves node 1;
     psi_j = eps (lse_j - log nu_j) read off the last accepted pass), its
-    row-exact coupling from one extract_coupling pass, and a report whose
-    counters are the config's own. For a config that ends above its tol it
-    yields a NonConvergenceError carrying that point and report. The
+    row-exact coupling and J from one extract_coupling pass, and a report
+    whose counters are the config's own. For a config that ends above its
+    tol it yields a NonConvergenceError carrying that point and report. The
     generator drops each result when it resumes, so a caller that drops it
     too before asking for the next keeps one I x J coupling alive at a time.
     """
@@ -421,13 +420,6 @@ def solve_chain(data, grid, cfgs):
         converged = r <= cfg.tol
         if converged:
             z_warm, eps_warm = z, cfg.epsilon
-        # the psi-dual J at psi = eps (lse - log nu) equals F - sum_i mu_i
-        # b_i.x_bar - eps nu.log nu + eps mu.log(row sums of the semi-dual
-        # coupling)
-        rows = grid.mu * sd.a_bar[0] - grad[:, 0]
-        objective = (f - float(grid.mu @ (z[:, 1:] @ sd.a_bar[1:]))
-                     - eps * float(data.nu @ np.log(data.nu))
-                     + eps * float(grid.mu @ np.log(rows)))
         oracle_calls, cg_products = sd.calls - calls, sd.products - products
         if n == len(cfgs) - 1:
             # free the workspace before the last coupling pass allocates its own
@@ -442,7 +434,7 @@ def solve_chain(data, grid, cfgs):
         grad_inf = max(float(np.abs(coupling.col_residual).max()),
                        float(np.abs(coupling.mi_residual).max(initial=0.0)))
         report = SolveReport(
-            iterations=iterations, objective=objective, grad_inf=grad_inf,
+            iterations=iterations, objective=coupling.objective, grad_inf=grad_inf,
             duality_gap=gap, wall_time=wall, converged=converged,
             stages=stages, oracle_calls=oracle_calls, backtracks=backtracks,
             cg_products=cg_products,

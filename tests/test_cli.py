@@ -444,6 +444,84 @@ def test_quantiles_data_not_matching_model_is_config_error(tmp_path, capsys):
     assert "does not match the model" in capsys.readouterr().err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_capped_small_epsilon_fit_writes_finite_objective(tmp_path, capsys):
+    data = _synth(tmp_path, n=200, seed=3)
+    code, model = _fit(tmp_path, data, grid=10, eps=1e-4,
+                       extra=("--max-iter", "1", "--tol", "1e-7"))
+    assert code == cli.EXIT_NONCONV
+    printed = capsys.readouterr().out
+    line = next(s for s in printed.splitlines() if s.startswith("dual objective"))
+    assert np.isfinite(float(line.split()[-1]))
+    doc = json.loads(open(model).read(), parse_constant=_reject_constant)
+    assert np.isfinite(doc["report"]["objective"])
+
+
+def _data_rows(path):
+    with open(path) as fh:
+        return fh.read().splitlines()[1:]
+
+
+def test_quantiles_permuted_rows_are_config_error(tmp_path, capsys):
+    # psi has one entry per row: a permutation keeps the shape and the
+    # covariate mean but pairs psi with other observations
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    rows = _data_rows(data)
+    permuted = tmp_path / "permuted.csv"
+    permuted.write_text("x_1,y_1\n" + "\n".join(rows[::-1]) + "\n")
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", str(permuted),
+                     "--out", str(table)])
+    assert code == cli.EXIT_CONFIG
+    assert "does not match the model" in capsys.readouterr().err
+    assert not table.exists()
+
+
+def test_quantiles_reads_the_fitted_values_in_another_form(tmp_path, capsys):
+    # the checksum is of the values read: an extra column, another column
+    # order, quotes, padding and CRLF line ends leave them as they were
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    lines = ["note,y_1,x_1"]
+    for n, row in enumerate(_data_rows(data)):
+        x, y = (float(v) for v in row.split(","))
+        lines.append(f'row {n},"{y:.20e}", {x!r} ')
+    other = tmp_path / "other.csv"
+    other.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", str(other),
+                     "--out", str(table)])
+    assert code == cli.EXIT_OK
+    reference = tmp_path / "q_ref.csv"
+    assert cli.main(["quantiles", "--model", model, "--data", data,
+                     "--out", str(reference)]) == cli.EXIT_OK
+    assert table.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: d["data_meta"].pop("crc32"), lambda d: d.pop("data_meta"),
+    lambda d: d.update(data_meta=["crc32"])], ids=["no_crc32", "no_data_meta", "list"])
+def test_quantiles_model_without_checksum_is_config_error(tmp_path, capsys, damage):
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    doc = json.loads(open(model).read())
+    damage(doc)
+    with open(model, "w") as fh:
+        fh.write(json.dumps(doc))
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--out", str(tmp_path / "q.csv")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "does not match the model" in err and "refit" in err
+
+
 def test_fit_quantiles_without_covariates(tmp_path, capsys):
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(str(v) for v in range(1, 7)) + "\n")

@@ -35,18 +35,23 @@ def test_column_softmax_matches_direct_formula(rng):
 
 def test_coupling_matches_direct_formula(rng):
     theta, mu, _, _ = _instance(rng)
-    a = kernels.coupling(theta.copy(), mu)
+    a, lse = kernels.coupling(theta.copy(), mu)
     np.testing.assert_allclose(a, _direct_coupling(theta, mu), rtol=1e-13, atol=1e-15)
     np.testing.assert_allclose(a.sum(axis=1), mu, atol=1e-14)
+    np.testing.assert_allclose(lse, np.log(np.exp(theta).sum(axis=1)), rtol=1e-13,
+                               atol=1e-13)
 
 
 def test_stability_under_extreme_scores():
     # large scores must not overflow thanks to max-shift stabilization
     theta = np.array([[1e4, -1e4], [0.0, 1e4]]) / 0.01
     mu = np.full(2, 0.5)
-    out = kernels.coupling(theta, mu)
+    out, lse = kernels.coupling(theta, mu)
     assert np.isfinite(out).all()
     np.testing.assert_allclose(out.sum(axis=1), mu, atol=1e-14)
+    # every other entry lies 1e6 or more below its row's maximum, whose
+    # exp(0) = 1 then takes the whole row sum
+    assert lse.tolist() == [1e6, 1e6]
 
 
 def test_column_softmax_stable_under_extreme_scores():

@@ -132,7 +132,8 @@ def test_primal_value_closed_form():
     grid = make_rank_grid(1, 2)
     alpha = np.full((2, 2), 0.25)
     coupling = solver.Coupling(alpha=alpha, row_residual=np.zeros(2),
-                               col_residual=np.zeros(2), mi_residual=np.zeros((2, 1)))
+                               col_residual=np.zeros(2), mi_residual=np.zeros((2, 1)),
+                               objective=0.0)
     eps = 0.3
     gain = float(np.sum(alpha * (grid.U @ data.Y.T)))
     expect = gain + eps * np.log(4.0)
@@ -486,6 +487,19 @@ def test_report_objective_is_psi_dual_value(rng):
     assert abs(r.objective - ref) <= 1e-9 * max(1.0, abs(ref))
     assert r.grad_inf == max(np.abs(coupling.col_residual).max(),
                              np.abs(coupling.mi_residual).max())
+
+
+def test_capped_small_epsilon_solve_reports_the_psi_dual_value():
+    # a solve stopped after one Newton step at a small epsilon: the report's
+    # objective is J at the point it carries, bit for bit, and finite
+    data, _ = synth.generate(synth.SynthSpec(n_samples=200, seed=3))
+    data, grid = center_covariates(data), make_rank_grid(1, 10)
+    with pytest.raises(NonConvergenceError) as info:
+        solver.solve(data, grid, SolverConfig(epsilon=1e-4, tol=1e-7, max_iter=1))
+    dv, _ = info.value.best
+    objective = info.value.report.objective
+    assert np.isfinite(objective)
+    assert objective == solver.dual_objective(dv, data, grid, 1e-4)
 
 
 def _synth_fit(X, Y, eps, grid):
