@@ -93,6 +93,7 @@ def cmd_fit(args):
         print(f"warning: {exc}", file=sys.stderr)
     solver.save_model(args.out, dv, data, grid, cfg, report)
     print(f"model written to {args.out}")
+    print(f"levels (rows)     {', '.join(map(str, report.levels))}")
     print(f"epsilon stages    {report.stages}")
     print(f"newton steps      {report.iterations}")
     print(f"oracle calls      {report.oracle_calls}")
@@ -217,6 +218,8 @@ def cmd_synth(args):
 
 
 def cmd_check(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     # imported here: oracles loads scipy.special, which no other command uses
     from . import oracles
     results = oracles.run_all_checks(seed=args.seed)

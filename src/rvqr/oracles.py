@@ -119,6 +119,40 @@ def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
     return worst
 
 
+def check_semidual_fd(data, grid, z, epsilon, step=1e-5, seed=0):
+    """The objective the solver minimizes, at z: SemiDual's F against its
+    definition through scipy's logsumexp, its gradient against central
+    differences of F in every coordinate, and its Hessian-vector products
+    against central differences of the gradient along three random
+    directions. Returns the largest error, scaled by max(1, |F|), the
+    gradient's inf-norm and each product's inf-norm."""
+    if not 1e-7 <= step <= 1e-3:
+        raise ConfigError("step must lie in [1e-7, 1e-3]")
+    sd = rvqr_solver.SemiDual(data, grid)
+    f, grad, _ = sd.evaluate(z, epsilon)
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((3,) + z.shape)
+    products = [sd.hvp(v, epsilon) for v in dirs]  # at z, the last point evaluated
+
+    a = np.vstack([np.ones(data.n_obs), data.X.T])
+    s = (grid.U @ data.Y.T - z @ a) / epsilon
+    expect = float(grid.mu @ (z @ (a @ data.nu)) + epsilon * data.nu @ logsumexp(s, axis=0))
+    worst = abs(f - expect) / max(1.0, abs(expect))
+
+    scale = max(float(np.abs(grad).max()), 1e-12)
+    for c in range(z.size):
+        e = np.zeros(z.shape)
+        e.flat[c] = step
+        fd = (sd.evaluate(z + e, epsilon)[0] - sd.evaluate(z - e, epsilon)[0]) / (2 * step)
+        worst = max(worst, abs(fd - grad.flat[c]) / scale)
+    for v, hv in zip(dirs, products):
+        fd = (sd.evaluate(z + step * v, epsilon)[1]
+              - sd.evaluate(z - step * v, epsilon)[1]) / (2 * step)
+        worst = max(worst, float(np.abs(fd - hv).max())
+                    / max(float(np.abs(hv).max()), 1e-12))
+    return worst
+
+
 def koenker_bassett_lp(data, t):
     """Koenker-Bassett fit at level t by HiGHS on the rank-score LP
     max sum_j nu_j y_j a_j s.t. sum_j nu_j a_j (1, x_j) = (1 - t) sum_j nu_j
@@ -286,5 +320,10 @@ def run_all_checks(seed=0):
     worst = max(np.abs(np.r_[f.alpha, f.beta] - koenker_bassett_lp(dataq, f.t)[0]).max()
                 for f in classical_qr.fit_qr_curve(dataq, (0.1, 0.25, 0.5, 0.9)))
     record("classical_qr_matches_lp", worst / value_scale(dataq.Y[:, 0]), 1e-13)
+
+    # the semi-dual the solver minimizes, on the finite-difference instance
+    z = rng.standard_normal((gridr.n_nodes, 1 + N))
+    record("semidual_finite_difference",
+           check_semidual_fd(datar, gridr, z, 0.5, seed=seed), 1e-6)
 
     return results

@@ -18,15 +18,16 @@ returns psi_j = eps log sum_i exp(s_ij) - eps log nu_j, the psi-dual point
 of the same coupling. The dual is unchanged by psi -> psi + c and
 (psi, b) -> (psi - X c, b + c); the gauge of the returned point is the
 solver's own: Newton never moves node 1, so phi_1 = 0 and b_1 = 0 exactly,
-and psi is read off the last accepted pass. All log-sum-exp / softmax
-reductions are max-stabilized (see kernels).
+and psi is read off the last accepted pass. As z does not grow with J, a
+large cold solve starts from the z solved on every fourth row. All
+log-sum-exp / softmax reductions are max-stabilized (see kernels).
 """
 
 import base64
 import json
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -66,6 +67,9 @@ X_SCALE_FLOOR = 1e-8
 # first read it from there, not from memory
 BLOCK_ENTRIES = 2 ** 17
 LINE = 8  # float64 entries per 64-byte cache line
+# a cold solve whose workspace spans several blocks starts from a solve on
+# every COARSE_STRIDE-th row, where that leaves at least one row per node
+COARSE_STRIDE = 4
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,7 @@ class SolveReport:
     oracle_calls: int = 0  # semi-dual passes: stages + iterations + backtracks
     backtracks: int = 0  # rejected line-search trials
     cg_products: int = 0  # Hessian-vector products over all Newton directions
+    levels: tuple = ()  # rows of each level solved, the coarse ones first
 
 
 def theta(dv, data, grid, epsilon):
@@ -331,37 +336,136 @@ def _stop_weights(data, grid):
     return scale / grid.mu[:, None]
 
 
+@dataclass
+class _Tally:
+    """The counters of one config's solve, summed over its levels."""
+    stages: int = 0
+    iterations: int = 0
+    backtracks: int = 0
+    oracle_calls: int = 0
+    cg_products: int = 0
+    levels: list = field(default_factory=list)  # rows per level, coarse first
+
+
+def _walk(sd, z, ladder, tol, max_iter, tally):
+    """Damped Newton on the semi-dual of `sd` from z down the rungs of
+    `ladder`: each rung stops on the scale-free residual
+    r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
+    relative row and mean-independence residuals of the semi-dual coupling
+    (see _stop_weights), at STAGE_TOL, and the last rung at tol.
+
+    max_iter bounds tally.iterations, the Newton steps of every level; a step
+    whose direction does not descend, or whose line search rejects
+    MAX_HALVINGS trials, ends the walk. Either way the rungs between are
+    skipped: only the last one is evaluated, once. Adds the walk's counts
+    and its level's rows to tally; returns (z, r, lse) at the last accepted
+    point of the last rung.
+    """
+    weight = _stop_weights(sd.data, sd.grid)
+    calls, products = sd.calls, sd.products
+    stalled = False
+    for k, eps in enumerate(ladder):
+        last = k == len(ladder) - 1
+        if not last and (stalled or tally.iterations >= max_iter):
+            continue  # no step can be taken: on to the last rung
+        tally.stages += 1
+        stage_tol = tol if last else STAGE_TOL
+        f, grad, lse = sd.evaluate(z, eps)
+        r = float(np.max(np.abs(grad) * weight))
+        while r > stage_tol and tally.iterations < max_iter and not stalled:
+            step = _newton_step(sd, grad, r, eps)
+            slope = float(np.sum(grad * step))
+            if not slope < 0:  # not a descent direction
+                stalled = True
+                break
+            # where the full step's Armijo decrease is below the rounding
+            # error of F the test cannot be decided: that step is taken if
+            # F stays finite
+            at_floor = SUFFICIENT_DECREASE * -slope < F_RESOLUTION * max(1.0, abs(f))
+            t = 1.0
+            for _ in range(MAX_HALVINGS):
+                f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
+                if f_t - f <= SUFFICIENT_DECREASE * t * slope or (
+                        at_floor and t == 1.0 and math.isfinite(f_t)):
+                    break
+                tally.backtracks += 1
+                t *= 0.5
+            else:
+                stalled = True
+                break
+            tally.iterations += 1
+            z = z + t * step
+            f, grad, lse = f_t, grad_t, lse_t
+            r = float(np.max(np.abs(grad) * weight))
+    tally.oracle_calls += sd.calls - calls
+    tally.cg_products += sd.products - products
+    tally.levels.append(sd.data.n_obs)
+    return z, r, lse
+
+
+def _coarse_start(data, grid, cfg, tally):
+    """A starting z for a cold solve of `data` at cfg.epsilon, from a solve
+    on its rows 0, 4, 8, ..., or None.
+
+    The unknowns z live on the rank grid, so a subsample's optimum lies next
+    to the full sample's: the coarse-to-fine scheme of multiscale
+    semi-discrete transport (Merigot, Computer Graphics Forum 2011), applied
+    to the data measure. It applies when the workspace spans several blocks
+    and the subsample keeps a row per node. The subsample's covariates are
+    recentred by their own mean delta; it is solved by the same rule, so
+    from its own coarse start at the rung cfg.epsilon alone, or else from
+    z = 0 down cfg's whole ladder, each rung to STAGE_TOL. Its workspace is
+    freed on return. None if that solve ends above STAGE_TOL; otherwise its
+    z with phi_i - b_i.delta for phi_i, the same scores on the recentred
+    covariates, and the gauge kept: phi_1 = b_1 = 0.
+    """
+    I, J = grid.n_nodes, data.n_obs
+    if I * J <= BLOCK_ENTRIES or J // COARSE_STRIDE < I:
+        return None
+    rows = slice(None, None, COARSE_STRIDE)
+    nu = data.nu[rows] / data.nu[rows].sum()
+    delta = nu @ data.X[rows]
+    sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
+                  x_mean=data.x_mean + delta)
+    z = _coarse_start(sub, grid, cfg, tally)
+    sd = SemiDual(sub, grid)
+    if z is None:
+        z, ladder = np.zeros((I, 1 + data.n_cov)), _ladder(cfg.epsilon, sd.spread())
+    else:
+        ladder = [cfg.epsilon]
+    z, r, _ = _walk(sd, z, ladder, STAGE_TOL, cfg.max_iter, tally)
+    if r > STAGE_TOL:
+        return None
+    return np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
+
+
 def solve_chain(data, grid, cfgs):
     """Damped Newton on the (phi, b) semi-dual at each config of `cfgs` in
-    turn, all on one SemiDual workspace with one spread pass: a generator
-    of one result per config, in the order given.
+    turn, all on one SemiDual workspace with at most one spread pass: a
+    generator of one result per config, in the order given.
 
     A config starts from the z of the last config that converged, and walks
     down only the rungs eps 4^k of its epsilon ladder that lie strictly
     below that config's epsilon (Schmitzer's epsilon scaling, arXiv
-    1610.06519); the configs before the first that converges start from
-    z = 0 and walk down the whole ladder. Given in descending epsilon, the
-    list is one descending chain.
-
-    Each stage stops on the scale-free residual
-    r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
-    relative row and mean-independence residuals of the semi-dual coupling
-    (see _stop_weights): at STAGE_TOL, and the config's own epsilon at its
-    tol. max_iter bounds the config's own Newton steps over its stages; a
-    step whose direction does not descend, or whose line search rejects
-    MAX_HALVINGS trials, ends that config's solve. Either way the rungs
-    between are skipped: only the last one is evaluated, once, for psi at
-    cfg.epsilon.
+    1610.06519). The configs before the first that converges start cold:
+    from the coarse level's z (see _coarse_start) at the rung cfg.epsilon
+    alone, or, where that level does not apply or ends above STAGE_TOL, from
+    z = 0 down the whole ladder. Given in descending epsilon, the list is one
+    descending chain. Each walk stops as _walk says, at STAGE_TOL on every
+    rung but cfg.epsilon's, and there at cfg.tol; max_iter bounds the
+    config's Newton steps over its levels and stages.
 
     Yields (DualVariables, Coupling, SolveReport) for a config that
     converges: the psi-dual point of the last accepted iterate in the
     solver's gauge (phi_1 = 0 and b_1 = 0 exactly, as no step moves node 1;
     psi_j = eps (lse_j - log nu_j) read off the last accepted pass), its
     row-exact coupling and J from one extract_coupling pass, and a report
-    whose counters are the config's own. For a config that ends above its
-    tol it yields a NonConvergenceError carrying that point and report. The
-    generator drops each result when it resumes, so a caller that drops it
-    too before asking for the next keeps one I x J coupling alive at a time.
+    whose counters are the config's own, summed over its levels. For a
+    config that ends above its tol it yields a NonConvergenceError carrying
+    that point and report. A psi-dual point that is not finite, as psi
+    overflows at a huge epsilon, raises ConfigError. The generator drops each
+    result when it resumes, so a caller that drops it too before asking for
+    the next keeps one I x J coupling alive at a time.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -371,61 +475,35 @@ def solve_chain(data, grid, cfgs):
         raise ConfigError("covariates must be centered before solving")
 
     start = time.perf_counter()
-    sd = SemiDual(data, grid)
-    spread = sd.spread()
-    weight = _stop_weights(data, grid)
+    sd = spread = None
     # the last converged z and its epsilon; z = 0 is warm at no epsilon
     z_warm, eps_warm = np.zeros((grid.n_nodes, 1 + data.n_cov)), math.inf
     for n, cfg in enumerate(cfgs):
-        rungs = _ladder(cfg.epsilon, spread)
-        ladder = [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
-        z = z_warm
-        calls, products = sd.calls, sd.products
-        iterations = backtracks = stages = 0
-        stalled = False
-        for k, eps in enumerate(ladder):
-            last = k == len(ladder) - 1
-            if not last and (stalled or iterations >= cfg.max_iter):
-                continue  # no step can be taken: on to the last rung, for psi
-            stages += 1
-            stage_tol = cfg.tol if last else STAGE_TOL
-            f, grad, lse = sd.evaluate(z, eps)
-            r = float(np.max(np.abs(grad) * weight))
-            while r > stage_tol and iterations < cfg.max_iter and not stalled:
-                step = _newton_step(sd, grad, r, eps)
-                slope = float(np.sum(grad * step))
-                if not slope < 0:  # not a descent direction
-                    stalled = True
-                    break
-                # where the full step's Armijo decrease is below the rounding
-                # error of F the test cannot be decided: that step is taken if
-                # F stays finite
-                at_floor = SUFFICIENT_DECREASE * -slope < F_RESOLUTION * max(1.0, abs(f))
-                t = 1.0
-                for _ in range(MAX_HALVINGS):
-                    f_t, grad_t, lse_t = sd.evaluate(z + t * step, eps)
-                    if f_t - f <= SUFFICIENT_DECREASE * t * slope or (
-                            at_floor and t == 1.0 and math.isfinite(f_t)):
-                        break
-                    backtracks += 1
-                    t *= 0.5
-                else:
-                    stalled = True
-                    break
-                iterations += 1
-                z = z + t * step
-                f, grad, lse = f_t, grad_t, lse_t
-                r = float(np.max(np.abs(grad) * weight))
+        tally = _Tally()
+        z = _coarse_start(data, grid, cfg, tally) if eps_warm == math.inf else None
+        if sd is None:
+            sd = SemiDual(data, grid)  # once the coarse level has freed its own
+        if z is None:
+            if spread is None:
+                spread = sd.spread()
+            rungs = _ladder(cfg.epsilon, spread)
+            z, ladder = z_warm, [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
+        else:
+            ladder = [cfg.epsilon]
+        z, r, lse = _walk(sd, z, ladder, cfg.tol, cfg.max_iter, tally)
         wall = time.perf_counter() - start
         converged = r <= cfg.tol
         if converged:
             z_warm, eps_warm = z, cfg.epsilon
-        oracle_calls, cg_products = sd.calls - calls, sd.products - products
         if n == len(cfgs) - 1:
             # free the workspace before the last coupling pass allocates its own
             del sd
 
-        dv = DualVariables(psi=eps * (lse - np.log(data.nu)), b=z[:, 1:])
+        with np.errstate(over="ignore"):  # refused just below
+            dv = DualVariables(psi=cfg.epsilon * (lse - np.log(data.nu)), b=z[:, 1:])
+        if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
+            raise ConfigError(f"epsilon {cfg.epsilon:g} is too large for this data: "
+                              "the dual point psi = eps (lse - log nu) overflows")
         coupling = extract_coupling(dv, data, grid, cfg.epsilon)
         # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
         # column and mean-independence residuals
@@ -434,16 +512,17 @@ def solve_chain(data, grid, cfgs):
         grad_inf = max(float(np.abs(coupling.col_residual).max()),
                        float(np.abs(coupling.mi_residual).max(initial=0.0)))
         report = SolveReport(
-            iterations=iterations, objective=coupling.objective, grad_inf=grad_inf,
-            duality_gap=gap, wall_time=wall, converged=converged,
-            stages=stages, oracle_calls=oracle_calls, backtracks=backtracks,
-            cg_products=cg_products,
+            iterations=tally.iterations, objective=coupling.objective,
+            grad_inf=grad_inf, duality_gap=gap, wall_time=wall, converged=converged,
+            stages=tally.stages, oracle_calls=tally.oracle_calls,
+            backtracks=tally.backtracks, cg_products=tally.cg_products,
+            levels=tuple(tally.levels),
         )
         if converged:
             yield dv, coupling, report
         else:
             yield NonConvergenceError(
-                f"not converged after {iterations} Newton steps: residual "
+                f"not converged after {tally.iterations} Newton steps: residual "
                 f"{r:.3e} (tol {cfg.tol:g}), duality gap {gap:.3e}",
                 best=(dv, coupling), report=report,
             )
@@ -452,7 +531,8 @@ def solve_chain(data, grid, cfgs):
 
 
 def solve(data, grid, cfg):
-    """solve_chain at one config, from z = 0 down the whole epsilon ladder.
+    """solve_chain at one config: a cold solve, from the coarse level's z or
+    from z = 0 down the whole epsilon ladder.
 
     Returns (DualVariables, Coupling, SolveReport); raises the
     NonConvergenceError (carrying the point and report) if the solve ends

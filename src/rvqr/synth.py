@@ -30,6 +30,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_samples < 1 or self.d < 1 or self.n_cov < 0:
             raise ConfigError("invalid synthetic-data shape")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.x_law not in ("uniform", "normal"):
             raise ConfigError(f"unknown x_law {self.x_law!r}")
         w = self.weights or tuple(

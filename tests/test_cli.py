@@ -621,3 +621,50 @@ def test_check_command(tmp_path, capsys):
     assert "pass" in printed and "FAIL" not in printed
     doc = json.loads(open(out).read())
     assert all(r["passed"] for r in doc.values())
+
+
+def _strict_json(path):
+    """The document at path; fails on NaN or Infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{path} holds {constant}")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("max_iter, code", [("100", cli.EXIT_OK), ("1", cli.EXIT_NONCONV)])
+def test_multi_block_fit_reports_its_levels(tmp_path, capsys, monkeypatch, max_iter, code):
+    # 120 rows on 5 nodes span several blocks of 200 entries: the fit starts
+    # from the one on rows 0, 4, 8, ...; capped at one Newton step it exits
+    # 2 with a strict-JSON model that quantiles reads
+    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 200)
+    data = _synth(tmp_path)
+    got, model = _fit(tmp_path, data, extra=("--max-iter", max_iter))
+    assert got == code
+    doc = _strict_json(model)
+    assert doc["report"]["levels"] == [30, 120]
+    assert doc["report"]["converged"] is (code == cli.EXIT_OK)
+    assert "levels (rows)     30, 120" in capsys.readouterr().out
+    assert cli.main(["quantiles", "--model", model, "--data", data, "--probes",
+                     "q25,q75", "--out", str(tmp_path / "q.csv")]) == cli.EXIT_OK
+
+
+def test_overflowing_epsilon_is_config_error(tmp_path, capsys):
+    # psi = eps (lse - log nu) overflows float64: exit 3, and no model
+    data = _synth(tmp_path, n=5000)
+    code, model = _fit(tmp_path, data, grid=20, eps=2e307)
+    assert code == cli.EXIT_CONFIG
+    assert "epsilon 2e+307" in capsys.readouterr().err
+    assert not Path(model).exists()
+    out = tmp_path / "cmp.csv"
+    code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1", "--y-cols",
+                     "y_1", "--grid", "5", "--epsilons", "0.5,1e308", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "epsilon 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "check"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    argv = ["--out", str(tmp_path / "out")]
+    assert cli.main([command, "--seed", "-1", *argv]) == cli.EXIT_CONFIG
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -168,3 +168,30 @@ def test_run_all_checks_pass():
     }
     for name, r in results.items():
         assert r["passed"], f"{name}: {r['measured']} > {r['tolerance']}"
+
+
+def test_semidual_check_catches_a_wrong_hessian_product(rng, monkeypatch):
+    # the rvqr check entry on its own instance: N = 2 covariates, a 3 x 3
+    # grid; dropping the product's cross term, or scaling it by 1 + 1e-4,
+    # is caught
+    data = center_covariates(Dataset(X=rng.standard_normal((7, 2)),
+                                     Y=rng.standard_normal((7, 2)),
+                                     nu=np.full(7, 1 / 7), x_mean=np.zeros(2)))
+    grid = make_rank_grid(2, 3)
+    z = rng.standard_normal((grid.n_nodes, 3))
+    assert oracles.check_semidual_fd(data, grid, z, 0.5) < 1e-8
+    real = solver.SemiDual.hvp
+    monkeypatch.setattr(solver.SemiDual, "hvp",
+                        lambda sd, v, eps: np.einsum("irs,is->ir", sd.m, v) / eps)
+    assert oracles.check_semidual_fd(data, grid, z, 0.5) > 0.1
+    monkeypatch.setattr(solver.SemiDual, "hvp",
+                        lambda sd, v, eps: real(sd, v, eps) * (1 + 1e-4))
+    assert oracles.check_semidual_fd(data, grid, z, 0.5) > 1e-5
+    with pytest.raises(ConfigError):
+        oracles.check_semidual_fd(data, grid, z, 0.5, step=1.0)
+
+
+def test_run_all_checks_covers_the_semidual():
+    results = oracles.run_all_checks(seed=1)
+    r = results["semidual_finite_difference"]
+    assert r["passed"] and r["tolerance"] == 1e-6

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -346,15 +347,22 @@ def _count_calls(monkeypatch, owner, name):
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     data, grid = random_instance(rng, I=5, J=20, N=1)
     assert _blocked(monkeypatch, data, grid, 35, line=1)[1] == [7, 7, 6]
-    passes = _count_calls(monkeypatch, solver.SemiDual, "evaluate")
+    # the rows of each semi-dual pass: the coarse level's 5 rows fit in one
+    # block, the full level's 20 span three
+    passes = []
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate",
+                        lambda sd, z, eps: passes.append(sd.data.n_obs) or real(sd, z, eps))
     blocks = _count_calls(monkeypatch, kernels, "column_softmax")
     products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert report.iterations < report.oracle_calls
+    assert report.levels == (5, 20)
     # every semi-dual pass is counted: psi is read off the last one; each
-    # pass covers every block
+    # pass covers every block of its level's workspace
     assert len(passes) == report.oracle_calls
-    assert len(blocks) == 3 * report.oracle_calls
+    assert 0 < passes.count(5) == passes.index(20) and passes.count(20) > 0
+    assert len(blocks) == passes.count(5) + 3 * passes.count(20)
     assert len(products) == report.cg_products >= report.iterations
 
 
@@ -561,3 +569,130 @@ def test_reported_gap_bounded_by_tol():
         _, _, report = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=tol))
         assert report.duality_gap <= 10 * tol * max(1.0, abs(report.objective))
         assert report.grad_inf <= tol
+
+
+def _fit_instance(n=1200, order=None):
+    """synth seed 7 with its rows in `order` (a function of the raw data
+    returning a permutation), centered, and a 10-node grid."""
+    data, _ = synth.generate(synth.SynthSpec(n_samples=n, seed=7))
+    if order is not None:
+        rows = order(data)
+        data = replace(data, X=data.X[rows], Y=data.Y[rows])
+    return center_covariates(data), make_rank_grid(1, 10)
+
+
+def _assert_gates(result, tol=1e-7):
+    """The benchmark's gates on a fit: converged, gap < 1e-5, row residual
+    < 1e-12, column and mean-independence residuals < 1e-6."""
+    assert not isinstance(result, NonConvergenceError), result
+    _, coupling, r = result
+    assert r.converged and r.grad_inf <= tol and r.duality_gap < 1e-5
+    assert np.abs(coupling.row_residual).max() < 1e-12
+    assert np.abs(coupling.col_residual).max() < 1e-6
+    assert np.abs(coupling.mi_residual).max() < 1e-6
+
+
+def test_one_block_solve_keeps_one_level_and_its_counters():
+    # a workspace of one block never starts from a coarse level: these are
+    # the counters of the solver before the level existed
+    data, grid = _fit_instance()
+    for eps, counts in ((0.1, (2, 6, 9, 1, 36)), (0.01, (4, 8, 12, 0, 70))):
+        _, _, r = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=1e-7))
+        assert r.levels == (1200,)
+        assert (r.stages, r.iterations, r.oracle_calls, r.backtracks,
+                r.cg_products) == counts
+
+
+@pytest.mark.parametrize("entries, levels", [(4000, (300, 1200)),
+                                             (2000, (75, 300, 1200))])
+def test_multi_block_solve_starts_from_the_coarse_level(monkeypatch, entries, levels):
+    # 1,200 rows on 10 nodes span several blocks: the solve starts from the
+    # one on rows 0, 4, 8, ..., itself started from rows 0, 16, 32, ... when
+    # its own workspace spans several blocks. It meets the gates, and its
+    # psi-dual value is the one-block solve's. Every counter sums its levels.
+    data, grid = _fit_instance()
+    cfg = SolverConfig(epsilon=0.1, tol=1e-7)
+    _, _, one = solver.solve(data, grid, cfg)
+    monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
+    passes = []
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate",
+                        lambda sd, z, eps: passes.append(sd.data.n_obs) or real(sd, z, eps))
+    products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
+    result = solver.solve(data, grid, cfg)
+    _assert_gates(result)
+    dv, _, r = result
+    assert r.levels == levels
+    assert abs(r.objective - one.objective) <= 1e-10 * abs(one.objective)
+    assert np.all(dv.b[0] == 0.0)
+    # the levels run coarse first, each on its own rows
+    assert [n for n in dict.fromkeys(passes)] == list(levels)
+    assert r.oracle_calls == len(passes) == r.stages + r.iterations + r.backtracks
+    assert r.cg_products == len(products)
+    # the full level runs the one rung at epsilon
+    assert r.stages > len(levels) and passes.count(1200) < one.oracle_calls
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.01])
+@pytest.mark.parametrize("order", ["sorted_y", "low_x_every_4th"])
+def test_coarse_level_survives_adversarial_row_orders(monkeypatch, order, eps):
+    # rows sorted by y, or every 4th row from the lowest covariate quartile,
+    # so that the coarse level sees only that quartile
+    def low_x_every_4th(data):
+        by_x = np.argsort(data.X[:, 0], kind="stable")
+        rows = np.empty(data.n_obs, dtype=int)
+        rows[::4], rows[np.arange(data.n_obs) % 4 != 0] = np.split(by_x, [300])
+        return rows
+
+    orders = {"sorted_y": lambda data: np.argsort(data.Y[:, 0], kind="stable"),
+              "low_x_every_4th": low_x_every_4th}
+    data, grid = _fit_instance(order=orders[order])
+    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 4000)
+    passes = []  # (rows, z, lse) of each semi-dual pass
+    real = solver.SemiDual.evaluate
+
+    def evaluate(sd, z, eps):
+        out = real(sd, z, eps)
+        passes.append((sd.data.n_obs, z.copy(), out[2].copy()))
+        return out
+
+    monkeypatch.setattr(solver.SemiDual, "evaluate", evaluate)
+    result = next(solver.solve_chain(data, grid, [SolverConfig(epsilon=eps, tol=1e-7)]))
+    _assert_gates(result)
+    assert result[2].levels == (300, 1200)
+    # the full level starts at the coarse z mapped back to the full sample's
+    # centering, in the same gauge: the coarse rows get the same scores
+    coarse = [lse for n, _, lse in passes if n == 300][-1]
+    z, lse = next((z, lse) for n, z, lse in passes if n == 1200)
+    assert np.all(z[0] == 0.0)
+    np.testing.assert_allclose(lse[::4], coarse, rtol=0, atol=1e-12 * np.abs(coarse).max())
+
+
+def test_capped_multi_block_solve_carries_a_finite_point(monkeypatch):
+    # max_iter bounds the Newton steps of every level together: the one
+    # step goes to the coarse level, and the full level is only evaluated
+    data, grid = _fit_instance()
+    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 4000)
+    with pytest.raises(NonConvergenceError) as exc:
+        solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-7, max_iter=1))
+    r = exc.value.report
+    assert r.levels == (300, 1200) and r.iterations == 1 and not r.converged
+    assert r.oracle_calls == r.stages + r.iterations + r.backtracks
+    dv, coupling = exc.value.best
+    assert np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()
+    assert np.isfinite(coupling.alpha).all() and np.isfinite(r.objective)
+
+
+@pytest.mark.parametrize("eps", [2e307, 1e308])
+def test_overflowing_psi_is_a_config_error(eps):
+    # psi = eps (lse - log nu) overflows at a huge epsilon: no point is
+    # returned, converged or not
+    data, grid = _fit_instance()
+    with pytest.raises(ConfigError, match=re.escape(f"epsilon {eps:g} ")):
+        solver.solve(data, grid, SolverConfig(epsilon=eps))
+    chain = solver.solve_chain(data, grid, [SolverConfig(epsilon=e) for e in (eps, 0.1)])
+    with pytest.raises(ConfigError):
+        next(chain)
+    # 1e307 still fits in float64
+    dv, _, r = solver.solve(data, grid, SolverConfig(epsilon=1e307))
+    assert r.converged and np.isfinite(dv.psi).all() and np.isfinite(r.objective)

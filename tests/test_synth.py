@@ -83,3 +83,9 @@ def test_write_csv_and_truth(tmp_path):
     np.testing.assert_allclose(got[:, 1], data.Y[:, 0])
     doc = json.loads((tmp_path / "s.csv.truth.json").read_text())
     assert doc["seed"] == 2 and doc["n_samples"] == 5
+
+
+def test_negative_seed_is_config_error():
+    # numpy's default_rng refuses it with a ValueError; the spec says why
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        synth.SynthSpec(seed=-1)
