@@ -27,7 +27,7 @@ import base64
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -67,9 +67,12 @@ X_SCALE_FLOOR = 1e-8
 # first read it from there, not from memory
 BLOCK_ENTRIES = 2 ** 17
 LINE = 8  # float64 entries per 64-byte cache line
-# a cold solve whose workspace spans several blocks starts from a solve on
-# every COARSE_STRIDE-th row, where that leaves at least one row per node
+# a cold solve of at least COARSE_MIN_ENTRIES entries I J starts from a
+# solve on every COARSE_STRIDE-th row, where that leaves one row per node.
+# Measured at one BLAS thread: a coarse level made solves of 12,000-18,000
+# entries slower and solves of 20,000 or more faster
 COARSE_STRIDE = 4
+COARSE_MIN_ENTRIES = 20_000
 
 
 @dataclass(frozen=True)
@@ -219,18 +222,21 @@ class SemiDual:
         # sum_j alpha_ij a_j = mu_i a_bar, which X's centering leaves at
         # (1, rounding noise)
         self.a_bar = np.concatenate([[data.nu.sum()], (data.X.T * data.nu).sum(axis=1)])
-        self.m = None
+        self.m = self._spread = None
         self.calls = self.products = 0
 
     def spread(self):
-        """max_ij u_i.y_j - min_ij u_i.y_j, block by block in the workspace,
-        which it overwrites: call it before `evaluate`."""
-        d = self.data.n_dim
-        hi, lo = -math.inf, math.inf
-        for feats, p in zip(self.feats, self.p):
-            np.matmul(self.grid.U, feats[:d], out=p)
-            hi, lo = max(hi, float(p.max())), min(lo, float(p.min()))
-        return hi - lo
+        """max_ij u_i.y_j - min_ij u_i.y_j, found block by block in the
+        workspace on the first call, which overwrites it: make that call
+        before `evaluate`."""
+        if self._spread is None:
+            d = self.data.n_dim
+            hi, lo = -math.inf, math.inf
+            for feats, p in zip(self.feats, self.p):
+                np.matmul(self.grid.U, feats[:d], out=p)
+                hi, lo = max(hi, float(p.max())), min(lo, float(p.min()))
+            self._spread = hi - lo
+        return self._spread
 
     def evaluate(self, z, eps):
         """(F, grad, lse) at z, grad an I x K array and lse_j = log sum_i
@@ -344,7 +350,7 @@ class _Tally:
     backtracks: int = 0
     oracle_calls: int = 0
     cg_products: int = 0
-    levels: list = field(default_factory=list)  # rows per level, coarse first
+    levels: tuple = ()  # rows per level, coarse first
 
 
 def _walk(sd, z, ladder, tol, max_iter, tally):
@@ -399,44 +405,47 @@ def _walk(sd, z, ladder, tol, max_iter, tally):
             r = float(np.max(np.abs(grad) * weight))
     tally.oracle_calls += sd.calls - calls
     tally.cg_products += sd.products - products
-    tally.levels.append(sd.data.n_obs)
+    tally.levels += (sd.data.n_obs,)
     return z, r, lse
 
 
-def _coarse_start(data, grid, cfg, tally):
-    """A starting z for a cold solve of `data` at cfg.epsilon, from a solve
-    on its rows 0, 4, 8, ..., or None.
+def _cold(data, grid, cfg, tol, tally, sd=None):
+    """A cold solve of `data` at cfg.epsilon to tol: (z, r, lse, sd) as
+    _walk returns them, and sd the SemiDual workspace it ran on, `sd`
+    itself if one is given.
 
     The unknowns z live on the rank grid, so a subsample's optimum lies next
     to the full sample's: the coarse-to-fine scheme of multiscale
     semi-discrete transport (Merigot, Computer Graphics Forum 2011), applied
-    to the data measure. It applies when the workspace spans several blocks
-    and the subsample keeps a row per node. The subsample's covariates are
-    recentred by their own mean delta; it is solved by the same rule, so
-    from its own coarse start at the rung cfg.epsilon alone, or else from
-    z = 0 down cfg's whole ladder, each rung to STAGE_TOL. Its workspace is
-    freed on return. None if that solve ends above STAGE_TOL; otherwise its
-    z with phi_i - b_i.delta for phi_i, the same scores on the recentred
-    covariates, and the gauge kept: phi_1 = b_1 = 0.
+    to the data measure. Where no workspace is given, I J >=
+    COARSE_MIN_ENTRIES and rows 0, 4, 8, ... keep one per node, those rows
+    are solved first, by the same rule, to STAGE_TOL, with their covariates
+    recentred by their own mean delta. Their workspace is freed before this
+    level's is allocated. Their z, with phi_i - b_i.delta for phi_i, gives
+    the same scores on this level's covariates and keeps the gauge
+    phi_1 = b_1 = 0. The walk starts from it: at the rung cfg.epsilon alone
+    if that level reached STAGE_TOL, and down cfg's whole ladder otherwise,
+    from z = 0 if it took no step. Without a coarse level the walk starts
+    from z = 0 down the whole ladder.
     """
-    I, J = grid.n_nodes, data.n_obs
-    if I * J <= BLOCK_ENTRIES or J // COARSE_STRIDE < I:
-        return None
-    rows = slice(None, None, COARSE_STRIDE)
-    nu = data.nu[rows] / data.nu[rows].sum()
-    delta = nu @ data.X[rows]
-    sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
-                  x_mean=data.x_mean + delta)
-    z = _coarse_start(sub, grid, cfg, tally)
-    sd = SemiDual(sub, grid)
-    if z is None:
-        z, ladder = np.zeros((I, 1 + data.n_cov)), _ladder(cfg.epsilon, sd.spread())
-    else:
-        ladder = [cfg.epsilon]
-    z, r, _ = _walk(sd, z, ladder, STAGE_TOL, cfg.max_iter, tally)
-    if r > STAGE_TOL:
-        return None
-    return np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
+    I, J, K = grid.n_nodes, data.n_obs, 1 + data.n_cov
+    z, ladder = np.zeros((I, K)), None
+    if sd is None and I * J >= COARSE_MIN_ENTRIES and J // COARSE_STRIDE >= I:
+        rows = slice(None, None, COARSE_STRIDE)
+        nu = data.nu[rows] / data.nu[rows].sum()
+        delta = nu @ data.X[rows]
+        sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
+                      x_mean=data.x_mean + delta)
+        # [:2] drops the coarse workspace before this level's is allocated
+        z, r = _cold(sub, grid, cfg, STAGE_TOL, tally)[:2]
+        z = np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
+        if r <= STAGE_TOL:
+            ladder = [cfg.epsilon]
+    if sd is None:
+        sd = SemiDual(data, grid)
+    if ladder is None:
+        ladder = _ladder(cfg.epsilon, sd.spread())
+    return (*_walk(sd, z, ladder, tol, cfg.max_iter, tally), sd)
 
 
 def solve_chain(data, grid, cfgs):
@@ -447,10 +456,10 @@ def solve_chain(data, grid, cfgs):
     A config starts from the z of the last config that converged, and walks
     down only the rungs eps 4^k of its epsilon ladder that lie strictly
     below that config's epsilon (Schmitzer's epsilon scaling, arXiv
-    1610.06519). The configs before the first that converges start cold:
-    from the coarse level's z (see _coarse_start) at the rung cfg.epsilon
-    alone, or, where that level does not apply or ends above STAGE_TOL, from
-    z = 0 down the whole ladder. Given in descending epsilon, the list is one
+    1610.06519). The configs before the first that converges start cold
+    (see _cold): the first from a coarse level where one applies, the
+    others, whose workspace exists, from z = 0 down the whole ladder.
+    Given in descending epsilon, the list is one
     descending chain. Each walk stops as _walk says, at STAGE_TOL on every
     rung but cfg.epsilon's, and there at cfg.tol; max_iter bounds the
     config's Newton steps over its levels and stages.
@@ -475,22 +484,16 @@ def solve_chain(data, grid, cfgs):
         raise ConfigError("covariates must be centered before solving")
 
     start = time.perf_counter()
-    sd = spread = None
-    # the last converged z and its epsilon; z = 0 is warm at no epsilon
-    z_warm, eps_warm = np.zeros((grid.n_nodes, 1 + data.n_cov)), math.inf
+    sd = None
+    z_warm = eps_warm = None  # the last converged z and its epsilon
     for n, cfg in enumerate(cfgs):
         tally = _Tally()
-        z = _coarse_start(data, grid, cfg, tally) if eps_warm == math.inf else None
-        if sd is None:
-            sd = SemiDual(data, grid)  # once the coarse level has freed its own
-        if z is None:
-            if spread is None:
-                spread = sd.spread()
-            rungs = _ladder(cfg.epsilon, spread)
-            z, ladder = z_warm, [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
+        if z_warm is None:
+            z, r, lse, sd = _cold(data, grid, cfg, cfg.tol, tally, sd)
         else:
-            ladder = [cfg.epsilon]
-        z, r, lse = _walk(sd, z, ladder, cfg.tol, cfg.max_iter, tally)
+            rungs = _ladder(cfg.epsilon, sd.spread())
+            ladder = [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
+            z, r, lse = _walk(sd, z_warm, ladder, cfg.tol, cfg.max_iter, tally)
         wall = time.perf_counter() - start
         converged = r <= cfg.tol
         if converged:
@@ -502,8 +505,10 @@ def solve_chain(data, grid, cfgs):
         with np.errstate(over="ignore"):  # refused just below
             dv = DualVariables(psi=cfg.epsilon * (lse - np.log(data.nu)), b=z[:, 1:])
         if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
-            raise ConfigError(f"epsilon {cfg.epsilon:g} is too large for this data: "
-                              "the dual point psi = eps (lse - log nu) overflows")
+            why = ("psi = eps (lse - log nu) overflows, as epsilon is too large for this data"
+                   if np.isfinite(lse).all() and np.isfinite(dv.b).all() else
+                   "b or the log-sum-exps are not finite")
+            raise ConfigError(f"the dual point at epsilon {cfg.epsilon:g} is not finite: {why}")
         coupling = extract_coupling(dv, data, grid, cfg.epsilon)
         # |<z, grad(z)>| of the psi-dual: its gradient blocks are minus the
         # column and mean-independence residuals
@@ -511,13 +516,9 @@ def solve_chain(data, grid, cfgs):
                   + float(np.sum(dv.b * coupling.mi_residual)))
         grad_inf = max(float(np.abs(coupling.col_residual).max()),
                        float(np.abs(coupling.mi_residual).max(initial=0.0)))
-        report = SolveReport(
-            iterations=tally.iterations, objective=coupling.objective,
-            grad_inf=grad_inf, duality_gap=gap, wall_time=wall, converged=converged,
-            stages=tally.stages, oracle_calls=tally.oracle_calls,
-            backtracks=tally.backtracks, cg_products=tally.cg_products,
-            levels=tuple(tally.levels),
-        )
+        report = SolveReport(**asdict(tally), objective=coupling.objective,
+                             grad_inf=grad_inf, duality_gap=gap, wall_time=wall,
+                             converged=converged)
         if converged:
             yield dv, coupling, report
         else:
@@ -531,8 +532,7 @@ def solve_chain(data, grid, cfgs):
 
 
 def solve(data, grid, cfg):
-    """solve_chain at one config: a cold solve, from the coarse level's z or
-    from z = 0 down the whole epsilon ladder.
+    """solve_chain at one config: a cold solve (see _cold).
 
     Returns (DualVariables, Coupling, SolveReport); raises the
     NonConvergenceError (carrying the point and report) if the solve ends

@@ -631,11 +631,11 @@ def _strict_json(path):
 
 
 @pytest.mark.parametrize("max_iter, code", [("100", cli.EXIT_OK), ("1", cli.EXIT_NONCONV)])
-def test_multi_block_fit_reports_its_levels(tmp_path, capsys, monkeypatch, max_iter, code):
-    # 120 rows on 5 nodes span several blocks of 200 entries: the fit starts
+def test_large_fit_reports_its_levels(tmp_path, capsys, monkeypatch, max_iter, code):
+    # 120 rows on 5 nodes reach a COARSE_MIN_ENTRIES of 600: the fit starts
     # from the one on rows 0, 4, 8, ...; capped at one Newton step it exits
     # 2 with a strict-JSON model that quantiles reads
-    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 200)
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 600)
     data = _synth(tmp_path)
     got, model = _fit(tmp_path, data, extra=("--max-iter", max_iter))
     assert got == code

@@ -347,6 +347,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     data, grid = random_instance(rng, I=5, J=20, N=1)
     assert _blocked(monkeypatch, data, grid, 35, line=1)[1] == [7, 7, 6]
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 100)
     # the rows of each semi-dual pass: the coarse level's 5 rows fit in one
     # block, the full level's 20 span three
     passes = []
@@ -592,10 +593,12 @@ def _assert_gates(result, tol=1e-7):
     assert np.abs(coupling.mi_residual).max() < 1e-6
 
 
-def test_one_block_solve_keeps_one_level_and_its_counters():
-    # a workspace of one block never starts from a coarse level: these are
-    # the counters of the solver before the level existed
+def test_small_solve_keeps_one_level_and_its_counters():
+    # 1,200 rows on 10 nodes are fewer than COARSE_MIN_ENTRIES entries: the
+    # solve never starts from a coarse level, and these are the counters of
+    # the solver before the level existed
     data, grid = _fit_instance()
+    assert grid.n_nodes * data.n_obs < solver.COARSE_MIN_ENTRIES
     for eps, counts in ((0.1, (2, 6, 9, 1, 36)), (0.01, (4, 8, 12, 0, 70))):
         _, _, r = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=1e-7))
         assert r.levels == (1200,)
@@ -603,17 +606,19 @@ def test_one_block_solve_keeps_one_level_and_its_counters():
                 r.cg_products) == counts
 
 
-@pytest.mark.parametrize("entries, levels", [(4000, (300, 1200)),
-                                             (2000, (75, 300, 1200))])
-def test_multi_block_solve_starts_from_the_coarse_level(monkeypatch, entries, levels):
-    # 1,200 rows on 10 nodes span several blocks: the solve starts from the
-    # one on rows 0, 4, 8, ..., itself started from rows 0, 16, 32, ... when
-    # its own workspace spans several blocks. It meets the gates, and its
-    # psi-dual value is the one-block solve's. Every counter sums its levels.
+@pytest.mark.parametrize("entries, levels", [(12000, (300, 1200)),
+                                             (3000, (75, 300, 1200)),
+                                             (0, (19, 75, 300, 1200))])
+def test_large_solve_starts_from_the_coarse_level(monkeypatch, entries, levels):
+    # with COARSE_MIN_ENTRIES lowered, 1,200 rows on 10 nodes start from the
+    # solve on rows 0, 4, 8, ..., itself started from rows 0, 16, 32, ...
+    # while its own entries reach the threshold and it keeps 4 rows per
+    # node. It meets the gates, and its psi-dual value is the one-level
+    # solve's. Every counter sums its levels.
     data, grid = _fit_instance()
     cfg = SolverConfig(epsilon=0.1, tol=1e-7)
     _, _, one = solver.solve(data, grid, cfg)
-    monkeypatch.setattr(solver, "BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", entries)
     passes = []
     real = solver.SemiDual.evaluate
     monkeypatch.setattr(solver.SemiDual, "evaluate",
@@ -647,7 +652,7 @@ def test_coarse_level_survives_adversarial_row_orders(monkeypatch, order, eps):
     orders = {"sorted_y": lambda data: np.argsort(data.Y[:, 0], kind="stable"),
               "low_x_every_4th": low_x_every_4th}
     data, grid = _fit_instance(order=orders[order])
-    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 4000)
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 12000)
     passes = []  # (rows, z, lse) of each semi-dual pass
     real = solver.SemiDual.evaluate
 
@@ -668,19 +673,64 @@ def test_coarse_level_survives_adversarial_row_orders(monkeypatch, order, eps):
     np.testing.assert_allclose(lse[::4], coarse, rtol=0, atol=1e-12 * np.abs(coarse).max())
 
 
-def test_capped_multi_block_solve_carries_a_finite_point(monkeypatch):
-    # max_iter bounds the Newton steps of every level together: the one
-    # step goes to the coarse level, and the full level is only evaluated
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_capped_solve_keeps_the_coarse_level_steps(monkeypatch, max_iter):
+    # max_iter bounds the Newton steps of every level together. Capped below
+    # what the coarse level needs, it spends them all there and ends above
+    # STAGE_TOL; the full level starts from the point those steps reached,
+    # walks the whole ladder and, with no step left, evaluates its last rung
     data, grid = _fit_instance()
-    monkeypatch.setattr(solver, "BLOCK_ENTRIES", 4000)
+    cfg = SolverConfig(epsilon=0.1, tol=1e-7, max_iter=max_iter)
+
+    def residual(z):  # of the psi-dual point read off z
+        lse = solver.SemiDual(data, grid).evaluate(z, 0.1)[2]
+        c = solver.extract_coupling(solver.DualVariables(
+            psi=0.1 * (lse - np.log(data.nu)), b=z[:, 1:]), data, grid, 0.1)
+        return max(np.abs(c.col_residual).max(), np.abs(c.mi_residual).max())
+
+    at_zero = residual(np.zeros((grid.n_nodes, 2)))
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 12000)
+    passes = []  # (rows, eps, z) of each semi-dual pass
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate", lambda sd, z, eps: passes.append(
+        (sd.data.n_obs, eps, z.copy())) or real(sd, z, eps))
     with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-7, max_iter=1))
+        solver.solve(data, grid, cfg)
     r = exc.value.report
-    assert r.levels == (300, 1200) and r.iterations == 1 and not r.converged
-    assert r.oracle_calls == r.stages + r.iterations + r.backtracks
+    assert r.levels == (300, 1200) and r.iterations == max_iter and not r.converged
+    assert r.oracle_calls == len(passes) == r.stages + r.iterations + r.backtracks
+    # the one full-level pass is at the coarse level's last point, mapped to
+    # the full sample's centering
+    (_, eps, z), = [p for p in passes if p[0] == 1200]
+    coarse = [z for n, _, z in passes if n == 300][-1]
+    nu = data.nu[::4] / data.nu[::4].sum()
+    delta = nu @ data.X[::4]
+    np.testing.assert_array_equal(
+        z, np.column_stack([coarse[:, 0] - coarse[:, 1:] @ delta, coarse[:, 1:]]))
+    assert eps == 0.1 and np.abs(z).max() > 0 and np.all(z[0] == 0.0)
     dv, coupling = exc.value.best
-    assert np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()
-    assert np.isfinite(coupling.alpha).all() and np.isfinite(r.objective)
+    np.testing.assert_array_equal(dv.b, z[:, 1:])
+    assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
+    assert np.isfinite(r.objective) and r.grad_inf < at_zero
+
+
+def test_chain_solves_one_coarse_level_at_most(monkeypatch):
+    # a first config that does not converge leaves the next one cold: it
+    # starts from z = 0 on the full workspace, without a second coarse level
+    data, grid = _fit_instance()
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 12000)
+    sizes = []
+    real = solver.SemiDual.__init__
+    monkeypatch.setattr(solver.SemiDual, "__init__",
+                        lambda sd, data, grid: sizes.append(data.n_obs) or real(sd, data, grid))
+    cfgs = [SolverConfig(epsilon=0.5, tol=1e-7, max_iter=1), SolverConfig(epsilon=0.1, tol=1e-7)]
+    first, second = solver.solve_chain(data, grid, cfgs)
+    assert isinstance(first, NonConvergenceError) and first.report.levels == (300, 1200)
+    _assert_gates(second)
+    assert second[2].levels == (1200,) and sizes == [300, 1200]
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 10 ** 18)
+    _, _, cold = solver.solve(data, grid, cfgs[1])
+    assert second[2].oracle_calls == cold.oracle_calls
 
 
 @pytest.mark.parametrize("eps", [2e307, 1e308])
