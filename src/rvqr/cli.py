@@ -119,6 +119,9 @@ def _model_from_files(args):
         why = (f"{args.model} has no data checksum (data_meta.crc32); refit it"
                if crc is None else f"{args.model} was fitted on other values")
         raise ConfigError(f"{args.data} does not match the model: {why}")
+    if dv.psi.size != data.n_obs:
+        raise ConfigError(f"{args.data} does not match the model: {args.model} has "
+                          f"{dv.psi.size} psi entries for {data.n_obs} rows")
     coupling = solver.extract_coupling(dv, data, grid, doc["epsilon"])
     model = quantiles.QuantileModel.from_fit(coupling, data, grid, doc["epsilon"])
     return doc, data, model

@@ -24,14 +24,12 @@ class QuantileModel:
     X: np.ndarray              # J x N centered covariates
     Y: np.ndarray              # J x d responses
     U: np.ndarray              # I x d rank nodes
-    mu: np.ndarray
-    nu: np.ndarray
     epsilon: float
 
     @classmethod
     def from_fit(cls, coupling, data, grid, epsilon):
         return cls(alpha=coupling.alpha, X=data.X, Y=data.Y, U=grid.U,
-                   mu=grid.mu, nu=data.nu, epsilon=float(epsilon))
+                   epsilon=float(epsilon))
 
     @property
     def n_nodes(self):

@@ -227,8 +227,8 @@ class SemiDual:
 
     def spread(self):
         """max_ij u_i.y_j - min_ij u_i.y_j, found block by block in the
-        workspace on the first call, which overwrites it: make that call
-        before `evaluate`."""
+        workspace on the first call, which overwrites it: `hvp` then needs
+        an `evaluate` first, as every walk makes one after its ladder."""
         if self._spread is None:
             d = self.data.n_dim
             hi, lo = -math.inf, math.inf
@@ -322,12 +322,17 @@ def _newton_step(sd, grad, r, eps):
     return step
 
 
-def _ladder(epsilon, spread):
-    """epsilon 4^k for k = K, ..., 0, the top rung the largest at most
-    LADDER_TOP * spread."""
+def _ladder(epsilon, eps_z, sd):
+    """The rungs of a walk to epsilon from a z solved at eps_z: each
+    epsilon 4^k, k >= 1, strictly below eps_z and at most LADDER_TOP times
+    sd's spread, largest first, then epsilon. sd's spread is read only when
+    epsilon 4 < eps_z."""
     top = 0
-    while epsilon * LADDER_RATIO ** (top + 1) <= LADDER_TOP * spread:
-        top += 1
+    if epsilon * LADDER_RATIO < eps_z:
+        spread = sd.spread()
+        while (epsilon * LADDER_RATIO ** (top + 1) < eps_z
+               and epsilon * LADDER_RATIO ** (top + 1) <= LADDER_TOP * spread):
+            top += 1
     return [epsilon * LADDER_RATIO ** k for k in range(top, -1, -1)]
 
 
@@ -353,15 +358,19 @@ class _Tally:
     levels: tuple = ()  # rows per level, coarse first
 
 
-def _walk(sd, z, ladder, tol, max_iter, tally):
-    """Damped Newton on the semi-dual of `sd` from z down the rungs of
-    `ladder`: each rung stops on the scale-free residual
+def _walk(sd, z, eps_z, cfg, tol, tally):
+    """Damped Newton on the semi-dual of `sd` at cfg.epsilon from the start
+    (z, eps_z): a z already solved at eps_z to at least STAGE_TOL, or
+    eps_z = inf, as for the cold start z = 0. Every walk starts by this one
+    rule, the epsilon scaling of Schmitzer (arXiv 1610.06519): it runs down
+    the rungs of _ladder(cfg.epsilon, eps_z, sd). Each rung stops on the
+    scale-free residual
     r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
     relative row and mean-independence residuals of the semi-dual coupling
     (see _stop_weights), at STAGE_TOL, and the last rung at tol.
 
-    max_iter bounds tally.iterations, the Newton steps of every level; a step
-    whose direction does not descend, or whose line search rejects
+    cfg.max_iter bounds tally.iterations, the Newton steps of every level; a
+    step whose direction does not descend, or whose line search rejects
     MAX_HALVINGS trials, ends the walk. Either way the rungs between are
     skipped: only the last one is evaluated, once. Adds the walk's counts
     and its level's rows to tally; returns (z, r, lse) at the last accepted
@@ -370,15 +379,16 @@ def _walk(sd, z, ladder, tol, max_iter, tally):
     weight = _stop_weights(sd.data, sd.grid)
     calls, products = sd.calls, sd.products
     stalled = False
+    ladder = _ladder(cfg.epsilon, eps_z, sd)
     for k, eps in enumerate(ladder):
         last = k == len(ladder) - 1
-        if not last and (stalled or tally.iterations >= max_iter):
+        if not last and (stalled or tally.iterations >= cfg.max_iter):
             continue  # no step can be taken: on to the last rung
         tally.stages += 1
         stage_tol = tol if last else STAGE_TOL
         f, grad, lse = sd.evaluate(z, eps)
         r = float(np.max(np.abs(grad) * weight))
-        while r > stage_tol and tally.iterations < max_iter and not stalled:
+        while r > stage_tol and tally.iterations < cfg.max_iter and not stalled:
             step = _newton_step(sd, grad, r, eps)
             slope = float(np.sum(grad * step))
             if not slope < 0:  # not a descent direction
@@ -409,43 +419,34 @@ def _walk(sd, z, ladder, tol, max_iter, tally):
     return z, r, lse
 
 
-def _cold(data, grid, cfg, tol, tally, sd=None):
-    """A cold solve of `data` at cfg.epsilon to tol: (z, r, lse, sd) as
-    _walk returns them, and sd the SemiDual workspace it ran on, `sd`
-    itself if one is given.
+def _coarse_start(data, grid, cfg, tally):
+    """The start (z, eps_z) of a cold walk on `data` at cfg.epsilon (see
+    _walk): (0, inf), or where I J >= COARSE_MIN_ENTRIES and rows 0, 4,
+    8, ... keep one per node, the z those rows reach.
 
     The unknowns z live on the rank grid, so a subsample's optimum lies next
     to the full sample's: the coarse-to-fine scheme of multiscale
     semi-discrete transport (Merigot, Computer Graphics Forum 2011), applied
-    to the data measure. Where no workspace is given, I J >=
-    COARSE_MIN_ENTRIES and rows 0, 4, 8, ... keep one per node, those rows
-    are solved first, by the same rule, to STAGE_TOL, with their covariates
-    recentred by their own mean delta. Their workspace is freed before this
-    level's is allocated. Their z, with phi_i - b_i.delta for phi_i, gives
-    the same scores on this level's covariates and keeps the gauge
-    phi_1 = b_1 = 0. The walk starts from it: at the rung cfg.epsilon alone
-    if that level reached STAGE_TOL, and down cfg's whole ladder otherwise,
-    from z = 0 if it took no step. Without a coarse level the walk starts
-    from z = 0 down the whole ladder.
+    to the data measure. The coarse rows, their covariates recentred by their
+    own mean delta, are walked from their own coarse start to STAGE_TOL, on
+    a workspace that lives only in this call. Their z, with phi_i - b_i.delta
+    for phi_i, gives the same scores on data's covariates and keeps the gauge
+    phi_1 = b_1 = 0. It comes with cfg.epsilon if that walk reached
+    STAGE_TOL, and with inf otherwise: then the full level walks its whole
+    ladder from the point the coarse steps reached, z = 0 if there were none.
     """
-    I, J, K = grid.n_nodes, data.n_obs, 1 + data.n_cov
-    z, ladder = np.zeros((I, K)), None
-    if sd is None and I * J >= COARSE_MIN_ENTRIES and J // COARSE_STRIDE >= I:
-        rows = slice(None, None, COARSE_STRIDE)
-        nu = data.nu[rows] / data.nu[rows].sum()
-        delta = nu @ data.X[rows]
-        sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
-                      x_mean=data.x_mean + delta)
-        # [:2] drops the coarse workspace before this level's is allocated
-        z, r = _cold(sub, grid, cfg, STAGE_TOL, tally)[:2]
-        z = np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
-        if r <= STAGE_TOL:
-            ladder = [cfg.epsilon]
-    if sd is None:
-        sd = SemiDual(data, grid)
-    if ladder is None:
-        ladder = _ladder(cfg.epsilon, sd.spread())
-    return (*_walk(sd, z, ladder, tol, cfg.max_iter, tally), sd)
+    I, J = grid.n_nodes, data.n_obs
+    if I * J < COARSE_MIN_ENTRIES or J // COARSE_STRIDE < I:
+        return np.zeros((I, 1 + data.n_cov)), math.inf
+    rows = slice(None, None, COARSE_STRIDE)
+    nu = data.nu[rows] / data.nu[rows].sum()
+    delta = nu @ data.X[rows]
+    sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
+                  x_mean=data.x_mean + delta)
+    z, eps_z = _coarse_start(sub, grid, cfg, tally)
+    z, r = _walk(SemiDual(sub, grid), z, eps_z, cfg, STAGE_TOL, tally)[:2]
+    z = np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
+    return z, cfg.epsilon if r <= STAGE_TOL else math.inf
 
 
 def solve_chain(data, grid, cfgs):
@@ -453,16 +454,15 @@ def solve_chain(data, grid, cfgs):
     turn, all on one SemiDual workspace with at most one spread pass: a
     generator of one result per config, in the order given.
 
-    A config starts from the z of the last config that converged, and walks
-    down only the rungs eps 4^k of its epsilon ladder that lie strictly
-    below that config's epsilon (Schmitzer's epsilon scaling, arXiv
-    1610.06519). The configs before the first that converges start cold
-    (see _cold): the first from a coarse level where one applies, the
-    others, whose workspace exists, from z = 0 down the whole ladder.
-    Given in descending epsilon, the list is one
-    descending chain. Each walk stops as _walk says, at STAGE_TOL on every
-    rung but cfg.epsilon's, and there at cfg.tol; max_iter bounds the
-    config's Newton steps over its levels and stages.
+    Every walk starts from one pair (z, eps_z), as _walk says. The chain
+    keeps the pair of the last config that converged, (z, cfg.epsilon), and
+    (0, inf) before one has; the first config alone starts instead from
+    _coarse_start's pair, whose workspace is freed before the chain's is
+    allocated. Given in descending epsilon, the list is one descending
+    chain: each config walks only the rungs below the last converged
+    epsilon. Each walk stops at STAGE_TOL on every rung but cfg.epsilon's,
+    and there at cfg.tol; max_iter bounds the config's Newton steps over its
+    levels and stages.
 
     Yields (DualVariables, Coupling, SolveReport) for a config that
     converges: the psi-dual point of the last accepted iterate in the
@@ -484,20 +484,19 @@ def solve_chain(data, grid, cfgs):
         raise ConfigError("covariates must be centered before solving")
 
     start = time.perf_counter()
-    sd = None
-    z_warm = eps_warm = None  # the last converged z and its epsilon
+    warm = np.zeros((grid.n_nodes, 1 + data.n_cov)), math.inf
     for n, cfg in enumerate(cfgs):
         tally = _Tally()
-        if z_warm is None:
-            z, r, lse, sd = _cold(data, grid, cfg, cfg.tol, tally, sd)
+        if n == 0:
+            z, eps_z = _coarse_start(data, grid, cfg, tally)
+            sd = SemiDual(data, grid)
         else:
-            rungs = _ladder(cfg.epsilon, sd.spread())
-            ladder = [e for e in rungs[:-1] if e < eps_warm] + rungs[-1:]
-            z, r, lse = _walk(sd, z_warm, ladder, cfg.tol, cfg.max_iter, tally)
+            z, eps_z = warm
+        z, r, lse = _walk(sd, z, eps_z, cfg, cfg.tol, tally)
         wall = time.perf_counter() - start
         converged = r <= cfg.tol
         if converged:
-            z_warm, eps_warm = z, cfg.epsilon
+            warm = z, cfg.epsilon
         if n == len(cfgs) - 1:
             # free the workspace before the last coupling pass allocates its own
             del sd
@@ -532,7 +531,7 @@ def solve_chain(data, grid, cfgs):
 
 
 def solve(data, grid, cfg):
-    """solve_chain at one config: a cold solve (see _cold).
+    """solve_chain at one config: a cold solve (see _coarse_start).
 
     Returns (DualVariables, Coupling, SolveReport); raises the
     NonConvergenceError (carrying the point and report) if the solve ends
@@ -550,8 +549,8 @@ def solve(data, grid, cfg):
 MODEL_KEYS = ("epsilon", "grid", "psi", "b", "x_mean", "x_names", "y_names")
 
 
-def model_to_json_dict(dv, data, grid, cfg, report):
-    return {
+def save_model(path, dv, data, grid, cfg, report):
+    doc = {
         "epsilon": cfg.epsilon,
         "grid": grid.to_json_dict(),
         "psi": base64.b64encode(dv.psi.astype("<f8").tobytes()).decode("ascii"),
@@ -563,13 +562,10 @@ def model_to_json_dict(dv, data, grid, cfg, report):
         "data_meta": dict(data.meta),
         "report": asdict(report),
     }
-
-
-def save_model(path, dv, data, grid, cfg, report):
     # json.dumps without indent runs json's C encoder; json.dump always runs
     # the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(model_to_json_dict(dv, data, grid, cfg, report)))
+        fh.write(json.dumps(doc))
 
 
 def _decode_psi(text):

@@ -522,6 +522,26 @@ def test_quantiles_model_without_checksum_is_config_error(tmp_path, capsys, dama
     assert "does not match the model" in err and "refit" in err
 
 
+@pytest.mark.parametrize("size", [119, 121])
+def test_quantiles_psi_length_not_matching_rows_is_config_error(tmp_path, capsys, size):
+    # psi cut or padded by one entry, with the checksum of the fitted CSV kept
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    doc = json.loads(open(model).read())
+    psi = np.resize(_psi(doc), size)
+    doc["psi"] = base64.b64encode(psi.astype("<f8").tobytes()).decode("ascii")
+    with open(model, "w") as fh:
+        fh.write(json.dumps(doc))
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--out", str(table)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "does not match the model" in err and f"{size} psi entries for 120 rows" in err
+    assert not table.exists()
+
+
 def test_fit_quantiles_without_covariates(tmp_path, capsys):
     data = tmp_path / "y.csv"
     data.write_text("y\n" + "\n".join(str(v) for v in range(1, 7)) + "\n")

@@ -75,8 +75,9 @@ def test_ball_variants(rng):
 def test_law_of_total_expectation(rng):
     data = _no_cov(rng.standard_normal(40))
     model = _fit_model(data, 8, 0.3)
+    mu = make_rank_grid(1, 8).mu
     total = sum(
-        model.mu[i] * qt.ball_conditional_quantile(model, [0.0], 1.0, i)[0]
+        mu[i] * qt.ball_conditional_quantile(model, [0.0], 1.0, i)[0]
         for i in range(model.n_nodes)
     )
     assert total == pytest.approx(float(data.nu @ data.Y[:, 0]), abs=1e-8)
@@ -114,8 +115,7 @@ def test_insufficient_mass(rng):
     data = _no_cov(rng.standard_normal(4))
     model = _fit_model(data, 2, 0.5)
     starved = QuantileModel(alpha=np.zeros_like(model.alpha), X=model.X,
-                            Y=model.Y, U=model.U, mu=model.mu, nu=model.nu,
-                            epsilon=model.epsilon)
+                            Y=model.Y, U=model.U, epsilon=model.epsilon)
     with pytest.raises(InsufficientMassError):
         qt.ball_conditional_quantile(starved, [0.0], 1.0, 0)
     # a node array reports its first starved node
@@ -171,8 +171,7 @@ def test_default_ball_is_five_percent_distance_quantile(rng, N, J):
     X = rng.standard_normal((J, N))
     alpha = rng.uniform(0.1, 1.0, (3, J))
     model = QuantileModel(alpha=alpha, X=X, Y=rng.standard_normal((J, 1)),
-                          U=np.array([[1 / 3], [2 / 3], [1.0]]), mu=np.full(3, 1 / 3),
-                          nu=np.full(J, 1.0 / J), epsilon=0.1)
+                          U=np.array([[1 / 3], [2 / 3], [1.0]]), epsilon=0.1)
     nodes = np.arange(3)
     for x in (X[J // 2], rng.standard_normal(N)):  # an observed and an unseen probe
         dist = np.linalg.norm(X - x, axis=1)
@@ -265,8 +264,7 @@ def test_monotonicity_diagnostic_clean_and_planted(rng):
     bad = QuantileModel(
         alpha=np.array([[0.0, 0.5], [0.5, 0.0]]),
         X=np.zeros((2, 1)), Y=np.array([[0.0], [1.0]]),
-        U=np.array([[0.5], [1.0]]), mu=np.full(2, 0.5), nu=np.full(2, 0.5),
-        epsilon=0.1)
+        U=np.array([[0.5], [1.0]]), epsilon=0.1)
     violations = qt.monotonicity_diagnostic(bad, [0.0], eta=1.0)
     assert len(violations) == 1
     a, b, drop = violations[0]
@@ -279,12 +277,12 @@ def test_monotonicity_diagnostic_multidim_pairs():
     good = QuantileModel(
         alpha=np.array([[0.5, 0.0], [0.0, 0.5]]),
         X=np.zeros((2, 1)), Y=np.array([[0.0, 0.0], [1.0, 1.0]]),
-        U=U, mu=np.full(2, 0.5), nu=np.full(2, 0.5), epsilon=0.1)
+        U=U, epsilon=0.1)
     assert qt.monotonicity_diagnostic(good, [0.0], eta=1.0) == []
     bad = QuantileModel(
         alpha=np.array([[0.0, 0.5], [0.5, 0.0]]),
         X=np.zeros((2, 1)), Y=np.array([[0.0, 0.0], [1.0, 1.0]]),
-        U=U, mu=np.full(2, 0.5), nu=np.full(2, 0.5), epsilon=0.1)
+        U=U, epsilon=0.1)
     assert len(qt.monotonicity_diagnostic(bad, [0.0], eta=1.0)) == 1
 
 
@@ -310,8 +308,7 @@ def test_monotonicity_diagnostic_matches_pairwise_loop(monkeypatch, rng, d, n, r
     Y = 2.0 * U + 0.1 * rng.standard_normal(U.shape)
     for a, b in ((0, I - 1), (1, I // 2), (3, I - 2)):
         Y[[a, b]] = Y[[b, a]]
-    model = QuantileModel(alpha=np.eye(I) / I, X=np.zeros((I, 1)), Y=Y, U=U,
-                          mu=np.full(I, 1.0 / I), nu=np.full(I, 1.0 / I), epsilon=0.1)
+    model = QuantileModel(alpha=np.eye(I) / I, X=np.zeros((I, 1)), Y=Y, U=U, epsilon=0.1)
     tol = 1e-3
     ref = _pairwise_violations(Y, U, tol)
     vals = [(Y[a] - Y[b]) @ (U[a] - U[b]) for a in range(I) for b in range(a + 1, I)]

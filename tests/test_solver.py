@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields, replace
 
@@ -418,7 +419,7 @@ def test_spent_steps_skip_to_the_last_rung(rng, monkeypatch):
     with pytest.raises(NonConvergenceError) as exc:
         solver.solve(data, grid, cfg)
     r = exc.value.report
-    ladder = solver._ladder(cfg.epsilon, float(np.ptp(grid.U @ data.Y.T)))
+    ladder = solver._ladder(cfg.epsilon, math.inf, solver.SemiDual(data, grid))
     rungs = list(dict.fromkeys(seen))
     assert r.iterations == 1 and len(ladder) > 40
     assert rungs == ladder[:r.stages - 1] + [ladder[-1]] and r.stages < 5
@@ -470,7 +471,7 @@ def test_chain_walks_the_rungs_below_the_last_converged_epsilon(rng, monkeypatch
         seen.clear()
         if len(rungs) == 2:
             assert result[2].iterations == 0 and result[2].stages == 1
-    assert rungs[0] == solver._ladder(1.0, float(np.ptp(grid.U @ data.Y.T)))
+    assert rungs[0] == solver._ladder(1.0, math.inf, solver.SemiDual(data, grid))
     assert rungs[1:] == [[1.0], [0.4, 0.1]]
 
 
@@ -731,6 +732,75 @@ def test_chain_solves_one_coarse_level_at_most(monkeypatch):
     monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 10 ** 18)
     _, _, cold = solver.solve(data, grid, cfgs[1])
     assert second[2].oracle_calls == cold.oracle_calls
+
+
+def test_ladder_reads_the_spread_only_when_a_rung_fits_below_eps_z():
+    class Workspace:
+        calls = 0
+
+        def spread(self):
+            self.calls += 1
+            return 10.0
+
+    sd = Workspace()
+    assert solver._ladder(0.02, 0.08, sd) == [0.02] and sd.calls == 0
+    assert solver._ladder(0.02, 0.0801, sd) == [0.08, 0.02] and sd.calls == 1
+    # the top rung is the largest at most LADDER_TOP * 10 = 4
+    assert solver._ladder(0.02, math.inf, sd) == [1.28, 0.32, 0.08, 0.02]
+
+
+@pytest.mark.parametrize("case", ["cold", "coarse", "warm", "first_fails"])
+def test_every_walk_starts_by_one_rule(monkeypatch, case):
+    # every walk starts from a pair (z, eps_z) and runs the rungs eps 4^k
+    # strictly below eps_z and at most LADDER_TOP times the spread, then
+    # eps: eps_z = inf for a cold start, on the full sample or on the coarse
+    # rows, eps on the full sample after a coarse level that reached
+    # STAGE_TOL, and the last converged epsilon in a chain. The spread pass
+    # runs at most once per workspace, and never on a full level that starts
+    # at its rung eps.
+    data, grid = _fit_instance()
+    cfg = SolverConfig(epsilon=0.02, tol=1e-7)
+    capped = SolverConfig(epsilon=0.1, tol=1e-12, max_iter=1)
+    cfgs, coarse_min = {
+        "cold": ([cfg], solver.COARSE_MIN_ENTRIES),
+        "coarse": ([cfg], 12000),
+        "warm": ([SolverConfig(epsilon=0.32, tol=1e-7), cfg], 10 ** 18),
+        "first_fails": ([capped, cfg], 10 ** 18),
+    }[case]
+    monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", coarse_min)
+
+    def rungs(eps, eps_z, rows=slice(None)):
+        top = solver.LADDER_TOP * np.ptp(grid.U @ data.Y[rows].T)
+        return [eps * 4.0 ** k for k in range(60, 0, -1)
+                if eps * 4.0 ** k < eps_z and eps * 4.0 ** k <= top] + [eps]
+
+    # the cold ladder at 0.02 on these rows is 0.32, 0.08, 0.02
+    assert rungs(0.02, math.inf) == [0.32, 0.08, 0.02]
+    expected = {  # per config: the full level's rungs, and the coarse level's
+        "cold": [(rungs(0.02, math.inf), None)],
+        "coarse": [([0.02], rungs(0.02, math.inf, slice(None, None, 4)))],
+        "warm": [(rungs(0.32, math.inf), None), ([0.08, 0.02], None)],
+        "first_fails": [(None, None), (rungs(0.02, math.inf), None)],
+    }[case]
+    seen = []  # (rows, eps) of each semi-dual pass
+    real = solver.SemiDual.evaluate
+    monkeypatch.setattr(solver.SemiDual, "evaluate", lambda sd, z, eps: seen.append(
+        (sd.data.n_obs, eps)) or real(sd, z, eps))
+    spread_passes = []  # the workspace of each spread pass
+    real_spread = solver.SemiDual.spread
+    monkeypatch.setattr(solver.SemiDual, "spread", lambda sd: (
+        sd._spread is None and spread_passes.append(sd)) or real_spread(sd))
+    results = solver.solve_chain(data, grid, cfgs)
+    for config, result, (full, coarse) in zip(cfgs, results, expected, strict=True):
+        assert isinstance(result, NonConvergenceError) == (config is capped)
+        for rows, want in ((1200, full), (300, coarse)):
+            eps_seen = [e for n, e in seen if n == rows]
+            if want is not None:
+                assert eps_seen == sorted(eps_seen, reverse=True)
+                assert list(dict.fromkeys(eps_seen)) == want
+        seen.clear()
+    assert len(set(map(id, spread_passes))) == len(spread_passes)
+    assert [sd.data.n_obs for sd in spread_passes] == [300 if case == "coarse" else 1200]
 
 
 @pytest.mark.parametrize("eps", [2e307, 1e308])
