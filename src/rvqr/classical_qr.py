@@ -7,13 +7,19 @@ pinball regression,
     max_a sum_j nu_j y_j a_j  s.t.  A a = (1 - t) A 1,  0 <= a <= 1,
     A = (nu * [1, X])^T  (p x J, p = 1 + N),
 
-by the Frisch-Newton interior point (Portnoy & Koenker, Statistical Science
-1997; quantreg's rq.fit.fnb) with Mehrotra predictor-corrector steps; the
-coefficients are minus the multipliers of the equality rows. Near the end
-it tries the optimal vertex the iterate points to (basis identification,
-Megiddo, ORSA J. Computing 1991), which makes the fit exact to round-off.
-Either way it stops at a duality gap, which bounds the excess pinball loss,
-of GAP_TOL times the response's spread.
+whose coefficients are minus the multipliers of the equality rows. A level
+runs the Frisch-Newton interior point (Portnoy & Koenker, Statistical
+Science 1997; quantreg's rq.fit.fnb) with Mehrotra predictor-corrector
+steps. Near the end it tries the optimal vertex the iterate points to
+(basis identification, Megiddo, ORSA J. Computing 1991), which makes the fit
+exact to round-off. Either way it stops at a duality gap, which bounds the
+excess pinball loss, of GAP_TOL times the response's spread.
+
+Levels differ only in the right-hand side, so one level's optimal basis is
+a dual-feasible start for the next: a level after one that ended at a
+vertex runs a bound-flipping dual simplex from it instead (the parametric
+walk of Koenker & d'Orey, JRSS C 1987), a few pivots where the interior
+point takes ~10 steps, and falls back to the interior point if it fails.
 """
 
 import warnings
@@ -38,11 +44,18 @@ STEP_FRACTION = 0.9995  # share of the distance to the boundary a step takes
 # steps it saved
 VERTEX_SHARE = 1e-3
 FEAS_TOL = 1e-10  # round-off allowed in a vertex's bounds and rows
+# dual simplex pivots a level may take before it falls back; curves of 19
+# levels took at most 23 a level, with ties, heavy tails and N up to 3
+MAX_PIVOTS = 100
+PIVOT_TOL = 1e-9  # smallest |alpha_j| the ratio test takes as a pivot
 START_SLACK = 1e-3  # the start's dual slacks are >= this * nu_j * spread
 
 
 @dataclass(frozen=True)
 class QrFit:
+    """The fit at level t. `iterations` counts the level's interior-point
+    steps, or its dual simplex pivots if it started from the previous
+    level's vertex."""
     t: float
     alpha: float
     beta: np.ndarray
@@ -82,27 +95,102 @@ def _independent_columns(data):
     return active
 
 
+def _basic_x(A, b, basis, upper):
+    """x: 1 on `upper` and 0 elsewhere off the basis, and A x = b solved on
+    the basis. Raises LinAlgError on a singular basis."""
+    x = upper.astype(float)
+    x[basis] = np.linalg.solve(A[:, basis], b - A @ x)
+    return x
+
+
+def _certify(A, c, b, x, y, excess, basis, row_tol):
+    """The duality gap c.x - b.y + sum(max(excess, 0)), excess = A'y - c, if
+    x_B lies in [0, 1] and A x = b, both to round-off (row_tol = FEAS_TOL *
+    sum_j |A_ij|); else None."""
+    xb = x[basis]
+    if not (np.all(xb >= -FEAS_TOL) and np.all(xb <= 1.0 + FEAS_TOL)
+            and np.all(np.abs(A @ x - b) <= row_tol)):
+        return None
+    return float(c @ x - b @ y + np.maximum(excess, 0.0).sum())
+
+
 def _vertex(A, c, b, frac):
     """The basic solution on the 1 + N largest entries of `frac`: y from
     a_j.y = c_j on the basis, x_j = 1 where a_j.y > c_j off it and 0
-    elsewhere, x on the basis from A x = b. Returns (y, gap) if x lies in
-    [0, 1] and A x = b to round-off, else None. Such a y is dual feasible
-    with w = max(A'y - c, 0) by construction, so the gap is round-off."""
-    basis = np.argpartition(frac, -A.shape[0])[-A.shape[0]:]
-    AB = A[:, basis]
+    elsewhere, x on the basis from A x = b. Returns (y, gap, (basis, upper))
+    if `_certify` accepts x, else None; `upper` marks the x_j = 1 off the basis.
+    Such a y is dual feasible with w = max(A'y - c, 0) by construction, so
+    the gap is round-off. The basis is in index order, as in
+    `_dual_simplex`, so that both give the same y on the same basis."""
+    basis = np.sort(np.argpartition(frac, -A.shape[0])[-A.shape[0]:])
     try:
-        y = np.linalg.solve(AB.T, c[basis])
-        excess = A.T @ y - c
-        x = (excess > 0).astype(float)
-        x[basis] = 0.0
-        x[basis] = np.linalg.solve(AB, b - A @ x)
+        y = np.linalg.solve(A[:, basis].T, c[basis])
+        excess = y @ A - c
+        upper = excess > 0
+        upper[basis] = False
+        x = _basic_x(A, b, basis, upper)
     except np.linalg.LinAlgError:  # singular basis, e.g. repeated rows
         return None
-    xb = x[basis]
-    if not (np.all(xb >= -FEAS_TOL) and np.all(xb <= 1.0 + FEAS_TOL)
-            and np.all(np.abs(A @ x - b) <= FEAS_TOL * np.abs(A).sum(axis=1))):
-        return None
-    return y, float(c @ x - b @ y + np.maximum(excess, 0.0).sum())
+    gap = _certify(A, c, b, x, y, excess, basis, FEAS_TOL * np.abs(A).sum(axis=1))
+    return None if gap is None else (y, gap, (basis, upper))
+
+
+def _dual_simplex(A, c, b, tol, basis, upper):
+    """min c.x s.t. A x = b, 0 <= x <= 1 by the dual simplex with the
+    bound-flipping ratio test (Kostina, Math. Meth. Oper. Res. 2002), from a
+    dual-feasible basis, such as one optimal for another b. `upper` holds
+    the nonbasic bounds, x_j = 1 where set; only a flip or a leaving
+    variable changes it, never the sign of a reduced cost, which on tied
+    data is 0 at many j. Updates (basis, upper) in place.
+    Returns (y, pivots, gap, (basis, upper)) once `_certify` accepts x with
+    gap <= tol, or None after a singular basis, an empty ratio test or
+    MAX_PIVOTS pivots.
+    """
+    row_tol = FEAS_TOL * np.abs(A).sum(axis=1)
+    for pivots in range(MAX_PIVOTS + 1):
+        AB = A[:, basis]
+        try:
+            y = np.linalg.solve(AB.T, c[basis])
+            x = _basic_x(A, b, basis, upper)
+        except np.linalg.LinAlgError:
+            return None
+        excess = y @ A - c
+        gap = _certify(A, c, b, x, y, excess, basis, row_tol)
+        if gap is not None:
+            return (y, pivots, gap, (basis, upper)) if gap <= tol else None
+        if pivots == MAX_PIVOTS:
+            return None
+        # x_r, the basic x furthest outside [0, 1], leaves at the bound it
+        # violates; its tableau row alpha = (A_B^-1 A)_r, signed so that the
+        # reduced costs of the nonbasic j with alpha_j > 0 move towards 0
+        xb = x[basis]
+        k = int(np.argmax(np.maximum(-xb, xb - 1.0)))
+        r, below = basis[k], xb[k] < 0.0
+        short = -xb[k] if below else xb[k] - 1.0
+        alpha = np.linalg.solve(AB.T, np.eye(A.shape[0])[k]) @ A
+        alpha[basis] = 0.0
+        alpha = np.where(upper != below, -alpha, alpha)
+        cand = np.flatnonzero(alpha > PIVOT_TOL)
+        size = alpha[cand]
+        ratio = np.abs(excess[cand]) / size
+        # breakpoints ratio_j are passed smallest first (ties: larger alpha_j
+        # first) while their alpha_j leave x_r short of its bound; only the
+        # smallest n are sorted, n growing until the pass ends inside them
+        n = 64
+        while True:
+            near = np.argpartition(ratio, n)[:n] if n < cand.size else np.arange(cand.size)
+            near = near[np.lexsort((-size[near], ratio[near]))]
+            m = int(np.searchsorted(np.cumsum(size[near]), short))
+            if near.size == cand.size or (m < n and ratio[near[m]] < ratio[near[-1]]):
+                break
+            n *= 4
+        if m == cand.size:
+            return None
+        upper[cand[near[:m]]] ^= True  # the breakpoints passed flip their bound
+        q = cand[near[m]]
+        upper[r], upper[q] = not below, False
+        basis[k] = q
+        basis.sort()
 
 
 def _step_length(worst):
@@ -118,7 +206,9 @@ def _frisch_newton(A, c, t, tol, y, z, w):
     Steps keep both sides feasible and drive x z and s w to 0.
     Once the gap is below VERTEX_SHARE of its first value, each step first
     tries the vertex the iterate points to (`_vertex`).
-    Returns (y, steps, gap) at the first gap <= tol or after MAX_STEPS.
+    Returns (y, steps, gap, vertex) at the first gap <= tol or after
+    MAX_STEPS; vertex is `_vertex`'s (basis, upper) if the fit ended there,
+    else None.
     """
     J = c.size
     x, s = np.full(J, 1.0 - t), np.full(J, t)
@@ -131,13 +221,13 @@ def _frisch_newton(A, c, t, tol, y, z, w):
         rx -= c
         gap = float(c @ x - b @ y + np.maximum(rx, 0.0, out=rx).sum())
         if gap <= tol or steps == MAX_STEPS:
-            return y, steps, gap
+            return y, steps, gap, None
         if steps == 0:
             first_gap = gap
         elif gap <= VERTEX_SHARE * first_gap:
             vertex = _vertex(A, c, b, np.minimum(x, s))
             if vertex is not None and vertex[1] <= tol:
-                return vertex[0], steps, vertex[1]
+                return vertex[0], steps, vertex[1], vertex[2]
         # predictor: the affine Newton step towards x z = s w = 0
         np.reciprocal(x, out=ix)
         np.reciprocal(s, out=is_)
@@ -216,10 +306,16 @@ def _frisch_newton(A, c, t, tol, y, z, w):
 
 def fit_qr_curve(data, t_grid):
     """Exact pinball regression of Y on (1, X) at each level of t_grid, one
-    QrFit per level; `iterations` counts interior-point steps. A covariate
-    that is constant or collinear with the intercept and the covariates
-    before it gets one warning and a zero coefficient at every level. A gap
-    above GAP_TOL times the spread after MAX_STEPS steps raises
+    QrFit per level, walked in the order given. The first level, and any
+    level after one that did not end at a vertex (repeated rows, say), runs
+    the interior point from a start shared by all levels; any other runs
+    the dual simplex from the previous level's vertex, and the interior
+    point if that fails. Both solve y on the same basis alike, so a level's
+    coefficients are those of the level fitted alone, bit for bit, wherever
+    its optimum is unique. A covariate that is constant or
+    collinear with the intercept and the covariates before it gets one
+    warning and a zero coefficient at every level. A gap above GAP_TOL
+    times the spread after MAX_STEPS interior-point steps raises
     NonConvergenceError.
     """
     if data.n_dim != 1:
@@ -242,9 +338,11 @@ def fit_qr_curve(data, t_grid):
     r = c - A.T @ y0
     z0 = np.maximum(r, 0.0) + slack
     start = (y0, z0, z0 - r)
-    fits = []
+    fits, vertex = [], None
     for t in t_grid:
-        y_dual, steps, gap = _frisch_newton(A, c, t, tol, *(v.copy() for v in start))
+        warm = vertex and _dual_simplex(A, c, A @ np.full(c.size, 1.0 - t), tol, *vertex)
+        y_dual, steps, gap, vertex = warm or _frisch_newton(
+            A, c, t, tol, *(v.copy() for v in start))
         coef = -y_dual
         if not gap <= tol:
             raise NonConvergenceError(f"pinball fit at t={t}: duality gap {gap:.3e} "

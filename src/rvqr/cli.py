@@ -176,7 +176,11 @@ def cmd_compare_qr(args):
         else:
             ref, est = soft, quantiles.quantile_table(
                 model, probes, interior, eta=eta, hard=True)[:, :, 0]
-        return np.linalg.norm(ref - est, axis=1) / np.linalg.norm(ref, axis=1)
+        # both scaled by the power of two at max |ref| per probe: exact, and
+        # the squares in the norms cannot overflow at a probe like 1e200
+        scale = np.ldexp(1.0, -np.frexp(np.abs(ref).max(axis=1, keepdims=True))[1])
+        return (np.linalg.norm((ref - est) * scale, axis=1)
+                / np.linalg.norm(ref * scale, axis=1))
 
     header = ["probe"] + [f"eps_{e:g}" for e in eps_list]
     lines = [",".join(header)]

@@ -60,9 +60,15 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
     if eta is not None and eta < 0:
         raise ConfigError("eta must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
-    dist = np.linalg.norm(model.X - x[None, :], axis=1)
+    diff = model.X - x[None, :]
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(diff, axis=1)
     if eta is None:
         eta = default_eta(dist)
+        if eta == np.inf:  # squares past 1e308, at a probe like 1e200
+            scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max())[1])
+            dist = np.linalg.norm(diff * scale, axis=1) / scale
+            eta = default_eta(dist)
     idx = np.nonzero(dist <= eta)[0]
     if idx.size == 0:
         raise EmptyBallError(x, eta, float(dist.min()))

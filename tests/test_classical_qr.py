@@ -169,7 +169,8 @@ def test_vertex_finish_ends_the_fit(rng, monkeypatch):
     X = rng.standard_normal((300, 2))
     data = center_covariates(Dataset(X=X, Y=(X @ [1.0, -2.0] + rng.standard_normal(300))[:, None],
                                      nu=np.full(300, 1 / 300), x_mean=np.zeros(2)))
-    fits = cq.fit_qr_curve(data, (0.1, 0.37, 0.9))
+    # one level per curve: in a curve, levels after a vertex start from it
+    fits = [cq.fit_qr_curve(data, [t])[0] for t in (0.1, 0.37, 0.9)]
     # every level ends at an accepted vertex, one try each or a few more
     assert counts["calls"] - counts["rejected"] == 3
     for fit in fits:
@@ -271,16 +272,137 @@ def test_curve_tests_rank_once(rng, monkeypatch):
     assert all(f.beta[1] == 0.0 for f in fits)
 
 
+def _normal_instance(rng, J=400):
+    x = rng.normal(size=(J, 2))
+    y = x @ [1.0, -0.5] + rng.standard_normal(J)
+    return center_covariates(Dataset(X=x, Y=y[:, None], nu=np.full(J, 1 / J),
+                                     x_mean=np.zeros(2)))
+
+
 def test_curve_start_shared_by_levels_matches_per_level_start(rng):
     # the curve computes the dual start once and steps a copy of it at each
-    # level; every fit is bit for bit that of its level fitted alone
-    x = rng.normal(size=(400, 2))
-    y = x @ [1.0, -0.5] + rng.standard_normal(400)
-    data = center_covariates(Dataset(X=x, Y=y[:, None], nu=np.full(400, 1 / 400),
-                                     x_mean=np.zeros(2)))
+    # cold level; every level, reached warm or not, has the coefficients of
+    # its level fitted alone bit for bit (warm levels count pivots instead
+    # of interior-point steps)
+    data = _normal_instance(rng)
     levels = np.linspace(0.05, 0.95, 9)
     for fit, t in zip(cq.fit_qr_curve(data, levels), levels):
+        (alone,) = cq.fit_qr_curve(data, [t])
+        assert (fit.alpha, fit.loss) == (alone.alpha, alone.loss)
+        assert fit.beta.tobytes() == alone.beta.tobytes()
+
+
+LEVELS_19 = np.linspace(0.05, 0.95, 19)
+
+
+def _record_level_starts(monkeypatch):
+    """Wrap the two level solvers; the returned list gets one entry per call:
+    ("cold", ended at a vertex, steps) or ("warm", certified, pivots)."""
+    events = []
+    newton, simplex = cq._frisch_newton, cq._dual_simplex
+
+    def cold(*args):
+        out = newton(*args)
+        events.append(("cold", out[3] is not None, out[1]))
+        return out
+
+    def warm(*args):
+        out = simplex(*args)
+        events.append(("warm", out is not None, out and out[1]))
+        return out
+
+    monkeypatch.setattr(cq, "_frisch_newton", cold)
+    monkeypatch.setattr(cq, "_dual_simplex", warm)
+    return events
+
+
+def _check_level_starts(events, fits):
+    """A level starts warm exactly when the level before it ended at a
+    vertex; a failed warm start falls back to the interior point, and
+    `iterations` counts the solver that gave the fit. Returns the number of
+    levels fitted warm."""
+    events, at_vertex, n_warm = list(events), False, 0
+    for fit in fits:
+        kind, ended, count = events.pop(0)
+        assert kind == ("warm" if at_vertex else "cold")
+        if kind == "warm" and not ended:
+            kind, ended, count = events.pop(0)
+            assert kind == "cold"
+        n_warm += kind == "warm"
+        at_vertex = ended
+        assert fit.iterations == count
+    assert not events
+    return n_warm
+
+
+def _hard_input(rng, name):
+    if name.startswith("tied"):
+        # y to 0.1, X to integers: ties in the data and zero reduced costs
+        n_cov = int(name[-1])
+        X = np.round(2.0 * rng.standard_normal((400, n_cov)))
+        y = np.round(X.sum(axis=1) / 2 + rng.standard_normal(400), 1)
+    elif name == "duplicated":
+        x = rng.uniform(0, 1, 150)
+        y = x + rng.standard_normal(150)
+        X, y = np.r_[x, x][:, None], np.r_[y, y]
+    elif name == "collinear":
+        x = rng.uniform(0, 1, 300)
+        X, y = np.c_[x, 2 * x], x + rng.standard_normal(300)
+    else:
+        X = rng.uniform(0, 1, (5000, 1))
+        noise = rng.standard_cauchy(5000) if name == "cauchy" else rng.pareto(0.7, 5000)
+        y = X[:, 0] + noise
+    J, n_cov = X.shape
+    return center_covariates(Dataset(X=X, Y=y[:, None], nu=np.full(J, 1 / J),
+                                     x_mean=np.zeros(n_cov)))
+
+
+@pytest.mark.filterwarnings("ignore:covariate column")
+@pytest.mark.parametrize("name", ["tied0", "tied1", "tied2", "duplicated",
+                                  "collinear", "cauchy", "pareto"])
+def test_warm_curve_matches_highs_on_hard_inputs(rng, monkeypatch, name):
+    data = _hard_input(rng, name)
+    events = _record_level_starts(monkeypatch)
+    fits = cq.fit_qr_curve(data, LEVELS_19)
+    n_warm = _check_level_starts(events, fits)
+    spread = np.ptp(data.Y)
+    for fit in fits:
+        _, value = oracles.koenker_bassett_lp(data, fit.t)
+        assert abs(fit.loss - value) <= 1e-12 * spread
+    if name == "duplicated":
+        # identical rows are equally fractional along the central path, so
+        # no level ends at a vertex and none starts warm
+        assert n_warm == 0 and not any(ended for _, ended, _ in events)
+    else:
+        # and no warm start stalls at the pivot cap or fails
+        assert n_warm > 0
+        assert all(ended for kind, ended, _ in events if kind == "warm")
+
+
+def test_pivot_cap_zero_falls_back_to_the_level_alone(rng, monkeypatch):
+    monkeypatch.setattr(cq, "MAX_PIVOTS", 0)
+    data = _normal_instance(rng)
+    levels = np.linspace(0.05, 0.95, 9)
+    events = _record_level_starts(monkeypatch)
+    fits = cq.fit_qr_curve(data, levels)
+    assert _check_level_starts(events, fits) == 0
+    assert [kind for kind, *_ in events].count("warm") == len(levels) - 1
+    for fit, t in zip(fits, levels):
         (alone,) = cq.fit_qr_curve(data, [t])
         assert (fit.alpha, fit.loss, fit.iterations) == (alone.alpha, alone.loss,
                                                           alone.iterations)
         assert fit.beta.tobytes() == alone.beta.tobytes()
+
+
+def test_curve_on_permuted_rows_matches(rng):
+    # J = 997: no level puts t J on an integer, so each optimum is unique
+    data = _normal_instance(rng, J=997)
+    perm = rng.permutation(997)
+    shuffled = center_covariates(Dataset(X=data.X[perm] + data.x_mean, Y=data.Y[perm],
+                                         nu=data.nu, x_mean=np.zeros(2)))
+    tol = 1e-13 * np.ptp(data.Y)
+    for fit, other in zip(cq.fit_qr_curve(data, LEVELS_19),
+                          cq.fit_qr_curve(shuffled, LEVELS_19)):
+        assert abs(fit.alpha - other.alpha) <= tol
+        assert np.abs(fit.beta - other.beta).max() <= tol
+        assert abs(fit.loss - other.loss) <= tol

@@ -275,6 +275,16 @@ def test_compare_qr_empty_probe_list_prints_header_only(tmp_path, capsys, mode):
     assert capsys.readouterr().err == ""
 
 
+def test_compare_qr_huge_probe_reads_finite(tmp_path, capsys):
+    # at x = 1e200 the baseline's quantiles are ~1e200 and their squares
+    # overflow; the soft readout is O(1), so each error is 1 to print precision
+    out = tmp_path / "cmp.csv"
+    code = _compare_qr(tmp_path, "--epsilons", "1,0.5", "--probes", "1e200,-1e200",
+                       "--out", str(out))
+    assert code == cli.EXIT_OK
+    assert out.read_text() == "probe,eps_1,eps_0.5\np1,1,1\np2,1,1\n"
+
+
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):
     code = _compare_qr(tmp_path, "--grid", "2", "--epsilons", "1")
     assert code == cli.EXIT_CONFIG

@@ -186,6 +186,26 @@ def test_default_ball_is_five_percent_distance_quantile(rng, N, J):
             qt.ball_conditional_quantile(model, x, None, nodes))
 
 
+def test_default_ball_at_distances_whose_squares_overflow(rng):
+    # covariates 1e160, 2e160, ...: every squared distance to the probe 0
+    # overflows, yet the default ball is the ceil(J / 20) = 5 nearest rows,
+    # as on the same data divided by 1e160
+    J = 100
+    alpha = rng.uniform(0.1, 1.0, (3, J))
+    Y = rng.standard_normal((J, 1))
+    U = np.array([[1 / 3], [2 / 3], [1.0]])
+    nodes = np.arange(3)
+    X = np.arange(1.0, J + 1.0)[:, None]
+    huge = QuantileModel(alpha=alpha, X=X * 1e160, Y=Y, U=U, epsilon=0.1)
+    unit = QuantileModel(alpha=alpha, X=X, Y=Y, U=U, epsilon=0.1)
+    np.testing.assert_array_equal(
+        qt.ball_conditional_quantile(huge, [0.0], None, nodes),
+        qt.ball_conditional_quantile(unit, [0.0], None, nodes))
+    np.testing.assert_array_equal(
+        qt.ball_conditional_quantile(unit, [0.0], None, nodes),
+        qt.ball_conditional_quantile(unit, [0.0], 5.0, nodes))
+
+
 def test_default_ball_keeps_ties_at_the_kth_distance():
     # J = 40 on the integers: k = 2, and the probe's two neighbours tie at 1
     dist = np.abs(np.arange(40.0) - 10.0)
