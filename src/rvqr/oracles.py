@@ -4,7 +4,7 @@ Deliberately shares no softmax/log-sum-exp code with the solver: everything
 here goes through scipy.special.logsumexp or explicit summation, so an
 agreement between the two routes is evidence, not tautology. The
 Koenker-Bassett reference goes through HiGHS (scipy.optimize.linprog), not
-the classical_qr interior point.
+the classical_qr dual simplex.
 """
 
 from dataclasses import dataclass
@@ -311,7 +311,7 @@ def run_all_checks(seed=0):
     if "limit_deviation" in eq:
         record("unregularized_limit", eq["limit_deviation"], eq["limit_bound"])
 
-    # interior-point pinball regression against the HiGHS rank-score LP;
+    # the dual simplex's pinball regression against the HiGHS rank-score LP;
     # t J is not an integer, so the coefficients are unique
     Xq = rng.standard_normal((203, 2))
     dataq = center_covariates(Dataset(

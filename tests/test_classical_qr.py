@@ -148,87 +148,57 @@ def test_fit_matches_highs_rank_score_lp(rng, n_cov):
     assert scale_errs and max(scale_errs) <= 1e-13
 
 
-def _count_vertex_calls(monkeypatch, reject=False):
-    """Wrap _vertex; the returned dict counts its calls and its rejections.
-    With reject=True every vertex is rejected: the pure interior point."""
-    counts = {"calls": 0, "rejected": 0}
-    vertex = cq._vertex
+def test_pilot_skips_rank_dropping_repeated_rows(rng, monkeypatch):
+    # every row twice: the two copies of a row have the same residual, so
+    # they are neighbours in the pilot's order and the second one does not
+    # raise the rank of A_B; the pilot skips it and still starts the fit
+    bases = []
+    pilot = cq._pilot
 
-    def counted(*args):
-        out = None if reject else vertex(*args)
-        counts["calls"] += 1
-        counts["rejected"] += out is None
+    def recorded(*args):
+        out = pilot(*args)
+        bases.append(out[0].copy())
         return out
 
-    monkeypatch.setattr(cq, "_vertex", counted)
-    return counts
-
-
-def test_vertex_finish_ends_the_fit(rng, monkeypatch):
-    counts = _count_vertex_calls(monkeypatch)
-    X = rng.standard_normal((300, 2))
-    data = center_covariates(Dataset(X=X, Y=(X @ [1.0, -2.0] + rng.standard_normal(300))[:, None],
-                                     nu=np.full(300, 1 / 300), x_mean=np.zeros(2)))
-    # one level per curve: in a curve, levels after a vertex start from it
-    fits = [cq.fit_qr_curve(data, [t])[0] for t in (0.1, 0.37, 0.9)]
-    # every level ends at an accepted vertex, one try each or a few more
-    assert counts["calls"] - counts["rejected"] == 3
-    for fit in fits:
-        coef, _ = oracles.koenker_bassett_lp(data, fit.t)
-        np.testing.assert_allclose(np.r_[fit.alpha, fit.beta], coef, rtol=0,
-                                   atol=1e-13 * np.ptp(data.Y))
-
-
-@pytest.mark.parametrize("n_cov", [0, 1, 2])
-def test_pure_interior_point_matches_highs(rng, monkeypatch, n_cov):
-    # every vertex rejected: the steps alone reach the gap
-    counts = _count_vertex_calls(monkeypatch, reject=True)
-    for trial in range(2):
-        J = int(rng.integers(30, 400))
-        X = rng.standard_normal((J, n_cov))
-        y = X @ rng.standard_normal(n_cov) + rng.standard_normal(J)
-        if trial:
-            y = np.round(y, 1)  # ties
-        data = center_covariates(Dataset(X=X + 3.0, Y=y[:, None], nu=np.full(J, 1 / J),
-                                         x_mean=np.zeros(n_cov)))
-        for t in (0.05, 0.5, 0.95):
-            fit = cq.fit_qr_curve(data, [t])[0]
-            _, value = oracles.koenker_bassett_lp(data, t)
-            assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
-    assert counts["calls"] > 0 and counts["rejected"] == counts["calls"]
-
-
-def test_singular_basis_falls_back_to_steps(rng, monkeypatch):
-    # every row twice: the most fractional x_j come in identical pairs, so
-    # the basis is singular and each vertex try is rejected
-    counts = _count_vertex_calls(monkeypatch)
+    monkeypatch.setattr(cq, "_pilot", recorded)
     x = rng.uniform(0, 1, 100)
     y = x + rng.standard_normal(100)
     data = center_covariates(Dataset(X=np.r_[x, x][:, None], Y=np.r_[y, y][:, None],
                                      nu=np.full(200, 1 / 200), x_mean=np.zeros(1)))
     fit = cq.fit_qr_curve(data, [0.3])[0]
-    assert counts["calls"] > 0 and counts["rejected"] == counts["calls"]
+    A = np.vstack([data.nu, data.nu * data.X[:, 0]])
+    c = -data.nu * data.Y[:, 0]
+    e = (np.linalg.lstsq(A.T, c, rcond=None)[0] @ A - c) / data.nu
+    order = np.argsort(np.abs(e - cq.empirical_quantile(e, 0.3)), kind="stable")
+    assert np.linalg.matrix_rank(A[:, order[:2]]) == 1
+    (basis,) = bases
+    assert order[0] in basis and np.linalg.matrix_rank(A[:, basis]) == 2
     _, value = oracles.koenker_bassett_lp(data, 0.3)
     assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
 
 
 def test_heavy_tailed_response_converges(rng):
-    # Cauchy errors: the fit at t = 0.95 takes more than the 50 steps that
-    # were once the cap
+    # Cauchy errors at t = 0.95: the level started from its pilot ends at
+    # the optimum within the pivot cap
     X = rng.uniform(0, 1, (5000, 1))
     y = X[:, 0] + rng.standard_cauchy(5000)
     data = center_covariates(Dataset(X=X, Y=y[:, None], nu=np.full(5000, 1 / 5000),
                                      x_mean=np.zeros(1)))
     fit = cq.fit_qr_curve(data, [0.95])[0]
     _, value = oracles.koenker_bassett_lp(data, 0.95)
-    assert fit.iterations > 50
+    assert 0 < fit.iterations <= cq.MAX_PIVOTS
     assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
 
 
 def test_step_cap_raises_nonconvergence(rng, monkeypatch):
-    monkeypatch.setattr(cq, "MAX_STEPS", 2)
-    with pytest.raises(NonConvergenceError, match="duality gap"):
-        cq.fit_qr_curve(_dataset(rng.standard_normal(100)), [0.3])
+    # the pilot is not optimal on this input, so no pivot allowed means no
+    # certified vertex; the error carries no coefficients
+    data = _normal_instance(rng)
+    assert cq.fit_qr_curve(data, [0.3])[0].iterations > 0
+    monkeypatch.setattr(cq, "MAX_PIVOTS", 0)
+    with pytest.raises(NonConvergenceError, match="0 dual simplex pivots") as err:
+        cq.fit_qr_curve(data, [0.3])
+    assert err.value.best is None
 
 
 def test_rejects_bad_inputs(rng):
@@ -280,10 +250,10 @@ def _normal_instance(rng, J=400):
 
 
 def test_curve_start_shared_by_levels_matches_per_level_start(rng):
-    # the curve computes the dual start once and steps a copy of it at each
-    # cold level; every level, reached warm or not, has the coefficients of
-    # its level fitted alone bit for bit (warm levels count pivots instead
-    # of interior-point steps)
+    # the curve computes the least-squares residuals that order every pilot
+    # once; every level, reached from the previous level's basis or not, has
+    # the coefficients of its level fitted alone bit for bit (only the pivot
+    # counts differ)
     data = _normal_instance(rng)
     levels = np.linspace(0.05, 0.95, 9)
     for fit, t in zip(cq.fit_qr_curve(data, levels), levels):
@@ -295,41 +265,47 @@ def test_curve_start_shared_by_levels_matches_per_level_start(rng):
 LEVELS_19 = np.linspace(0.05, 0.95, 19)
 
 
-def _record_level_starts(monkeypatch):
-    """Wrap the two level solvers; the returned list gets one entry per call:
-    ("cold", ended at a vertex, steps) or ("warm", certified, pivots)."""
-    events = []
-    newton, simplex = cq._frisch_newton, cq._dual_simplex
+def _record_level_starts(monkeypatch, warm_cap=None):
+    """Wrap the pilot and the dual simplex; the returned list gets one entry
+    per dual simplex call: ("pilot" or "warm", certified, pivots), "pilot"
+    when a `_pilot` call came just before it. With warm_cap set, warm calls
+    run under MAX_PIVOTS = warm_cap."""
+    events, fresh = [], []
+    pilot, simplex = cq._pilot, cq._dual_simplex
 
-    def cold(*args):
-        out = newton(*args)
-        events.append(("cold", out[3] is not None, out[1]))
+    def recorded_pilot(*args):
+        fresh.append(True)
+        return pilot(*args)
+
+    def recorded_simplex(*args):
+        kind = "pilot" if fresh else "warm"
+        fresh.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            if kind == "warm" and warm_cap is not None:
+                mp.setattr(cq, "MAX_PIVOTS", warm_cap)
+            out = simplex(*args)
+        events.append((kind, out is not None, out and out[1]))
         return out
 
-    def warm(*args):
-        out = simplex(*args)
-        events.append(("warm", out is not None, out and out[1]))
-        return out
-
-    monkeypatch.setattr(cq, "_frisch_newton", cold)
-    monkeypatch.setattr(cq, "_dual_simplex", warm)
+    monkeypatch.setattr(cq, "_pilot", recorded_pilot)
+    monkeypatch.setattr(cq, "_dual_simplex", recorded_simplex)
     return events
 
 
 def _check_level_starts(events, fits):
-    """A level starts warm exactly when the level before it ended at a
-    vertex; a failed warm start falls back to the interior point, and
-    `iterations` counts the solver that gave the fit. Returns the number of
-    levels fitted warm."""
-    events, at_vertex, n_warm = list(events), False, 0
-    for fit in fits:
+    """The first level starts from its pilot, every later one from the
+    previous level's basis, and from its own pilot if that fails;
+    `iterations` counts the pivots of the start that gave the fit. Returns
+    the number of levels fitted warm."""
+    events, n_warm = list(events), 0
+    for n, fit in enumerate(fits):
         kind, ended, count = events.pop(0)
-        assert kind == ("warm" if at_vertex else "cold")
-        if kind == "warm" and not ended:
+        assert kind == ("warm" if n else "pilot")
+        if not ended:
             kind, ended, count = events.pop(0)
-            assert kind == "cold"
+            assert kind == "pilot"
+        assert ended
         n_warm += kind == "warm"
-        at_vertex = ended
         assert fit.iterations == count
     assert not events
     return n_warm
@@ -364,34 +340,57 @@ def test_warm_curve_matches_highs_on_hard_inputs(rng, monkeypatch, name):
     data = _hard_input(rng, name)
     events = _record_level_starts(monkeypatch)
     fits = cq.fit_qr_curve(data, LEVELS_19)
-    n_warm = _check_level_starts(events, fits)
+    # every level after the first starts from the previous level's basis,
+    # repeated rows included, and every level ends at a certified vertex,
+    # one that interpolates 1 + N rows
+    assert _check_level_starts(events, fits) == len(LEVELS_19) - 1
+    assert all(ended for _, ended, _ in events)
     spread = np.ptp(data.Y)
+    p = 1 + len(cq._independent_columns(data))
     for fit in fits:
         _, value = oracles.koenker_bassett_lp(data, fit.t)
         assert abs(fit.loss - value) <= 1e-12 * spread
-    if name == "duplicated":
-        # identical rows are equally fractional along the central path, so
-        # no level ends at a vertex and none starts warm
-        assert n_warm == 0 and not any(ended for _, ended, _ in events)
-    else:
-        # and no warm start stalls at the pivot cap or fails
-        assert n_warm > 0
-        assert all(ended for kind, ended, _ in events if kind == "warm")
+        resid = data.Y[:, 0] - fit.alpha - data.X @ fit.beta
+        assert np.count_nonzero(np.abs(resid) <= 1e-13 * spread) >= p
 
 
 def test_pivot_cap_zero_falls_back_to_the_level_alone(rng, monkeypatch):
-    monkeypatch.setattr(cq, "MAX_PIVOTS", 0)
+    # warm starts capped at zero pivots fail (the previous level's basis is
+    # not optimal for the next); each level then runs from its own pilot and
+    # equals the level fitted alone, bit for bit, pivot count included
     data = _normal_instance(rng)
     levels = np.linspace(0.05, 0.95, 9)
-    events = _record_level_starts(monkeypatch)
+    events = _record_level_starts(monkeypatch, warm_cap=0)
     fits = cq.fit_qr_curve(data, levels)
     assert _check_level_starts(events, fits) == 0
-    assert [kind for kind, *_ in events].count("warm") == len(levels) - 1
+    warm = [ended for kind, ended, _ in events if kind == "warm"]
+    assert len(warm) == len(levels) - 1 and not any(warm)
     for fit, t in zip(fits, levels):
         (alone,) = cq.fit_qr_curve(data, [t])
         assert (fit.alpha, fit.loss, fit.iterations) == (alone.alpha, alone.loss,
                                                           alone.iterations)
         assert fit.beta.tobytes() == alone.beta.tobytes()
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+@pytest.mark.parametrize("ties", [False, True])
+def test_intercept_only_curve_is_exact_against_order_statistics(rng, order, ties):
+    # N = 0: the pinball loss is minimized at an order statistic next to
+    # t J, so brute force over them is exact where HiGHS, at its default
+    # tolerances, can be 1e-9 of the spread off; this checks the first
+    # level, started from its pilot, as tightly as every later one
+    J = 2453  # t J is never an integer on LEVELS_19: one minimizer a level
+    y = rng.standard_normal(J)
+    if ties:
+        y = np.round(y, 1)
+    data = _dataset(y)
+    ys, spread = np.sort(y), np.ptp(y)
+    levels = LEVELS_19 if order == "ascending" else LEVELS_19[::-1]
+    for fit in cq.fit_qr_curve(data, levels):
+        k = math.floor(fit.t * J)
+        best = min(float(data.nu @ np.maximum(y - a, 0.0) + (1.0 - fit.t) * a)
+                   for a in ys[k - 2:k + 3])
+        assert abs(fit.loss - best) <= 1e-13 * spread
 
 
 def test_curve_on_permuted_rows_matches(rng):
