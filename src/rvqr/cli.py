@@ -227,7 +227,7 @@ def cmd_synth(args):
 def cmd_check(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    # imported here: oracles loads scipy.special, which no other command uses
+    # imported here: oracles loads scipy.special and scipy.sparse, which no other command uses
     from . import oracles
     results = oracles.run_all_checks(seed=args.seed)
     if args.out:

@@ -3,13 +3,15 @@
 Deliberately shares no softmax/log-sum-exp code with the solver: everything
 here goes through scipy.special.logsumexp or explicit summation, so an
 agreement between the two routes is evidence, not tautology. The
-Koenker-Bassett reference goes through HiGHS (scipy.optimize.linprog), not
-the classical_qr dual simplex.
+Koenker-Bassett reference and the exact transport LP go through HiGHS
+(scipy.optimize.linprog), not the classical_qr dual simplex or the solver;
+the solver's primal_value measures both sides of the LP check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.special import logsumexp
 
 from . import classical_qr
@@ -153,6 +155,21 @@ def check_semidual_fd(data, grid, z, epsilon, step=1e-5, seed=0):
     return worst
 
 
+def _highs(c, A_eq, b_eq, bounds):
+    """scipy's HiGHS result for min c.x s.t. A_eq x = b_eq within bounds, at
+    feasibility tolerances of 1e-10: at the defaults, 1e-7, a Koenker-Bassett
+    optimum can be 1e-8 of the spread off. NonConvergenceError otherwise."""
+    # imported here: scipy.optimize loads scipy.linalg, which no command uses
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise NonConvergenceError(f"HiGHS: {res.message}")
+    return res
+
+
 def koenker_bassett_lp(data, t):
     """Koenker-Bassett fit at level t by HiGHS on the rank-score LP
     max sum_j nu_j y_j a_j s.t. sum_j nu_j a_j (1, x_j) = (1 - t) sum_j nu_j
@@ -160,15 +177,49 @@ def koenker_bassett_lp(data, t):
     minus the equality rows' multipliers, and value the LP optimum, the
     minimum of E (Y - alpha - beta.X)^+ + (1 - t)(alpha + beta.E X).
     """
-    # imported here: scipy.optimize loads scipy.linalg, which no command uses
-    from scipy.optimize import linprog
-
     A = (data.nu[:, None] * np.column_stack([np.ones(data.n_obs), data.X])).T
-    res = linprog(-data.nu * data.Y[:, 0], A_eq=A, b_eq=(1.0 - t) * A.sum(axis=1),
-                  bounds=(0.0, 1.0), method="highs")
-    if res.status != 0:
-        raise NonConvergenceError(f"HiGHS: {res.message}")
+    res = _highs(-data.nu * data.Y[:, 0], A, (1.0 - t) * A.sum(axis=1), (0.0, 1.0))
     return -res.eqlin.marginals, -float(res.fun)
+
+
+def vqr_lp(data, grid):
+    """The unregularized fit by HiGHS on the transport LP: max sum_ij pi_ij
+    u_i.y_j over pi >= 0 with row sums mu, column sums nu (the last of them,
+    implied by the others, dropped) and sum_j pi_ij x_j = 0 at every node i.
+    Returns its plan as a Coupling whose objective is the LP optimum V_LP.
+    """
+    I, J = grid.n_nodes, data.n_obs
+    A = sparse.vstack([sparse.kron(sparse.eye(I), np.ones((1, J))),
+                       sparse.kron(np.ones((1, I)), sparse.eye(J - 1, J)),
+                       sparse.kron(sparse.eye(I), data.X.T)], format="csr")
+    b = np.concatenate([grid.mu, data.nu[:-1], np.zeros(I * data.n_cov)])
+    res = _highs(-(grid.U @ data.Y.T).ravel(), A, b, (0.0, None))
+    pi = res.x.reshape(I, J)
+    return rvqr_solver.Coupling(pi, pi.sum(axis=1) - grid.mu, pi.sum(axis=0) - data.nu,
+                                pi @ data.X, -float(res.fun))
+
+
+def check_vqr_lp(data, grid):
+    """The entropic fit at epsilon = 0.5, 0.1, 0.02, solved as one chain,
+    against vqr_lp. Optimality gives gain(alpha_eps) <= V_LP, as alpha_eps is
+    feasible, and primal_value(pi_LP) <= primal_value(alpha_eps), as
+    alpha_eps maximizes it. Returns (reading, lp): the largest excess of a
+    left side over its right side, scaled by the spread of u_i.y_j (negative
+    when every inequality holds with slack), and vqr_lp's Coupling.
+    """
+    lp = vqr_lp(data, grid)
+    G = grid.U @ data.Y.T
+    epsilons = (0.5, 0.1, 0.02)
+    cfgs = [SolverConfig(epsilon=eps, tol=1e-10) for eps in epsilons]
+    worst = -np.inf
+    for eps, result in zip(epsilons, rvqr_solver.solve_chain(data, grid, cfgs)):
+        if isinstance(result, NonConvergenceError):
+            raise result
+        _, fit, _ = result
+        worst = max(worst, float(np.sum(fit.alpha * G)) - lp.objective,
+                    rvqr_solver.primal_value(lp, grid, data, eps)
+                    - rvqr_solver.primal_value(fit, grid, data, eps))
+    return worst / float(G.max() - G.min()), lp
 
 
 def difference_matrix(T):
@@ -197,72 +248,6 @@ def inverse_cov_transform(pi):
     """Inverse map V = (D^T)^{-1} pi J, i.e. reversed cumulative sums."""
     pi = np.asarray(pi, dtype=float)
     return np.cumsum(pi[::-1], axis=0)[::-1] * pi.shape[1]
-
-
-def _feasible_plan_samples(data, grid, couplings, seed):
-    """Exactly/near-feasible transport plans: the independent coupling plus
-    the given converged solver couplings, and convex mixtures of them."""
-    plans = [np.outer(grid.mu, data.nu)] + [c.alpha for c in couplings]
-    rng = np.random.default_rng(seed)
-    mixtures = []
-    for _ in range(5):
-        w = rng.dirichlet(np.ones(len(plans)))
-        mixtures.append(sum(wi * p for wi, p in zip(w, plans)))
-    return plans + mixtures
-
-
-def check_equivalence_small(data, grid, epsilons=(1.0, 0.5, 0.1, 0.05), seed=0):
-    """Exercise the change-of-variables bijection between the monotone
-    shape-constrained program and the transport form, plus an epsilon-sweep
-    consistency check of the regularized value.
-
-    Requires a 1-D endpoint grid. Returns a report dict.
-    """
-    if grid.n_dim != 1:
-        raise ConfigError("equivalence check requires a 1-D grid")
-    T, J = grid.n_nodes, data.n_obs
-    if T * J > 400:
-        raise ConfigError("instance too large for the equivalence check")
-    epsilons = sorted(epsilons, reverse=True)
-    U = grid.U[:, 0]
-    y = data.Y[:, 0]
-
-    cfgs = [SolverConfig(epsilon=eps, tol=1e-10) for eps in epsilons]
-    couplings = [rvqr_solver.solve(data, grid, cfg)[1] for cfg in cfgs]
-    plans = _feasible_plan_samples(data, grid, couplings, seed)
-    obj_mismatch = 0.0
-    roundtrip_err = 0.0
-    for pi in plans:
-        V = inverse_cov_transform(pi)
-        pi_back = monotone_cov_transform(V)
-        roundtrip_err = max(roundtrip_err, float(np.abs(pi_back - pi).max()))
-        lhs = float(np.sum(pi * np.outer(U, y)))
-        # with U_tau = tau/T the column-sum form carries a 1/(T J) factor
-        rhs = float(np.ones(T) @ V @ y) / (T * J)
-        obj_mismatch = max(obj_mismatch, abs(lhs - rhs))
-
-    values = [rvqr_solver.primal_value(c, grid, data, eps)
-              for c, eps in zip(couplings, epsilons)]
-    diffs = [abs(a - b) for a, b in zip(values, values[1:])]
-    cauchy = all(d2 <= d1 + 1e-9 for d1, d2 in zip(diffs, diffs[1:]))
-
-    report = {
-        "objective_mismatch": obj_mismatch,
-        "roundtrip_error": roundtrip_err,
-        "epsilons": list(epsilons),
-        "values": values,
-        "value_diffs": diffs,
-        "cauchy": cauchy,
-    }
-    if data.n_cov == 0 or np.abs(data.X).max() <= 1e-12:
-        # constant-covariate case: compare against the sorted monotone
-        # matching value of unregularized 1-D transport
-        if T == J and np.allclose(grid.mu, 1.0 / T) and np.allclose(data.nu, 1.0 / J):
-            exact = float(np.sort(U) @ np.sort(y)) / T
-            report["exact_value"] = exact
-            report["limit_deviation"] = abs(values[-1] - exact)
-            report["limit_bound"] = 5 * epsilons[-1] * np.log(T * J)
-    return report
 
 
 def run_all_checks(seed=0):
@@ -303,13 +288,23 @@ def run_all_checks(seed=0):
     record("gradient_finite_difference",
            check_gradient_fd(dv, datar, gridr, 0.5, seed=seed), 1e-5)
 
-    # change-of-variables bijection and epsilon sweep
-    eq = check_equivalence_small(data, grid, seed=seed)
-    record("cov_transform_roundtrip", eq["roundtrip_error"], 1e-12)
-    record("cov_transform_objective", eq["objective_mismatch"], 1e-12)
-    record("epsilon_sweep_cauchy", 0.0 if eq["cauchy"] else 1.0, 0.5)
-    if "limit_deviation" in eq:
-        record("unregularized_limit", eq["limit_deviation"], eq["limit_bound"])
+    # the entropic fit against the exact transport LP, with mean
+    # independence active: J = 40, N = 1 on 8 nodes, and the
+    # finite-difference instance (d = 2, N = 2, 3 x 3)
+    X1 = rng.standard_normal((40, 1))
+    data1 = center_covariates(Dataset(X=X1, Y=X1 + rng.standard_normal((40, 1)),
+                                      nu=np.full(40, 1 / 40), x_mean=np.zeros(1)))
+    grid1 = make_rank_grid(1, 8)
+    reading, lp = check_vqr_lp(data1, grid1)
+    record("entropic_fit_bounded_by_lp", max(reading, check_vqr_lp(datar, gridr)[0]), 1e-9)
+
+    # the change of variables on the LP's plan; with U_tau = tau/T the
+    # column-sum form of the gain carries a 1/(T J) factor
+    U1, y1 = grid1.U[:, 0], data1.Y[:, 0]
+    V = inverse_cov_transform(lp.alpha)
+    record("cov_transform_roundtrip", np.abs(monotone_cov_transform(V) - lp.alpha).max(), 1e-12)
+    record("cov_transform_objective",
+           abs(U1 @ lp.alpha @ y1 - V.sum(axis=0) @ y1 / lp.alpha.size), 1e-12)
 
     # the dual simplex's pinball regression against the HiGHS rank-score LP;
     # t J is not an integer, so the coefficients are unique

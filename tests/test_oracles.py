@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,37 +136,69 @@ def test_cov_transform_roundtrip(rng):
     np.testing.assert_allclose(V[0], 1.0, atol=1e-12)
 
 
-def test_check_equivalence_small_report(rng):
-    data = _no_cov(np.sort(rng.standard_normal(6)))
-    grid = make_rank_grid(1, 6)
-    rep = oracles.check_equivalence_small(data, grid,
-                                          epsilons=(1.0, 0.5), seed=0)
-    assert rep["roundtrip_error"] <= 1e-12
-    assert rep["objective_mismatch"] <= 1e-12
-    assert rep["cauchy"]
-    assert "limit_deviation" in rep
-    with pytest.raises(ConfigError):
-        oracles.check_equivalence_small(data, make_rank_grid(2, 2))
+def _lp_instance(rng, J, N, d, n):
+    # Y moves with X, so mean independence binds
+    X = rng.standard_normal((J, N))
+    data = center_covariates(Dataset(X=X, Y=X @ np.ones((N, d)) + rng.standard_normal((J, d)),
+                                     nu=np.full(J, 1 / J), x_mean=np.zeros(N)))
+    return data, make_rank_grid(d, n)
 
 
-def test_check_equivalence_small_solves_each_epsilon_once(rng, monkeypatch):
-    data = _no_cov(np.sort(rng.standard_normal(6)))
-    grid = make_rank_grid(1, 6)
-    solved = []
-    real = solver.solve
-    monkeypatch.setattr(solver, "solve",
-                        lambda d, g, cfg: solved.append(cfg.epsilon) or real(d, g, cfg))
-    oracles.check_equivalence_small(data, grid, epsilons=(1.0, 0.5), seed=0)
-    assert solved == [1.0, 0.5]
+def test_vqr_lp_without_covariates_is_the_sorted_matching(rng):
+    # X = 0, T = J, uniform weights: the LP is 1-D assignment, solved by
+    # pairing the sorted ranks with the sorted responses
+    y = rng.standard_normal(9)
+    lp = oracles.vqr_lp(_no_cov(y), make_rank_grid(1, 9))
+    assert abs(lp.objective - np.sort(y) @ np.arange(1, 10) / 81) <= 1e-12
+
+
+def test_vqr_lp_plan_is_feasible(rng):
+    data, grid = _lp_instance(rng, 12, 2, 2, 3)
+    lp = oracles.vqr_lp(data, grid)
+    assert lp.alpha.min() >= 0.0
+    np.testing.assert_allclose(lp.alpha.sum(axis=1), grid.mu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lp.alpha.sum(axis=0), data.nu, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lp.alpha @ data.X, 0.0, rtol=0, atol=1e-12)
+    assert lp.objective == pytest.approx(np.sum(lp.alpha * (grid.U @ data.Y.T)), abs=1e-12)
+
+
+def test_check_vqr_lp_solves_each_epsilon_once(rng, monkeypatch):
+    data, grid = _lp_instance(rng, 12, 1, 1, 4)
+    chains = []
+    real = solver.solve_chain
+    monkeypatch.setattr(solver, "solve_chain", lambda d, g, cfgs: chains.append(
+        [cfg.epsilon for cfg in cfgs]) or real(d, g, cfgs))
+    assert oracles.check_vqr_lp(data, grid)[0] <= 1e-9
+    assert chains == [[0.5, 0.1, 0.02]]
+
+
+@pytest.mark.parametrize("shape", [(40, 1, 1, 8), (30, 2, 2, 3)])
+def test_check_vqr_lp_catches_a_solver_that_drops_mean_independence(rng, monkeypatch, shape):
+    data, grid = _lp_instance(rng, *shape)
+    assert oracles.check_vqr_lp(data, grid)[0] < 0.0
+    real = solver.solve_chain
+    monkeypatch.setattr(solver, "solve_chain", lambda d, g, cfgs: real(
+        replace(d, X=np.zeros((d.n_obs, 0)), x_mean=np.zeros(0)), g, cfgs))
+    assert oracles.check_vqr_lp(data, grid)[0] >= 1e-3
+
+
+def test_check_vqr_lp_catches_a_fit_at_the_wrong_epsilon(rng, monkeypatch):
+    # a fit at 4 epsilon is feasible, so its gain stays below V_LP; only the
+    # primal_value inequality sees that it does not maximize at epsilon
+    data, grid = _lp_instance(rng, 30, 2, 2, 3)
+    real = solver.solve_chain
+    monkeypatch.setattr(solver, "solve_chain", lambda d, g, cfgs: real(
+        d, g, [replace(cfg, epsilon=4 * cfg.epsilon) for cfg in cfgs]))
+    assert oracles.check_vqr_lp(data, grid)[0] >= 1e-3
 
 
 def test_run_all_checks_pass():
     results = oracles.run_all_checks(seed=0)
-    assert set(results) >= {
+    assert set(results) == {
         "sinkhorn_zero_gain_product", "solver_matches_sinkhorn",
-        "gradient_finite_difference", "cov_transform_roundtrip",
-        "cov_transform_objective", "epsilon_sweep_cauchy",
-        "classical_qr_matches_lp",
+        "gradient_finite_difference", "entropic_fit_bounded_by_lp",
+        "cov_transform_roundtrip", "cov_transform_objective",
+        "classical_qr_matches_lp", "semidual_finite_difference",
     }
     for name, r in results.items():
         assert r["passed"], f"{name}: {r['measured']} > {r['tolerance']}"
