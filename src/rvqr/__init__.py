@@ -7,8 +7,6 @@ from .solver import (
     DualVariables,
     SolveReport,
     SolverConfig,
-    dual_gradient,
-    dual_objective,
     extract_coupling,
     primal_value,
     solve,
@@ -24,8 +22,7 @@ from .classical_qr import empirical_quantile, fit_qr_curve
 __all__ = [
     "Dataset", "RankGrid", "center_covariates", "load_csv", "make_rank_grid",
     "Coupling", "DualVariables", "SolveReport", "SolverConfig",
-    "dual_gradient", "dual_objective", "extract_coupling", "primal_value",
-    "solve",
+    "extract_coupling", "primal_value", "solve",
     "QuantileModel", "ball_conditional_quantile", "monotonicity_diagnostic",
     "quantile_table",
     "empirical_quantile", "fit_qr_curve",

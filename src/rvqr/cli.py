@@ -247,7 +247,6 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_solver_flags(sp):
-        sp.add_argument("--epsilon", type=float, default=0.1)
         sp.add_argument("--tol", type=float, default=1e-7)
         sp.add_argument("--max-iter", type=int, default=100)
 
@@ -256,6 +255,7 @@ def build_parser():
     f.add_argument("--x-cols", required=True)
     f.add_argument("--y-cols", required=True)
     f.add_argument("--grid", type=int, default=20)
+    f.add_argument("--epsilon", type=float, default=0.1)
     add_solver_flags(f)
     f.add_argument("--out", required=True)
     f.set_defaults(func=cmd_fit)

@@ -87,13 +87,15 @@ def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
 
 
 def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
-    """Central finite differences of the dual objective against the closed-form
-    gradient, on a random subset of coordinates. Returns the max error scaled
-    by the gradient's inf-norm."""
+    """Central finite differences of the dual objective against its gradient,
+    minus the column and mean-independence residuals, on a random subset of
+    coordinates: extract_coupling reads J off the row log-sum-exps and the
+    residuals off the sums of alpha. Returns the max error scaled by the
+    gradient's inf-norm."""
     if not 1e-7 <= step <= 1e-3:
         raise ConfigError("step must lie in [1e-7, 1e-3]")
-    gpsi, gb = rvqr_solver.dual_gradient(dv, data, grid, epsilon)
-    flat = np.concatenate([gpsi, gb.ravel()])
+    coupling = rvqr_solver.extract_coupling(dv, data, grid, epsilon)
+    flat = -np.concatenate([coupling.col_residual, coupling.mi_residual.ravel()])
     scale = max(float(np.abs(flat).max()), 1e-12)
 
     J = dv.psi.size
@@ -102,8 +104,8 @@ def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
     coords = rng.choice(n_total, size=min(n_coords, n_total), replace=False)
 
     def obj(psi, b):
-        return rvqr_solver.dual_objective(
-            rvqr_solver.DualVariables(psi=psi, b=b), data, grid, epsilon)
+        return rvqr_solver.extract_coupling(
+            rvqr_solver.DualVariables(psi=psi, b=b), data, grid, epsilon).objective
 
     worst = 0.0
     for c in coords:

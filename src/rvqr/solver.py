@@ -37,7 +37,6 @@ from .errors import (
     DataError,
     InvalidGridError,
     NonConvergenceError,
-    RvqrError,
 )
 from .measures import RankGrid
 
@@ -124,29 +123,14 @@ class SolveReport:
     levels: tuple = ()  # rows of each level solved, the coarse ones first
 
 
-def theta(dv, data, grid, epsilon):
-    """I x J matrix theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon, as one
-    product of inner dimension d + N + 1."""
-    coef = np.hstack([grid.U, -dv.b, -np.ones((grid.n_nodes, 1))]) / epsilon
-    return coef @ np.vstack([data.Y.T, data.X.T, dv.psi[None, :]])
-
-
-def dual_objective(dv, data, grid, epsilon):
-    """J(psi, b), read off the extract_coupling pass."""
-    if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
-        raise RvqrError("dual variables contain NaN or Inf")
-    return extract_coupling(dv, data, grid, epsilon).objective
-
-
-def dual_gradient(dv, data, grid, epsilon):
-    """(grad_psi, grad_b): minus the column and mean-independence residuals."""
-    c = extract_coupling(dv, data, grid, epsilon)
-    return -c.col_residual, -c.mi_residual
-
-
 def extract_coupling(dv, data, grid, epsilon):
-    """The row-softmax coupling of (psi, b), its residuals and J, in one pass."""
-    alpha, lse = kernels.coupling(theta(dv, data, grid, epsilon), grid.mu)
+    """The row-softmax coupling of (psi, b), its residuals and J, in one pass
+    over theta_ij = (u_i.y_j - b_i.x_j - psi_j) / epsilon, formed as one
+    product of inner dimension d + N + 1. J's gradient blocks are minus the
+    column and mean-independence residuals."""
+    coef = np.hstack([grid.U, -dv.b, -np.ones((grid.n_nodes, 1))]) / epsilon
+    alpha, lse = kernels.coupling(coef @ np.vstack([data.Y.T, data.X.T, dv.psi[None, :]]),
+                                  grid.mu)
     return Coupling(alpha=alpha, row_residual=alpha.sum(axis=1) - grid.mu,
                     col_residual=alpha.sum(axis=0) - data.nu, mi_residual=alpha @ data.X,
                     objective=float(dv.psi @ data.nu + epsilon * (grid.mu @ lse)))
@@ -154,24 +138,14 @@ def extract_coupling(dv, data, grid, epsilon):
 
 def primal_value(coupling, grid, data, epsilon):
     """Regularized primal sum alpha (u.y) - eps sum alpha log alpha, with the
-    0 log 0 = 0 convention."""
+    0 log 0 = 0 convention. At the optimum it equals J - eps sum_i mu_i log
+    mu_i, the constant that J's log-sum-exps drop from the exact Lagrangian
+    dual."""
     a = coupling.alpha
     gain = float(np.sum(a * (grid.U @ data.Y.T)))
     pos = a > 0
     ent = float(np.sum(a[pos] * np.log(a[pos])))
     return gain - epsilon * ent
-
-
-def dual_value_centered(dv, data, grid, epsilon):
-    """Dual objective on the same scale as primal_value.
-
-    The log-sum-exp objective drops the constant -eps * sum_i mu_i log mu_i
-    carried by the exact Lagrangian dual; adding it back makes the duality
-    gap vanish at the optimum.
-    """
-    return dual_objective(dv, data, grid, epsilon) - epsilon * float(
-        grid.mu @ np.log(grid.mu)
-    )
 
 
 class SemiDual:

@@ -195,6 +195,18 @@ def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_compare_qr_solves_its_epsilons_alone(tmp_path, capsys):
+    # compare-qr has no --epsilon of its own: "--epsilon 0.3" abbreviates
+    # --epsilons and is solved, not accepted and ignored
+    data = _synth(tmp_path, n=300)
+    out = tmp_path / "cmp.csv"
+    code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1", "--y-cols", "y_1",
+                     "--grid", "5", "--probes", "q30,q70", "--epsilon", "0.3",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    assert out.read_text().splitlines()[0] == "probe,eps_0.3"
+
+
 def _compare_qr_two_covariates(tmp_path, column, *extra):
     # x_2 = 2 x_1 or x_2 = 3: the baseline pins x_2's slope with a warning
     rng = np.random.default_rng(2)

@@ -26,14 +26,19 @@ def _naive_gradient(dv, data, grid, eps):
 
 
 def test_theta_shape_and_value(rng):
+    # the coupling is I x J, and the log-ratio of two entries of a row is
+    # the difference of their theta_ij = (u_i.y_j - b_i.x_j - psi_j) / eps
     data, grid = random_instance(rng)
     dv = DualVariables(psi=rng.standard_normal(data.n_obs),
                        b=rng.standard_normal((grid.n_nodes, data.n_cov)))
-    th = solver.theta(dv, data, grid, 0.5)
-    assert th.shape == (grid.n_nodes, data.n_obs)
-    i, j = 2, 3
-    expect = (grid.U[i] @ data.Y[j] - dv.b[i] @ data.X[j] - dv.psi[j]) / 0.5
-    assert abs(th[i, j] - expect) < 1e-12
+    alpha = solver.extract_coupling(dv, data, grid, 0.5).alpha
+    assert alpha.shape == (grid.n_nodes, data.n_obs)
+
+    def th(i, j):
+        return (grid.U[i] @ data.Y[j] - dv.b[i] @ data.X[j] - dv.psi[j]) / 0.5
+
+    i, j, k = 2, 3, 0
+    assert abs(np.log(alpha[i, j] / alpha[i, k]) - (th(i, j) - th(i, k))) < 1e-12
 
 
 def test_objective_matches_naive_summation(rng):
@@ -41,7 +46,7 @@ def test_objective_matches_naive_summation(rng):
     dv = DualVariables(psi=rng.standard_normal(data.n_obs),
                        b=rng.standard_normal((grid.n_nodes, data.n_cov)))
     for eps in (1.0, 0.5):
-        got = solver.dual_objective(dv, data, grid, eps)
+        got = solver.extract_coupling(dv, data, grid, eps).objective
         assert abs(got - _naive_objective(dv, data, grid, eps)) < 1e-10
 
 
@@ -54,7 +59,7 @@ def test_single_atom_objective_is_the_score():
     grid = RankGrid.from_json_dict(grid_doc)
     for psi0 in (-3.0, 0.0, 7.5):
         dv = DualVariables(psi=np.array([psi0]), b=np.zeros((1, 1)))
-        assert abs(solver.dual_objective(dv, data, grid, 0.3) - 1.0) < 1e-12
+        assert abs(solver.extract_coupling(dv, data, grid, 0.3).objective - 1.0) < 1e-12
 
 
 def test_gauge_invariance(rng):
@@ -62,16 +67,18 @@ def test_gauge_invariance(rng):
     dv = DualVariables(psi=rng.standard_normal(data.n_obs),
                        b=rng.standard_normal((grid.n_nodes, data.n_cov)))
     eps = 0.7
-    base = solver.dual_objective(dv, data, grid, eps)
+
+    def obj(dv):
+        return solver.extract_coupling(dv, data, grid, eps).objective
+
+    base = obj(dv)
     for _ in range(10):
         lam = rng.standard_normal()
         c = rng.standard_normal(data.n_cov)
         shifted = DualVariables(psi=dv.psi + lam, b=dv.b)
-        assert abs(solver.dual_objective(shifted, data, grid, eps) - base) \
-            <= 1e-12 * max(abs(base), 1.0)
+        assert abs(obj(shifted) - base) <= 1e-12 * max(abs(base), 1.0)
         moved = DualVariables(psi=dv.psi - data.X @ c, b=dv.b + c[None, :])
-        assert abs(solver.dual_objective(moved, data, grid, eps) - base) \
-            <= 1e-12 * max(abs(base), 1.0)
+        assert abs(obj(moved) - base) <= 1e-12 * max(abs(base), 1.0)
 
 
 @pytest.mark.parametrize("n_cov", [0, 2])
@@ -82,16 +89,17 @@ def test_solve_returns_its_pinned_gauge(rng, n_cov):
     dv, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.4, tol=1e-9))
     assert dv.b.shape == (grid.n_nodes, n_cov)
     assert np.all(dv.b[0] == 0.0)
-    ref = solver.dual_objective(dv, data, grid, 0.4)
+    ref = solver.extract_coupling(dv, data, grid, 0.4).objective
     assert abs(report.objective - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_solve_forms_theta_once(rng, monkeypatch):
-    # the post-solve work is one extract_coupling pass
+    # the post-solve work is one extract_coupling pass: one theta, one
+    # row-softmax coupling
     data, grid = random_instance(rng, I=5, J=20, N=1)
     calls = []
-    real = solver.theta
-    monkeypatch.setattr(solver, "theta", lambda *args: calls.append(1) or real(*args))
+    real = kernels.coupling
+    monkeypatch.setattr(kernels, "coupling", lambda *args: calls.append(1) or real(*args))
     solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert len(calls) == 1
 
@@ -102,12 +110,10 @@ def test_gradient_equals_minus_residuals(rng):
     dv = DualVariables(psi=rng.standard_normal(data.n_obs),
                        b=rng.standard_normal((grid.n_nodes, data.n_cov)))
     eps = 0.6
-    gpsi, gb = solver.dual_gradient(dv, data, grid, eps)
-    np.testing.assert_allclose(np.concatenate([gpsi, gb.ravel()]),
-                               _naive_gradient(dv, data, grid, eps), atol=1e-12)
     coupling = solver.extract_coupling(dv, data, grid, eps)
-    np.testing.assert_allclose(gpsi, -coupling.col_residual, atol=1e-12)
-    np.testing.assert_allclose(gb, -coupling.mi_residual, atol=1e-12)
+    np.testing.assert_allclose(
+        -np.concatenate([coupling.col_residual, coupling.mi_residual.ravel()]),
+        _naive_gradient(dv, data, grid, eps), atol=1e-12)
     # row sums hold by construction for any dual variables
     np.testing.assert_allclose(coupling.row_residual, 0.0, atol=1e-15)
 
@@ -119,7 +125,7 @@ def test_convexity_along_random_segments(rng):
 
     def obj(z):
         dv = DualVariables(psi=z[:data.n_obs], b=z[data.n_obs:].reshape(-1, 1))
-        return solver.dual_objective(dv, data, grid, eps)
+        return solver.extract_coupling(dv, data, grid, eps).objective
 
     for _ in range(5):
         a, b = rng.standard_normal(size), rng.standard_normal(size)
@@ -150,7 +156,7 @@ def test_solve_small_duality_gap_and_feasibility(rng):
     assert np.abs(coupling.col_residual).max() <= 1e-8
     assert np.abs(coupling.mi_residual).max() <= 1e-8
     primal = solver.primal_value(coupling, grid, data, cfg.epsilon)
-    dual = solver.dual_value_centered(dv, data, grid, cfg.epsilon)
+    dual = report.objective - cfg.epsilon * float(grid.mu @ np.log(grid.mu))
     assert abs(primal - dual) <= 1e-8 * max(abs(dual), 1.0)
     # the reported |<z, grad(z)>| is the gap of the independent formulas
     assert abs(report.duality_gap - abs(dual - primal)) <= 1e-12 * max(abs(dual), 1.0)
@@ -493,7 +499,7 @@ def test_chain_restarts_cold_until_a_config_converges(rng):
 def test_report_objective_is_psi_dual_value(rng):
     data, grid = random_instance(rng, I=6, J=30, N=2)
     dv, coupling, r = solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-9))
-    ref = solver.dual_objective(dv, data, grid, 0.1)
+    ref = solver.extract_coupling(dv, data, grid, 0.1).objective
     assert abs(r.objective - ref) <= 1e-9 * max(1.0, abs(ref))
     assert r.grad_inf == max(np.abs(coupling.col_residual).max(),
                              np.abs(coupling.mi_residual).max())
@@ -509,7 +515,7 @@ def test_capped_small_epsilon_solve_reports_the_psi_dual_value():
     dv, _ = info.value.best
     objective = info.value.report.objective
     assert np.isfinite(objective)
-    assert objective == solver.dual_objective(dv, data, grid, 1e-4)
+    assert objective == solver.extract_coupling(dv, data, grid, 1e-4).objective
 
 
 def _synth_fit(X, Y, eps, grid):
