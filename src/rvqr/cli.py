@@ -212,10 +212,8 @@ def cmd_compare_qr(args):
 
 
 def cmd_synth(args):
-    spec = synth.SynthSpec(
-        n_samples=args.n_samples, seed=args.seed, d=args.dim, n_cov=args.n_cov,
-        x_law=args.x_law, a0=args.a0, a1=args.a1, b0=args.b0, b1=args.b1,
-    )
+    spec = synth.SynthSpec(n_samples=args.n_samples, seed=args.seed, d=args.dim,
+                           n_cov=args.n_cov)
     data, _ = synth.generate(spec)
     synth.write_csv(args.out, data)
     synth.write_truth(args.out + ".truth.json", spec)
@@ -288,11 +286,6 @@ def build_parser():
     s.add_argument("--seed", type=int, default=7)
     s.add_argument("--dim", type=int, default=1)
     s.add_argument("--n-cov", type=int, default=1)
-    s.add_argument("--x-law", choices=["uniform", "normal"], default="uniform")
-    s.add_argument("--a0", type=float, default=0.0)
-    s.add_argument("--a1", type=float, default=1.0)
-    s.add_argument("--b0", type=float, default=1.0)
-    s.add_argument("--b1", type=float, default=1.0)
     s.set_defaults(func=cmd_synth)
 
     k = sub.add_parser("check", help="run the independent oracle suite")

@@ -8,8 +8,6 @@ Koenker-Bassett reference and the exact transport LP go through HiGHS
 the solver's primal_value measures both sides of the LP check.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import sparse
 from scipy.special import logsumexp
@@ -19,20 +17,13 @@ from . import solver as rvqr_solver
 from .errors import ConfigError, NonConvergenceError
 from .solver import SolverConfig
 
-
-@dataclass(frozen=True)
-class SinkhornResult:
-    coupling: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    iterations: int
-    row_residual: float
-    col_residual: float
+FD_STEP = 1e-5  # central-difference step of the finite-difference checks
 
 
 def sinkhorn(mu, nu, G, epsilon, tol=1e-10, max_iter=100000):
     """Entropic OT in the gain convention: maximize sum(pi * G) - eps * sum(pi log pi)
-    subject to both marginals, by alternating log-domain scalings.
+    subject to both marginals, by alternating log-domain scalings. Returns
+    the coupling.
 
     epsilon scaling: the potentials are warm-started along the ladder
     epsilon * 2^k, k = K, ..., 1, 0, whose top stage is at least half the
@@ -70,7 +61,7 @@ def sinkhorn(mu, nu, G, epsilon, tol=1e-10, max_iter=100000):
                 f"Sinkhorn residuals ({row:.3e}, {col:.3e}) above tol after "
                 f"{max_iter} iterations"
             )
-    return SinkhornResult(pi, f, g, it, row, col)
+    return pi
 
 
 def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
@@ -81,19 +72,16 @@ def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
         raise ConfigError("this check requires X identically zero after centering")
     cfg = SolverConfig(epsilon=epsilon, tol=tol)
     _, coupling, _ = rvqr_solver.solve(data, grid, cfg)
-    G = grid.U @ data.Y.T
-    sk = sinkhorn(grid.mu, data.nu, G, epsilon, tol=tol)
-    return float(np.abs(coupling.alpha - sk.coupling).max())
+    pi = sinkhorn(grid.mu, data.nu, grid.U @ data.Y.T, epsilon, tol=tol)
+    return float(np.abs(coupling.alpha - pi).max())
 
 
-def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
+def check_gradient_fd(dv, data, grid, epsilon, n_coords=50, seed=0):
     """Central finite differences of the dual objective against its gradient,
     minus the column and mean-independence residuals, on a random subset of
     coordinates: extract_coupling reads J off the row log-sum-exps and the
     residuals off the sums of alpha. Returns the max error scaled by the
     gradient's inf-norm."""
-    if not 1e-7 <= step <= 1e-3:
-        raise ConfigError("step must lie in [1e-7, 1e-3]")
     coupling = rvqr_solver.extract_coupling(dv, data, grid, epsilon)
     flat = -np.concatenate([coupling.col_residual, coupling.mi_residual.ravel()])
     scale = max(float(np.abs(flat).max()), 1e-12)
@@ -112,26 +100,24 @@ def check_gradient_fd(dv, data, grid, epsilon, step=1e-5, n_coords=50, seed=0):
         psi_p, b_p = dv.psi.copy(), dv.b.copy()
         psi_m, b_m = dv.psi.copy(), dv.b.copy()
         if c < J:
-            psi_p[c] += step
-            psi_m[c] -= step
+            psi_p[c] += FD_STEP
+            psi_m[c] -= FD_STEP
         else:
             i, k = divmod(c - J, dv.b.shape[1])
-            b_p[i, k] += step
-            b_m[i, k] -= step
-        fd = (obj(psi_p, b_p) - obj(psi_m, b_m)) / (2 * step)
+            b_p[i, k] += FD_STEP
+            b_m[i, k] -= FD_STEP
+        fd = (obj(psi_p, b_p) - obj(psi_m, b_m)) / (2 * FD_STEP)
         worst = max(worst, abs(fd - flat[c]) / scale)
     return worst
 
 
-def check_semidual_fd(data, grid, z, epsilon, step=1e-5, seed=0):
+def check_semidual_fd(data, grid, z, epsilon, seed=0):
     """The objective the solver minimizes, at z: SemiDual's F against its
     definition through scipy's logsumexp, its gradient against central
     differences of F in every coordinate, and its Hessian-vector products
     against central differences of the gradient along three random
     directions. Returns the largest error, scaled by max(1, |F|), the
     gradient's inf-norm and each product's inf-norm."""
-    if not 1e-7 <= step <= 1e-3:
-        raise ConfigError("step must lie in [1e-7, 1e-3]")
     sd = rvqr_solver.SemiDual(data, grid)
     f, grad, _ = sd.evaluate(z, epsilon)
     rng = np.random.default_rng(seed)
@@ -146,12 +132,12 @@ def check_semidual_fd(data, grid, z, epsilon, step=1e-5, seed=0):
     scale = max(float(np.abs(grad).max()), 1e-12)
     for c in range(z.size):
         e = np.zeros(z.shape)
-        e.flat[c] = step
-        fd = (sd.evaluate(z + e, epsilon)[0] - sd.evaluate(z - e, epsilon)[0]) / (2 * step)
+        e.flat[c] = FD_STEP
+        fd = (sd.evaluate(z + e, epsilon)[0] - sd.evaluate(z - e, epsilon)[0]) / (2 * FD_STEP)
         worst = max(worst, abs(fd - grad.flat[c]) / scale)
     for v, hv in zip(dirs, products):
-        fd = (sd.evaluate(z + step * v, epsilon)[1]
-              - sd.evaluate(z - step * v, epsilon)[1]) / (2 * step)
+        fd = (sd.evaluate(z + FD_STEP * v, epsilon)[1]
+              - sd.evaluate(z - FD_STEP * v, epsilon)[1]) / (2 * FD_STEP)
         worst = max(worst, float(np.abs(fd - hv).max())
                     / max(float(np.abs(hv).max()), 1e-12))
     return worst
@@ -267,9 +253,9 @@ def run_all_checks(seed=0):
         }
 
     # independent-coupling limit of Sinkhorn
-    sk = sinkhorn(np.full(4, 0.25), np.full(6, 1 / 6), np.zeros((4, 6)), 0.7)
+    pi = sinkhorn(np.full(4, 0.25), np.full(6, 1 / 6), np.zeros((4, 6)), 0.7)
     record("sinkhorn_zero_gain_product", float(
-        np.abs(sk.coupling - np.outer(np.full(4, 0.25), np.full(6, 1 / 6))).max()), 1e-9)
+        np.abs(pi - np.outer(np.full(4, 0.25), np.full(6, 1 / 6))).max()), 1e-9)
 
     # solver vs Sinkhorn on a constant-covariate instance
     J = 10

@@ -57,7 +57,7 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
     i is one rank-node index (result shape d) or an array of them (one row
     of d components per node). The ball is formed once for all of them.
     """
-    if eta is not None and eta < 0:
+    if eta is not None and not eta >= 0:  # NaN too
         raise ConfigError("eta must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
     diff = model.X - x[None, :]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rvqr import classical_qr, cli, quantiles, solver, synth
+from rvqr.errors import NonConvergenceError
 from rvqr.measures import center_covariates, load_csv, make_rank_grid
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -122,6 +123,17 @@ def test_non_finite_solver_flag_is_config_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--max-iter", "0"), "max_iter must be >= 1, got 0"),
+    (("--y-cols", ""), "at least one response column is required")])
+def test_bad_fit_flag_is_config_error(tmp_path, capsys, extra, message):
+    # a later --y-cols overrides _fit's
+    code, model = _fit(tmp_path, _synth(tmp_path), extra=extra)
+    assert code == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_import_loads_no_scipy_submodules():
     # scipy.special is for `rvqr check` alone; scipy.linalg for no command
     code = ("import sys, rvqr.cli; "
@@ -193,6 +205,28 @@ def test_compare_qr_bad_epsilon_is_config_error(tmp_path, capsys):
     assert "'abc'" in capsys.readouterr().err
     assert _compare_qr(tmp_path, "--epsilons", "1", "--tol", "nan") == cli.EXIT_CONFIG
     assert "finite" in capsys.readouterr().err
+
+
+def test_compare_qr_two_responses_is_config_error(tmp_path, capsys):
+    data = str(tmp_path / "data2.csv")
+    assert cli.main(["synth", "--out", data, "--n-samples", "60", "--dim", "2"]) == cli.EXIT_OK
+    out = tmp_path / "cmp.csv"
+    code = cli.main(["compare-qr", "--data", data, "--x-cols", "x_1",
+                     "--y-cols", "y_1,y_2", "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert "compare-qr supports univariate responses only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_compare_qr_baseline_nonconvergence_writes_no_table(tmp_path, capsys, monkeypatch):
+    def stalled(data, t_levels):
+        raise NonConvergenceError("pivot cap reached")
+
+    monkeypatch.setattr(cli.classical_qr, "fit_qr_curve", stalled)
+    out = tmp_path / "cmp.csv"
+    assert _compare_qr(tmp_path, "--out", str(out)) == cli.EXIT_NONCONV
+    assert "pivot cap reached" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_qr_solves_its_epsilons_alone(tmp_path, capsys):
@@ -586,6 +620,17 @@ def test_synth_reproducible(tmp_path, capsys):
     b_dir.mkdir()
     b = _synth(b_dir, seed=11)
     assert open(a).read() == open(b).read()
+
+
+@pytest.mark.parametrize("flag", [["--x-law", "normal"], ["--a1", "-2"]])
+def test_synth_law_flags_are_unknown(tmp_path, capsys, flag):
+    # the law is fixed, so truth.json holds for every file synth writes
+    out = tmp_path / "data.csv"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--out", str(out), *flag])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_compare_qr_table_shape(tmp_path, capsys):

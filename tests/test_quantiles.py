@@ -68,8 +68,14 @@ def test_ball_variants(rng):
     assert qa[0] == pytest.approx(float(row @ Y[:, 0]) / row.sum())
     with pytest.raises(EmptyBallError):
         qt.ball_conditional_quantile(model, [3.0], 0.1, 0)
-    with pytest.raises(ConfigError):
-        qt.ball_conditional_quantile(model, X[0], -1.0, 0)
+    # NaN fails every comparison: an eta < 0 test lets it through to an
+    # empty ball, whose EmptyBallError names a radius of nan
+    for eta in (-1.0, float("nan")):
+        for query in (lambda: qt.ball_conditional_quantile(model, X[0], eta, 0),
+                      lambda: qt.quantile_table(model, X[:1], eta=eta)):
+            with pytest.raises(ConfigError, match="eta must be nonnegative") as info:
+                query()
+            assert not isinstance(info.value, EmptyBallError)
 
 
 def test_law_of_total_expectation(rng):
