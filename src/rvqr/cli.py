@@ -134,8 +134,7 @@ def cmd_quantiles(args):
     Q = quantiles.quantile_table(
         model, probes, eta=eta, hard=(args.phi_mode == "hard"))
     # report probes in raw covariate coordinates
-    quantiles.table_to_csv(args.out, probes + data.x_mean, model.U, Q,
-                           x_names=doc["x_names"])
+    quantiles.table_to_csv(args.out, probes + data.x_mean, model.U, Q, doc["x_names"])
     print(f"quantile table ({Q.shape[0] * Q.shape[1]} rows) written to {args.out}")
     return EXIT_OK
 

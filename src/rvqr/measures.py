@@ -56,6 +56,9 @@ class Dataset:
             raise DataError("all weights nu_j must be strictly positive")
         if abs(nu.sum() - 1.0) > WEIGHT_TOL:
             raise DataError(f"weights must sum to 1, got {nu.sum()!r}")
+        for var, names, n in (("X", self.x_names, X.shape[1]), ("Y", self.y_names, Y.shape[1])):
+            if names and len(names) != n:
+                raise DataError(f"{len(names)} names for the {n} columns of {var}")
 
     @property
     def n_obs(self):

@@ -210,26 +210,21 @@ def check_vqr_lp(data, grid):
     return worst / float(G.max() - G.min()), lp
 
 
-def difference_matrix(T):
-    """T x T bidiagonal with 1 on the diagonal and -1 just below it."""
-    return np.eye(T) - np.eye(T, k=-1)
-
-
 def monotone_cov_transform(V):
     """Map a feasible monotone dual matrix V (T x J, columns nonincreasing,
-    entries in [0,1]) to the transport plan pi = D^T V / J."""
+    entries in [0,1]) to the transport plan pi = D^T V / J, D the T x T
+    bidiagonal with 1 on the diagonal and -1 just below it: rows
+    V_t - V_{t+1}, then V_T, over J."""
     V = np.asarray(V, dtype=float)
     if V.min() < -1e-8 or V.max() > 1 + 1e-8:
         raise ConfigError("V entries must lie in [0, 1]")
-    T, J = V.shape
+    J = V.shape[1]
     diffs = V[:-1] - V[1:]
     bad = np.argwhere(diffs < -1e-12)
     if bad.size:
         tau, j = bad[0]
-        raise ConfigError(
-            f"V column {j} increases between rows {tau} and {tau + 1}"
-        )
-    return difference_matrix(T).T @ V / J
+        raise ConfigError(f"V column {j} increases between rows {tau} and {tau + 1}")
+    return np.vstack([diffs, V[-1:]]) / J
 
 
 def inverse_cov_transform(pi):

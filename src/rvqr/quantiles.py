@@ -63,12 +63,12 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
     diff = model.X - x[None, :]
     with np.errstate(over="ignore"):
         dist = np.linalg.norm(diff, axis=1)
+        if dist.max() == np.inf:  # squares past 1e308, at a probe like 1e200
+            # a power of two per row: one for all flushes near rows' squares to 0
+            scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max(axis=1))[1])
+            dist = np.linalg.norm(diff * scale[:, None], axis=1) / scale
     if eta is None:
         eta = default_eta(dist)
-        if eta == np.inf:  # squares past 1e308, at a probe like 1e200
-            scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max())[1])
-            dist = np.linalg.norm(diff * scale, axis=1) / scale
-            eta = default_eta(dist)
     idx = np.nonzero(dist <= eta)[0]
     if idx.size == 0:
         raise EmptyBallError(x, eta, float(dist.min()))
@@ -102,17 +102,17 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     return Q
 
 
-def table_to_csv(path, x, u, q, x_names=None):
+def table_to_csv(path, x, u, q, x_names):
     """Write the table of q (P x |nodes| x d, from quantile_table) as CSV:
     one row per (probe, node), with the probe's x (P x N), the node's u
-    (|nodes| x d) and its quantile, every value as %.17g. Each probe's
-    block of rows is formatted and written at once."""
+    (|nodes| x d) and its quantile, every value as %.17g, under the header
+    x_names, u_k, q_k. Each probe's block of rows is formatted and written
+    at once."""
     x, u, q = (np.asarray(a, dtype=float) for a in (x, u, q))
     if q.size == 0:
         raise ConfigError("empty quantile table")
     (P, n_nodes, n_d), n_x = q.shape, x.shape[1]
-    xh = list(x_names) if x_names else [f"x_{k + 1}" for k in range(n_x)]
-    head = xh + [f"u_{k + 1}" for k in range(n_d)] + [f"q_{k + 1}" for k in range(n_d)]
+    head = list(x_names) + [f"u_{k + 1}" for k in range(n_d)] + [f"q_{k + 1}" for k in range(n_d)]
     block_fmt = (",".join(["%.17g"] * (n_x + 2 * n_d)) + "\n") * n_nodes
     block = np.empty((n_nodes, n_x + 2 * n_d))
     block[:, n_x:n_x + n_d] = u

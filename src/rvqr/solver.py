@@ -193,11 +193,11 @@ class SemiDual:
                                 .reshape(K * K, e - s).T)
             self.p.append(work[I * s:I * e].reshape(I, e - s))
         # the sum_j nu_j a_j of the mean-independence constraints
-        # sum_j alpha_ij a_j = mu_i a_bar, which X's centering leaves at
-        # (1, rounding noise)
+        # sum_j alpha_ij a_j = mu_i a_bar: (1, rounding noise) on a centered
+        # sample, (1, the rows' own mean) on a coarse level
         self.a_bar = np.concatenate([[data.nu.sum()], (data.X.T * data.nu).sum(axis=1)])
         self.m = self._spread = None
-        self.calls = self.products = 0
+        self.products = 0
 
     def spread(self):
         """max_ij u_i.y_j - min_ij u_i.y_j, found block by block in the
@@ -224,7 +224,6 @@ class SemiDual:
             np.matmul(self.coef, feats, out=p)
             lse[s:e], block_moments = kernels.column_softmax(p, weights)
             moments += block_moments
-        self.calls += 1
         self.m = moments.reshape(I, K, K)
         f = float(self.grid.mu @ (z @ self.a_bar)) + eps * float(self.data.nu @ lse)
         grad = np.outer(self.grid.mu, self.a_bar) - self.m[:, :, 0]
@@ -327,7 +326,6 @@ class _Tally:
     stages: int = 0
     iterations: int = 0
     backtracks: int = 0
-    oracle_calls: int = 0
     cg_products: int = 0
     levels: tuple = ()  # rows per level, coarse first
 
@@ -351,7 +349,7 @@ def _walk(sd, z, eps_z, cfg, tol, tally):
     point of the last rung.
     """
     weight = _stop_weights(sd.data, sd.grid)
-    calls, products = sd.calls, sd.products
+    products = sd.products
     stalled = False
     ladder = _ladder(cfg.epsilon, eps_z, sd)
     for k, eps in enumerate(ladder):
@@ -387,7 +385,6 @@ def _walk(sd, z, eps_z, cfg, tol, tally):
             z = z + t * step
             f, grad, lse = f_t, grad_t, lse_t
             r = float(np.max(np.abs(grad) * weight))
-    tally.oracle_calls += sd.calls - calls
     tally.cg_products += sd.products - products
     tally.levels += (sd.data.n_obs,)
     return z, r, lse
@@ -401,25 +398,22 @@ def _coarse_start(data, grid, cfg, tally):
     The unknowns z live on the rank grid, so a subsample's optimum lies next
     to the full sample's: the coarse-to-fine scheme of multiscale
     semi-discrete transport (Merigot, Computer Graphics Forum 2011), applied
-    to the data measure. The coarse rows, their covariates recentred by their
-    own mean delta, are walked from their own coarse start to STAGE_TOL, on
-    a workspace that lives only in this call. Their z, with phi_i - b_i.delta
-    for phi_i, gives the same scores on data's covariates and keeps the gauge
-    phi_1 = b_1 = 0. It comes with cfg.epsilon if that walk reached
-    STAGE_TOL, and with inf otherwise: then the full level walks its whole
-    ladder from the point the coarse steps reached, z = 0 if there were none.
+    to the data measure. The coarse rows, as they are but for renormalized
+    weights, are walked from their own coarse start to STAGE_TOL on a
+    workspace that lives only in this call, and their z starts the full
+    level as it is: recentring them by c would only map z to (phi - b.c, b)
+    in each node's block, which a Newton step follows. It comes with
+    cfg.epsilon if that walk reached STAGE_TOL, and with inf otherwise: the
+    full level then walks its whole ladder from the coarse steps' point.
     """
     I, J = grid.n_nodes, data.n_obs
     if I * J < COARSE_MIN_ENTRIES or J // COARSE_STRIDE < I:
         return np.zeros((I, 1 + data.n_cov)), math.inf
     rows = slice(None, None, COARSE_STRIDE)
-    nu = data.nu[rows] / data.nu[rows].sum()
-    delta = nu @ data.X[rows]
-    sub = replace(data, X=data.X[rows] - delta, Y=data.Y[rows], nu=nu,
-                  x_mean=data.x_mean + delta)
+    sub = replace(data, X=data.X[rows], Y=data.Y[rows],
+                  nu=data.nu[rows] / data.nu[rows].sum())
     z, eps_z = _coarse_start(sub, grid, cfg, tally)
     z, r = _walk(SemiDual(sub, grid), z, eps_z, cfg, STAGE_TOL, tally)[:2]
-    z = np.column_stack([z[:, 0] - z[:, 1:] @ delta, z[:, 1:]])
     return z, cfg.epsilon if r <= STAGE_TOL else math.inf
 
 
@@ -490,6 +484,7 @@ def solve_chain(data, grid, cfgs):
         grad_inf = max(float(np.abs(coupling.col_residual).max()),
                        float(np.abs(coupling.mi_residual).max(initial=0.0)))
         report = SolveReport(**asdict(tally), objective=coupling.objective,
+                             oracle_calls=tally.stages + tally.iterations + tally.backtracks,
                              grad_inf=grad_inf, duality_gap=gap, wall_time=wall,
                              converged=converged)
         if converged:

@@ -487,6 +487,24 @@ def test_quantiles_probe_outside_range(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_explicit_radius_at_a_huge_probe(tmp_path, capsys):
+    # at x = 1e200 every squared distance overflows; a radius of 1e210 still
+    # holds every row, and the readout is finite
+    data = _synth(tmp_path)
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    table = str(tmp_path / "q.csv")
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", "1e200", "--eta", "1e210", "--out", table])
+    assert code == cli.EXIT_OK
+    assert np.isfinite(np.loadtxt(table, delimiter=",", skiprows=1)).all()
+    out = str(tmp_path / "cmp.csv")
+    assert _compare_qr(tmp_path, "--epsilons", "1", "--probes", "1e200", "--eta", "1e210",
+                       "--out", out) == cli.EXIT_OK
+    # the baseline reads ~1e200 and the soft readout O(1): an error of 1
+    assert open(out).read() == "probe,eps_1\np1,1\n"
+
+
 def test_quantiles_data_not_matching_model_is_config_error(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)

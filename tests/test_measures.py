@@ -204,6 +204,16 @@ def test_dataset_validation():
                 nu=np.full(2, 0.5), x_mean=np.zeros(1))
 
 
+@pytest.mark.parametrize("names, message", [
+    ({"x_names": ("a",)}, "1 names for the 2 columns of X"),
+    ({"y_names": ("y", "z")}, "2 names for the 1 columns of Y")])
+def test_dataset_names_must_match_their_columns(names, message):
+    # a model saved from such a dataset would not load
+    with pytest.raises(DataError, match=message):
+        Dataset(X=np.zeros((50, 2)), Y=np.zeros((50, 1)), nu=np.full(50, 0.02),
+                x_mean=np.zeros(2), **names)
+
+
 def test_center_covariates_idempotent(rng):
     data = Dataset(X=rng.standard_normal((10, 2)), Y=rng.standard_normal((10, 1)),
                    nu=np.full(10, 0.1), x_mean=np.zeros(2))

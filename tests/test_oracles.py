@@ -104,11 +104,6 @@ def test_gradient_fd_negative_control(rng, monkeypatch):
     assert err > 1e-2
 
 
-def test_difference_matrix():
-    D = oracles.difference_matrix(3)
-    np.testing.assert_allclose(D, [[1, 0, 0], [-1, 1, 0], [0, -1, 1]])
-
-
 def test_monotone_cov_transform_hand_example():
     V = np.array([[1.0, 1.0], [0.0, 1.0]])
     pi = oracles.monotone_cov_transform(V)

@@ -212,6 +212,34 @@ def test_default_ball_at_distances_whose_squares_overflow(rng):
         qt.ball_conditional_quantile(unit, [0.0], 5.0, nodes))
 
 
+@pytest.mark.parametrize("probe, eta", [([1e200], 1e210), ([1e160, 1e160], 1e170)])
+def test_explicit_radius_at_distances_whose_squares_overflow(rng, probe, eta):
+    # every squared distance to the probe overflows, yet they are all below
+    # eta: the ball holds every row, as at eta = inf. A radius below them
+    # all finds none and names the nearest distance, not inf
+    J, N = 30, len(probe)
+    model = QuantileModel(alpha=rng.uniform(0.1, 1.0, (3, J)), X=rng.standard_normal((J, N)),
+                          Y=rng.standard_normal((J, 1)), U=np.array([[1 / 3], [2 / 3], [1.0]]),
+                          epsilon=0.1)
+    nodes = np.arange(3)
+    np.testing.assert_array_equal(
+        qt.ball_conditional_quantile(model, probe, eta, nodes),
+        qt.ball_conditional_quantile(model, probe, np.inf, nodes))
+    with pytest.raises(EmptyBallError) as exc:
+        qt.ball_conditional_quantile(model, probe, eta * 1e-12, nodes)
+    assert probe[0] <= exc.value.nearest <= 2 * probe[0]
+
+
+def test_explicit_radius_near_the_probe_when_other_squares_overflow():
+    # rows at +-1e200 overflow the squares; the rows near the probe keep
+    # their distances 0, 1 and 2, so a radius of 1.5 holds two of them
+    X = np.array([[1e200], [-1e200], [0.0], [1.0], [2.0]])
+    model = QuantileModel(alpha=np.full((2, 5), 0.1), X=X, Y=np.arange(5.0)[:, None],
+                          U=np.array([[0.5], [1.0]]), epsilon=0.1)
+    np.testing.assert_array_equal(qt.ball_conditional_quantile(model, [0.0], 1.5, 0), [2.5])
+    np.testing.assert_array_equal(qt.ball_conditional_quantile(model, [0.0], 0.0, 0), [2.0])
+
+
 def test_default_ball_keeps_ties_at_the_kth_distance():
     # J = 40 on the integers: k = 2, and the probe's two neighbours tie at 1
     dist = np.abs(np.arange(40.0) - 10.0)
@@ -240,7 +268,7 @@ def test_table_to_csv(tmp_path, rng):
     assert out.shape == (3, 3)
     with pytest.raises(ConfigError):
         qt.table_to_csv(str(tmp_path / "e.csv"), np.empty((0, 1)), model.U,
-                        np.empty((0, 3, 1)))
+                        np.empty((0, 3, 1)), x_names=["x"])
 
 
 def _csv_cell_by_cell(x, u, q, x_names):
@@ -277,7 +305,7 @@ def test_table_to_csv_bytes_on_adversarial_values(tmp_path):
     u = np.array([[0.5, 1.0], [1.0, 0.5]])
     q = np.resize(vals, (4, 2, 2))
     path = tmp_path / "q.csv"
-    qt.table_to_csv(str(path), x, u, q)
+    qt.table_to_csv(str(path), x, u, q, x_names=["x_1"])
     assert path.read_bytes() == _csv_cell_by_cell(x, u, q, ["x_1"]).encode()
 
 
