@@ -59,6 +59,9 @@ class Dataset:
         for var, names, n in (("X", self.x_names, X.shape[1]), ("Y", self.y_names, Y.shape[1])):
             if names and len(names) != n:
                 raise DataError(f"{len(names)} names for the {n} columns of {var}")
+        if len(self.x_mean) != X.shape[1] or not np.isfinite(self.x_mean).all():
+            raise DataError(f"x_mean must hold {X.shape[1]} finite means, one per column "
+                            f"of X; got {len(self.x_mean)}: {self.x_mean}")
 
     @property
     def n_obs(self):

@@ -133,25 +133,23 @@ def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):
     if tol is None:
         tol = 1e-6 * value_scale(model.Y)
     Q = ball_conditional_quantile(model, x_probe, eta, np.arange(model.n_nodes))
-    violations = []
     if model.n_dim == 1:
         order = np.argsort(model.U[:, 0])
-        for a, b in zip(order[:-1], order[1:]):
-            drop = float(Q[a, 0] - Q[b, 0])
-            if drop > tol:
-                violations.append((int(a), int(b), drop))
-    else:
-        # (Q_a - Q_b).(u_a - u_b) = qu_a + qu_b - (Q U')_ab - (Q U')_ba over
-        # pairs b > a, a block of rows a at a time: O(I * block) memory
-        U = model.U
-        I = model.n_nodes
-        qu = np.einsum("ik,ik->i", Q, U)
-        block = max(1, PAIR_BLOCK // I)
-        for s in range(0, I, block):
-            e = min(s + block, I)
-            val = (qu[s:e, None] + qu[None, s:]
-                   - Q[s:e] @ U[s:].T - U[s:e] @ Q[s:].T)
-            upper = np.arange(s, I)[None, :] > np.arange(s, e)[:, None]
-            for a, b in zip(*np.nonzero(upper & (val < -tol))):
-                violations.append((int(s + a), int(s + b), float(val[a, b])))
+        drop = Q[order[:-1], 0] - Q[order[1:], 0]
+        return [(int(order[k]), int(order[k + 1]), float(drop[k]))
+                for k in np.flatnonzero(drop > tol)]
+    # (Q_a - Q_b).(u_a - u_b) = qu_a + qu_b - (Q U')_ab - (Q U')_ba over
+    # pairs b > a, a block of rows a at a time: O(I * block) memory
+    U = model.U
+    I = model.n_nodes
+    qu = np.einsum("ik,ik->i", Q, U)
+    block = max(1, PAIR_BLOCK // I)
+    violations = []
+    for s in range(0, I, block):
+        e = min(s + block, I)
+        val = (qu[s:e, None] + qu[None, s:]
+               - Q[s:e] @ U[s:].T - U[s:e] @ Q[s:].T)
+        upper = np.arange(s, I)[None, :] > np.arange(s, e)[:, None]
+        for a, b in zip(*np.nonzero(upper & (val < -tol))):
+            violations.append((int(s + a), int(s + b), float(val[a, b])))
     return violations

@@ -155,10 +155,11 @@ class SemiDual:
 
     `evaluate` leaves the column softmax p of its point in the workspace,
     with the I x K x K blocks m_i = sum_j nu_j p_ij a_j a_j' of its second
-    moments, and `hvp` reads both from there, so the products are with the
-    Hessian of the last point evaluated. Each pass runs block by block, so
-    that the passes over one block of p find it in cache; the blocks depend
-    only on (I, J), so neither do the results depend on the machine.
+    moments, and `hvp` reads both from there. Only `evaluate` writes the
+    workspace, so the products are with the Hessian of the last point
+    evaluated. Each pass runs block by block, so that the passes over one
+    block of p find it in cache; the blocks depend only on (I, J), so
+    neither do the results depend on the machine.
     """
 
     def __init__(self, data, grid):
@@ -196,21 +197,8 @@ class SemiDual:
         # sum_j alpha_ij a_j = mu_i a_bar: (1, rounding noise) on a centered
         # sample, (1, the rows' own mean) on a coarse level
         self.a_bar = np.concatenate([[data.nu.sum()], (data.X.T * data.nu).sum(axis=1)])
-        self.m = self._spread = None
+        self.m = None
         self.products = 0
-
-    def spread(self):
-        """max_ij u_i.y_j - min_ij u_i.y_j, found block by block in the
-        workspace on the first call, which overwrites it: `hvp` then needs
-        an `evaluate` first, as every walk makes one after its ladder."""
-        if self._spread is None:
-            d = self.data.n_dim
-            hi, lo = -math.inf, math.inf
-            for feats, p in zip(self.feats, self.p):
-                np.matmul(self.grid.U, feats[:d], out=p)
-                hi, lo = max(hi, float(p.max())), min(lo, float(p.min()))
-            self._spread = hi - lo
-        return self._spread
 
     def evaluate(self, z, eps):
         """(F, grad, lse) at z, grad an I x K array and lse_j = log sum_i
@@ -295,14 +283,23 @@ def _newton_step(sd, grad, r, eps):
     return step
 
 
-def _ladder(epsilon, eps_z, sd):
+def _spread(data, grid):
+    """max_ij u_i.y_j - min_ij u_i.y_j from the smallest and largest node
+    lo_k, hi_k of each grid axis: max_i u_i.y_j = sum_k max(lo_k y_jk,
+    hi_k y_jk), and the min likewise. Exact on a tensor-product grid, as
+    make_rank_grid builds; on any other grid an upper bound."""
+    scores = np.stack([grid.U.min(axis=0), grid.U.max(axis=0)])[:, None, :] * data.Y
+    return float(scores.max(axis=0).sum(axis=1).max() - scores.min(axis=0).sum(axis=1).min())
+
+
+def _ladder(epsilon, eps_z, data, grid):
     """The rungs of a walk to epsilon from a z solved at eps_z: each
     epsilon 4^k, k >= 1, strictly below eps_z and at most LADDER_TOP times
-    sd's spread, largest first, then epsilon. sd's spread is read only when
-    epsilon 4 < eps_z."""
+    the spread of u_i.y_j, largest first, then epsilon. The spread is found
+    only when epsilon 4 < eps_z."""
     top = 0
     if epsilon * LADDER_RATIO < eps_z:
-        spread = sd.spread()
+        spread = _spread(data, grid)
         while (epsilon * LADDER_RATIO ** (top + 1) < eps_z
                and epsilon * LADDER_RATIO ** (top + 1) <= LADDER_TOP * spread):
             top += 1
@@ -335,8 +332,8 @@ def _walk(sd, z, eps_z, cfg, tol, tally):
     (z, eps_z): a z already solved at eps_z to at least STAGE_TOL, or
     eps_z = inf, as for the cold start z = 0. Every walk starts by this one
     rule, the epsilon scaling of Schmitzer (arXiv 1610.06519): it runs down
-    the rungs of _ladder(cfg.epsilon, eps_z, sd). Each rung stops on the
-    scale-free residual
+    the rungs of _ladder(cfg.epsilon, eps_z, sd.data, sd.grid). Each rung
+    stops on the scale-free residual
     r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
     relative row and mean-independence residuals of the semi-dual coupling
     (see _stop_weights), at STAGE_TOL, and the last rung at tol.
@@ -351,7 +348,7 @@ def _walk(sd, z, eps_z, cfg, tol, tally):
     weight = _stop_weights(sd.data, sd.grid)
     products = sd.products
     stalled = False
-    ladder = _ladder(cfg.epsilon, eps_z, sd)
+    ladder = _ladder(cfg.epsilon, eps_z, sd.data, sd.grid)
     for k, eps in enumerate(ladder):
         last = k == len(ladder) - 1
         if not last and (stalled or tally.iterations >= cfg.max_iter):
@@ -419,8 +416,8 @@ def _coarse_start(data, grid, cfg, tally):
 
 def solve_chain(data, grid, cfgs):
     """Damped Newton on the (phi, b) semi-dual at each config of `cfgs` in
-    turn, all on one SemiDual workspace with at most one spread pass: a
-    generator of one result per config, in the order given.
+    turn, all on one SemiDual workspace: a generator of one result per
+    config, in the order given.
 
     Every walk starts from one pair (z, eps_z), as _walk says. The chain
     keeps the pair of the last config that converged, (z, cfg.epsilon), and

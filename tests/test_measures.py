@@ -214,6 +214,14 @@ def test_dataset_names_must_match_their_columns(names, message):
                 x_mean=np.zeros(2), **names)
 
 
+@pytest.mark.parametrize("n_cov, x_mean", [(2, np.zeros(1)), (1, [np.nan])])
+def test_dataset_needs_one_finite_mean_per_covariate(n_cov, x_mean):
+    # solve would run, and the model saved from it would not load
+    with pytest.raises(DataError, match=f"x_mean must hold {n_cov} finite means"):
+        Dataset(X=np.zeros((50, n_cov)), Y=np.zeros((50, 1)), nu=np.full(50, 0.02),
+                x_mean=x_mean)
+
+
 def test_center_covariates_idempotent(rng):
     data = Dataset(X=rng.standard_normal((10, 2)), Y=rng.standard_normal((10, 1)),
                    nu=np.full(10, 0.1), x_mean=np.zeros(2))

@@ -322,7 +322,6 @@ def test_blocked_workspace_matches_one_block(rng, monkeypatch, n_cov, d):
     for s in (one, sd):
         np.testing.assert_allclose(s.hvp(v, eps).ravel(), H @ v.ravel(),
                                    rtol=0, atol=1e-13 * scale)
-        np.testing.assert_allclose(s.spread(), np.ptp(grid.U @ data.Y.T), rtol=1e-15)
 
 
 def test_newton_step_solves_the_damped_system(rng, monkeypatch):
@@ -425,7 +424,7 @@ def test_spent_steps_skip_to_the_last_rung(rng, monkeypatch):
     with pytest.raises(NonConvergenceError) as exc:
         solver.solve(data, grid, cfg)
     r = exc.value.report
-    ladder = solver._ladder(cfg.epsilon, math.inf, solver.SemiDual(data, grid))
+    ladder = solver._ladder(cfg.epsilon, math.inf, data, grid)
     rungs = list(dict.fromkeys(seen))
     assert r.iterations == 1 and len(ladder) > 40
     assert rungs == ladder[:r.stages - 1] + [ladder[-1]] and r.stages < 5
@@ -477,7 +476,7 @@ def test_chain_walks_the_rungs_below_the_last_converged_epsilon(rng, monkeypatch
         seen.clear()
         if len(rungs) == 2:
             assert result[2].iterations == 0 and result[2].stages == 1
-    assert rungs[0] == solver._ladder(1.0, math.inf, solver.SemiDual(data, grid))
+    assert rungs[0] == solver._ladder(1.0, math.inf, data, grid)
     assert rungs[1:] == [[1.0], [0.4, 0.1]]
 
 
@@ -736,19 +735,28 @@ def test_chain_solves_one_coarse_level_at_most(monkeypatch):
     assert second[2].oracle_calls == cold.oracle_calls
 
 
-def test_ladder_reads_the_spread_only_when_a_rung_fits_below_eps_z():
-    class Workspace:
-        calls = 0
+@pytest.mark.parametrize("law", ["positive", "mixed", "negative", "zero"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spread_is_the_range_of_the_scores(rng, d, law):
+    # from the end nodes of each axis, the spread of u_i.y_j on a
+    # tensor-product grid is bit for bit that of all I J scores
+    Y = rng.standard_normal((40, d))
+    Y = {"positive": np.abs(Y), "mixed": Y, "negative": -np.abs(Y), "zero": 0 * Y}[law]
+    data = Dataset(X=np.zeros((40, 0)), Y=Y, nu=np.full(40, 1 / 40), x_mean=np.zeros(0))
+    for n in (2, 3, 5):
+        grid = make_rank_grid(d, n)
+        assert solver._spread(data, grid) == np.ptp(grid.U @ data.Y.T)
 
-        def spread(self):
-            self.calls += 1
-            return 10.0
 
-    sd = Workspace()
-    assert solver._ladder(0.02, 0.08, sd) == [0.02] and sd.calls == 0
-    assert solver._ladder(0.02, 0.0801, sd) == [0.08, 0.02] and sd.calls == 1
+def test_ladder_reads_the_spread_only_when_a_rung_fits_below_eps_z(monkeypatch):
+    # on nodes 1/2 and 1 and the responses 10 and 0, u.y spans exactly 10
+    data = Dataset(X=np.zeros((2, 0)), Y=[[10.0], [0.0]], nu=[0.5, 0.5], x_mean=[])
+    grid = make_rank_grid(1, 2)
+    calls = _count_calls(monkeypatch, solver, "_spread")
+    assert solver._ladder(0.02, 0.08, data, grid) == [0.02] and len(calls) == 0
+    assert solver._ladder(0.02, 0.0801, data, grid) == [0.08, 0.02] and len(calls) == 1
     # the top rung is the largest at most LADDER_TOP * 10 = 4
-    assert solver._ladder(0.02, math.inf, sd) == [1.28, 0.32, 0.08, 0.02]
+    assert solver._ladder(0.02, math.inf, data, grid) == [1.28, 0.32, 0.08, 0.02]
 
 
 @pytest.mark.parametrize("case", ["cold", "coarse", "warm", "first_fails"])
@@ -757,9 +765,7 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
     # strictly below eps_z and at most LADDER_TOP times the spread, then
     # eps: eps_z = inf for a cold start, on the full sample or on the coarse
     # rows, eps on the full sample after a coarse level that reached
-    # STAGE_TOL, and the last converged epsilon in a chain. The spread pass
-    # runs at most once per workspace, and never on a full level that starts
-    # at its rung eps.
+    # STAGE_TOL, and the last converged epsilon in a chain.
     data, grid = _fit_instance()
     cfg = SolverConfig(epsilon=0.02, tol=1e-7)
     capped = SolverConfig(epsilon=0.1, tol=1e-12, max_iter=1)
@@ -788,10 +794,6 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
     real = solver.SemiDual.evaluate
     monkeypatch.setattr(solver.SemiDual, "evaluate", lambda sd, z, eps: seen.append(
         (sd.data.n_obs, eps)) or real(sd, z, eps))
-    spread_passes = []  # the workspace of each spread pass
-    real_spread = solver.SemiDual.spread
-    monkeypatch.setattr(solver.SemiDual, "spread", lambda sd: (
-        sd._spread is None and spread_passes.append(sd)) or real_spread(sd))
     results = solver.solve_chain(data, grid, cfgs)
     for config, result, (full, coarse) in zip(cfgs, results, expected, strict=True):
         assert isinstance(result, NonConvergenceError) == (config is capped)
@@ -801,8 +803,6 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
                 assert eps_seen == sorted(eps_seen, reverse=True)
                 assert list(dict.fromkeys(eps_seen)) == want
         seen.clear()
-    assert len(set(map(id, spread_passes))) == len(spread_passes)
-    assert [sd.data.n_obs for sd in spread_passes] == [300 if case == "coarse" else 1200]
 
 
 @pytest.mark.parametrize("eps", [2e307, 1e308])
