@@ -61,25 +61,20 @@ def _eta(v):
     return v
 
 
-def _resolve_probes(probes, data):
-    """Map probe specs to centered covariate vectors (componentwise levels),
-    one row per probe."""
+def _resolve_probes(probes, raw):
+    """Map probe specs to covariate vectors of the uncentered dataset raw, one
+    row per probe: a value as parsed, a level as the empirical quantile of
+    each column."""
     level = np.array([kind == "level" for kind, _ in probes], dtype=bool)
     val = np.array([v for _, v in probes], dtype=float)
-    x = np.repeat(val[:, None], data.n_cov, axis=1)
-    for k in range(data.n_cov):
-        x[level, k] = classical_qr.empirical_quantile(
-            data.X[:, k] + data.x_mean[k], val[level])
-    return x - data.x_mean
-
-
-def _load_centered(args):
-    data = load_csv(args.data, args.x_cols, args.y_cols)
-    return center_covariates(data)
+    x = np.repeat(val[:, None], raw.n_cov, axis=1)
+    for k in range(raw.n_cov):
+        x[level, k] = classical_qr.empirical_quantile(raw.X[:, k], val[level])
+    return x
 
 
 def cmd_fit(args):
-    data = _load_centered(args)
+    data = center_covariates(load_csv(args.data, args.x_cols, args.y_cols))
     grid = make_rank_grid(data.n_dim, args.grid)
     cfg = solver.SolverConfig(epsilon=args.epsilon, tol=args.tol,
                               max_iter=args.max_iter)
@@ -111,7 +106,8 @@ def cmd_fit(args):
 
 def _model_from_files(args):
     doc, dv, grid = solver.load_model(args.model)
-    data = center_covariates(load_csv(args.data, doc["x_names"], doc["y_names"]))
+    raw = load_csv(args.data, doc["x_names"], doc["y_names"])
+    data = center_covariates(raw)
     meta = doc.get("data_meta")
     crc = meta.get("crc32") if isinstance(meta, dict) else None
     # psi has one entry per row: the same rows in another order are other data
@@ -124,23 +120,23 @@ def _model_from_files(args):
                           f"{dv.psi.size} psi entries for {data.n_obs} rows")
     coupling = solver.extract_coupling(dv, data, grid, doc["epsilon"])
     model = quantiles.QuantileModel.from_fit(coupling, data, grid, doc["epsilon"])
-    return doc, data, model
+    return doc, raw, data, model
 
 
 def cmd_quantiles(args):
     eta = _eta(args.eta)
-    doc, data, model = _model_from_files(args)
-    probes = _resolve_probes(_parse_probes(args.probes), data)
+    doc, raw, data, model = _model_from_files(args)
+    x = _resolve_probes(_parse_probes(args.probes), raw)
     Q = quantiles.quantile_table(
-        model, probes, eta=eta, hard=(args.phi_mode == "hard"))
-    # report probes in raw covariate coordinates
-    quantiles.table_to_csv(args.out, probes + data.x_mean, model.U, Q, doc["x_names"])
+        model, x - data.x_mean, eta=eta, hard=(args.phi_mode == "hard"))
+    quantiles.table_to_csv(args.out, x, model.U, Q, doc["x_names"])
     print(f"quantile table ({Q.shape[0] * Q.shape[1]} rows) written to {args.out}")
     return EXIT_OK
 
 
 def cmd_compare_qr(args):
-    data = _load_centered(args)
+    raw = load_csv(args.data, args.x_cols, args.y_cols)
+    data = center_covariates(raw)
     if data.n_dim != 1:
         raise ConfigError("compare-qr supports univariate responses only")
     eps_list = [_number(e, "--epsilons") for e in args.epsilons.split(",")]
@@ -148,7 +144,7 @@ def cmd_compare_qr(args):
     # validated before the baseline fit, which a bad --tol would waste
     cfgs = [solver.SolverConfig(epsilon=e, tol=args.tol, max_iter=args.max_iter)
             for e in eps_list]
-    probes = _resolve_probes(_parse_probes(args.probes), data)
+    probes = _resolve_probes(_parse_probes(args.probes), raw) - data.x_mean
     grid = make_rank_grid(1, args.grid)
     if grid.n_nodes < 3:
         raise ConfigError(f"compare-qr needs --grid >= 3 (an interior rank "

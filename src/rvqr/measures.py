@@ -1,4 +1,5 @@
-"""Data ingestion, covariate centering, empirical measures and rank grids."""
+"""Data ingestion and CSV writing, covariate centering, empirical measures
+and rank grids."""
 
 import csv
 import itertools
@@ -18,6 +19,7 @@ from .errors import (
 )
 
 WEIGHT_TOL = 1e-12
+WRITE_ROWS = 2 ** 14  # rows per format call of write_csv
 
 
 @dataclass(frozen=True)
@@ -236,6 +238,18 @@ def load_csv(path, x_cols, y_cols):
         meta={"source": str(path),
               "crc32": zlib.crc32(values.astype("<f8", copy=False))},
     )
+
+
+def write_csv(path, header, rows):
+    """Write the header line, then each row of the 2-D array rows with every
+    value as %.17g, which load_csv reads back bit for bit."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for s in range(0, rows.shape[0], WRITE_ROWS):
+            block = rows[s:s + WRITE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def center_covariates(data):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyBallError, InsufficientMassError
-from .measures import value_scale
+from .measures import value_scale, write_csv
 
 MASS_FLOOR = 1e-14
 PAIR_BLOCK = 1 << 18  # node pairs per block of monotonicity_diagnostic
@@ -103,25 +103,17 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
 
 
 def table_to_csv(path, x, u, q, x_names):
-    """Write the table of q (P x |nodes| x d, from quantile_table) as CSV:
-    one row per (probe, node), with the probe's x (P x N), the node's u
-    (|nodes| x d) and its quantile, every value as %.17g, under the header
-    x_names, u_k, q_k. Each probe's block of rows is formatted and written
-    at once."""
+    """Write the table of q (P x |nodes| x d, from quantile_table) with
+    measures.write_csv: one row per (probe, node), with the probe's x (P x N),
+    the node's u (|nodes| x d) and its quantile, under the header x_names,
+    u_k, q_k."""
     x, u, q = (np.asarray(a, dtype=float) for a in (x, u, q))
     if q.size == 0:
         raise ConfigError("empty quantile table")
-    (P, n_nodes, n_d), n_x = q.shape, x.shape[1]
+    P, n_nodes, n_d = q.shape
     head = list(x_names) + [f"u_{k + 1}" for k in range(n_d)] + [f"q_{k + 1}" for k in range(n_d)]
-    block_fmt = (",".join(["%.17g"] * (n_x + 2 * n_d)) + "\n") * n_nodes
-    block = np.empty((n_nodes, n_x + 2 * n_d))
-    block[:, n_x:n_x + n_d] = u
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(head) + "\n")
-        for p in range(P):
-            block[:, :n_x] = x[p]
-            block[:, n_x + n_d:] = q[p]
-            fh.write(block_fmt % tuple(block.ravel().tolist()))
+    write_csv(path, head, np.hstack([np.repeat(x, n_nodes, axis=0), np.tile(u, (P, 1)),
+                                     q.reshape(P * n_nodes, n_d)]))
 
 
 def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):

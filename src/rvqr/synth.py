@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import measures
 from .errors import ConfigError
-from .measures import Dataset
 
 # Y = A0 + A1 U + (B0 + B1 U) (X . w), the coefficients truth.json states
 A0, A1, B0, B1 = 0.0, 1.0, 1.0, 1.0
@@ -54,11 +54,10 @@ def generate(spec):
     U = rng.uniform(0.0, 1.0, size=(J, spec.d))
     proj = X @ np.array(spec.weights).T if spec.n_cov else np.zeros((J, spec.d))
     Y = A0 + A1 * U + (B0 + B1 * U) * proj
-    return Dataset(
+    return measures.Dataset(
         X=X, Y=Y, nu=np.full(J, 1.0 / J), x_mean=np.zeros(spec.n_cov),
         x_names=tuple(f"x_{k + 1}" for k in range(spec.n_cov)),
         y_names=tuple(f"y_{k + 1}" for k in range(spec.d)),
-        meta={"generator": spec.to_json_dict()},
     ), U
 
 
@@ -71,9 +70,7 @@ def true_quantile(spec, x, t):
 
 
 def write_csv(path, data):
-    np.savetxt(path, np.hstack([data.X, data.Y]), fmt="%.17g", delimiter=",",
-               header=",".join((*data.x_names, *data.y_names)), comments="",
-               encoding="utf-8")
+    measures.write_csv(path, (*data.x_names, *data.y_names), np.hstack([data.X, data.Y]))
 
 
 def write_truth(path, spec):

@@ -10,7 +10,7 @@ import pytest
 
 from rvqr import classical_qr, cli, quantiles, solver, synth
 from rvqr.errors import NonConvergenceError
-from rvqr.measures import center_covariates, load_csv, make_rank_grid
+from rvqr.measures import center_covariates, load_csv, make_rank_grid, write_csv
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -485,6 +485,49 @@ def test_quantiles_probe_outside_range(tmp_path, capsys):
     code = cli.main(["quantiles", "--model", model, "--data", data,
                      "--probes", "50", "--eta", "0.01", "--out", table])
     assert code == cli.EXIT_CONFIG
+
+
+def test_quantiles_x_column_is_the_probe_asked_for(tmp_path, capsys):
+    # each x cell reads back as its probe, bit for bit: a value as parsed, a
+    # level as the empirical quantile of the column in the file. x = v**3
+    # carries bits below those of its mean, which centering rounds away
+    rng = np.random.default_rng(4)
+    x = rng.uniform(size=120) ** 3
+    data = str(tmp_path / "data.csv")
+    write_csv(data, ["x_1", "y_1"], np.c_[x, x + rng.uniform(size=120)])
+    code, model = _fit(tmp_path, data)
+    assert code == cli.EXIT_OK
+    table = tmp_path / "q.csv"
+    code = cli.main(["quantiles", "--model", model, "--data", data,
+                     "--probes", "1e-9,-0.3,0.1,q10,q90", "--out", str(table)])
+    assert code == cli.EXIT_OK
+    cells = [float(r.split(",")[0]) for r in table.read_text().splitlines()[1::5]]
+    assert cells == [1e-9, -0.3, 0.1, classical_qr.empirical_quantile(x, 0.1),
+                     classical_qr.empirical_quantile(x, 0.9)]
+
+
+@pytest.mark.parametrize("command", ["quantiles", "compare-qr"])
+def test_probe_list_starting_negative_needs_the_equals_form(tmp_path, capsys, command):
+    # argparse reads "-0.5,0.5" after a space as a flag; after "=" it is the value
+    data = _synth(tmp_path, n=300)
+    if command == "quantiles":
+        argv = ["quantiles", "--model", _fit(tmp_path, data)[1], "--data", data]
+    else:
+        argv = ["compare-qr", "--data", data, "--x-cols", "x_1", "--y-cols", "y_1",
+                "--grid", "5", "--epsilons", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--probes", "-0.5,0.5", "--out", str(tmp_path / "t.csv")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "argument --probes: expected one argument" in capsys.readouterr().err
+    for probes, out in (("-0.5,0.5", "t.csv"), ("0.5,-0.5", "r.csv")):
+        assert cli.main([*argv, f"--probes={probes}", "--out", str(tmp_path / out)]) == cli.EXIT_OK
+    rows = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    flipped = (tmp_path / "r.csv").read_text().splitlines()[1:]
+    if command == "quantiles":
+        assert [float(r.split(",")[0]) for r in rows[::5]] == [-0.5, 0.5]
+        assert rows == flipped[5:] + flipped[:5]
+    else:
+        assert [r.split(",")[1] for r in rows] == [r.split(",")[1] for r in flipped[::-1]]
 
 
 def test_explicit_radius_at_a_huge_probe(tmp_path, capsys):

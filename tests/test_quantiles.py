@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rvqr import measures, solver
 from rvqr import quantiles as qt
-from rvqr import solver
 from rvqr.classical_qr import empirical_quantile
 from rvqr.errors import ConfigError, EmptyBallError, InsufficientMassError
 from rvqr.measures import Dataset, center_covariates, make_rank_grid
@@ -307,6 +307,15 @@ def test_table_to_csv_bytes_on_adversarial_values(tmp_path):
     path = tmp_path / "q.csv"
     qt.table_to_csv(str(path), x, u, q, x_names=["x_1"])
     assert path.read_bytes() == _csv_cell_by_cell(x, u, q, ["x_1"]).encode()
+
+
+def test_table_to_csv_blocks_match_per_cell_format(tmp_path, rng, monkeypatch):
+    # three rows per format call: 2 probes x 5 nodes are written as 3, 3, 3 and 1
+    monkeypatch.setattr(measures, "WRITE_ROWS", 3)
+    x, u, q = rng.standard_normal((2, 2)), rng.uniform(size=(5, 1)), rng.standard_normal((2, 5, 1))
+    path = tmp_path / "q.csv"
+    qt.table_to_csv(str(path), x, u, q, x_names=["a", "b"])
+    assert path.read_bytes() == _csv_cell_by_cell(x, u, q, ["a", "b"]).encode()
 
 
 def test_monotonicity_diagnostic_clean_and_planted(rng):

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from rvqr import synth
+from rvqr import measures, synth
 from rvqr.errors import ConfigError
 
 
@@ -86,6 +86,17 @@ def test_write_csv_bytes_match_17g_format(tmp_path, d, n_cov):
     rows = np.hstack([data.X, data.Y])
     expected = ",".join(data.x_names + data.y_names) + "\n" + "".join(
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert out.read_bytes() == expected.encode()
+
+
+def test_write_csv_blocks_match_17g_format(tmp_path, monkeypatch):
+    # three rows per format call: 10 rows are written as 3, 3, 3 and 1
+    monkeypatch.setattr(measures, "WRITE_ROWS", 3)
+    data, _ = synth.generate(synth.SynthSpec(n_samples=10, seed=3, d=2, n_cov=2))
+    out = tmp_path / "s.csv"
+    synth.write_csv(str(out), data)
+    expected = "x_1,x_2,y_1,y_2\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in np.hstack([data.X, data.Y]))
     assert out.read_bytes() == expected.encode()
 
 
