@@ -163,8 +163,11 @@ def cmd_compare_qr(args):
         qr_q = (np.array([f.alpha for f in qr_fits])
                 + probes @ np.array([f.beta for f in qr_fits]).T)
 
+    by_x1 = quantiles.RowSort.of(data.X)  # one sort of the rows for every epsilon
+
     def relative_errors(coupling, eps):
-        model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
+        model = quantiles.QuantileModel(alpha=coupling.alpha, X=data.X, Y=data.Y,
+                                        U=grid.U, epsilon=eps, by_x1=by_x1)
         soft = quantiles.quantile_table(model, probes, interior, eta=eta)[:, :, 0]
         if args.mode == "qr":
             ref, est = qr_q, soft
@@ -235,64 +238,79 @@ def cmd_check(args):
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="rvqr", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+COMMANDS = ("fit", "quantiles", "compare-qr", "synth", "check")
+
+
+def build_parser(command=None):
+    """The parser of every subcommand, or of `command`'s alone: main parses
+    a named command with that, as the other four cost more to build than
+    most commands take to parse."""
+    # the usage names all five either way, as in an unrecognized-flag error
+    p = argparse.ArgumentParser(prog="rvqr", description=__doc__,
+                                usage="%(prog)s [-h] {" + ",".join(COMMANDS) + "} ...")
+    sub = p.add_subparsers(dest="command", required=True, prog="rvqr")
 
     def add_solver_flags(sp):
         sp.add_argument("--tol", type=float, default=1e-7)
         sp.add_argument("--max-iter", type=int, default=100)
 
-    f = sub.add_parser("fit", help="fit the regularized transport dual")
-    f.add_argument("--data", required=True)
-    f.add_argument("--x-cols", required=True)
-    f.add_argument("--y-cols", required=True)
-    f.add_argument("--grid", type=int, default=20)
-    f.add_argument("--epsilon", type=float, default=0.1)
-    add_solver_flags(f)
-    f.add_argument("--out", required=True)
-    f.set_defaults(func=cmd_fit)
+    if command in (None, "fit"):
+        f = sub.add_parser("fit", help="fit the regularized transport dual")
+        f.add_argument("--data", required=True)
+        f.add_argument("--x-cols", required=True)
+        f.add_argument("--y-cols", required=True)
+        f.add_argument("--grid", type=int, default=20)
+        f.add_argument("--epsilon", type=float, default=0.1)
+        add_solver_flags(f)
+        f.add_argument("--out", required=True)
+        f.set_defaults(func=cmd_fit)
 
-    q = sub.add_parser("quantiles", help="conditional quantile table from a fit")
-    q.add_argument("--model", required=True)
-    q.add_argument("--data", required=True)
-    q.add_argument("--probes", default="q10,q30,q60,q90")
-    q.add_argument("--eta", type=float, default=None)
-    q.add_argument("--phi-mode", choices=["soft", "hard"], default="soft")
-    q.add_argument("--out", required=True)
-    q.set_defaults(func=cmd_quantiles)
+    if command in (None, "quantiles"):
+        q = sub.add_parser("quantiles", help="conditional quantile table from a fit")
+        q.add_argument("--model", required=True)
+        q.add_argument("--data", required=True)
+        q.add_argument("--probes", default="q10,q30,q60,q90")
+        q.add_argument("--eta", type=float, default=None)
+        q.add_argument("--phi-mode", choices=["soft", "hard"], default="soft")
+        q.add_argument("--out", required=True)
+        q.set_defaults(func=cmd_quantiles)
 
-    c = sub.add_parser("compare-qr", help="relative error vs the pinball baseline")
-    c.add_argument("--data", required=True)
-    c.add_argument("--x-cols", required=True)
-    c.add_argument("--y-cols", required=True)
-    c.add_argument("--grid", type=int, default=20)
-    c.add_argument("--epsilons", default="0.05,0.1,0.5,1")
-    c.add_argument("--probes", default="q10,q30,q60,q90")
-    c.add_argument("--eta", type=float, default=None)
-    c.add_argument("--mode", choices=["qr", "softhard"], default="qr")
-    add_solver_flags(c)
-    c.add_argument("--out", default=None)
-    c.set_defaults(func=cmd_compare_qr)
+    if command in (None, "compare-qr"):
+        c = sub.add_parser("compare-qr", help="relative error vs the pinball baseline")
+        c.add_argument("--data", required=True)
+        c.add_argument("--x-cols", required=True)
+        c.add_argument("--y-cols", required=True)
+        c.add_argument("--grid", type=int, default=20)
+        c.add_argument("--epsilons", default="0.05,0.1,0.5,1")
+        c.add_argument("--probes", default="q10,q30,q60,q90")
+        c.add_argument("--eta", type=float, default=None)
+        c.add_argument("--mode", choices=["qr", "softhard"], default="qr")
+        add_solver_flags(c)
+        c.add_argument("--out", default=None)
+        c.set_defaults(func=cmd_compare_qr)
 
-    s = sub.add_parser("synth", help="generate a synthetic dataset with known truth")
-    s.add_argument("--out", required=True)
-    s.add_argument("--n-samples", type=int, default=2000)
-    s.add_argument("--seed", type=int, default=7)
-    s.add_argument("--dim", type=int, default=1)
-    s.add_argument("--n-cov", type=int, default=1)
-    s.set_defaults(func=cmd_synth)
+    if command in (None, "synth"):
+        s = sub.add_parser("synth", help="generate a synthetic dataset with known truth")
+        s.add_argument("--out", required=True)
+        s.add_argument("--n-samples", type=int, default=2000)
+        s.add_argument("--seed", type=int, default=7)
+        s.add_argument("--dim", type=int, default=1)
+        s.add_argument("--n-cov", type=int, default=1)
+        s.set_defaults(func=cmd_synth)
 
-    k = sub.add_parser("check", help="run the independent oracle suite")
-    k.add_argument("--seed", type=int, default=0)
-    k.add_argument("--out", default=None)
-    k.set_defaults(func=cmd_check)
+    if command in (None, "check"):
+        k = sub.add_parser("check", help="run the independent oracle suite")
+        k.add_argument("--seed", type=int, default=0)
+        k.add_argument("--out", default=None)
+        k.set_defaults(func=cmd_check)
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no command, -h or an unknown name: the full parser's usage lists all five
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,7 +7,8 @@ nearest observations). The "hard" variant replaces the weighted mean
 by the response carrying the largest weight.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -16,6 +17,37 @@ from .measures import value_scale, write_csv
 
 MASS_FLOOR = 1e-14
 PAIR_BLOCK = 1 << 18  # node pairs per block of monotonicity_diagnostic
+RUN_BLOCK = 1 << 18  # neighbour entries (probes x N x k) per block of _balls
+# a probe whose squared reach to the sample's far corner is past this may
+# overflow a row's squared distance: it takes _full_ball's rescaling rule
+SAFE_REACH_SQ = 2.0 ** 1020
+
+
+class RowSort(NamedTuple):
+    """The rows of X in ascending order of their first covariate. The balls
+    _balls finds do not depend on the order of ties, so the sort need not
+    be stable: at J = 5,000 a stable argsort takes 0.53 ms, this one 0.09."""
+    X: np.ndarray      # the rows sorted: a model with other rows sorts its own
+    order: np.ndarray  # row indices, ascending in X[:, 0]
+    Xs: np.ndarray     # X[order]
+    x1: np.ndarray     # Xs[:, 0], contiguous for searchsorted
+    lo: np.ndarray     # each covariate's min
+    hi: np.ndarray     # and max
+    runs: np.ndarray   # view of Xs's runs of k = ceil(J / 20) rows: (J - k + 1) x N x k
+
+    @classmethod
+    def of(cls, X):
+        J, N = X.shape
+        key = X[:, 0] if N else np.zeros(J)
+        order = np.argsort(key)
+        Xs = X[order]
+        x1 = np.ascontiguousarray(Xs[:, 0]) if N else key  # a view at N = 1
+        k = _ball_rows(J)
+        # sliding_window_view(Xs, k, axis=0), without the 0.1-0.25 MB of peak
+        # memory that its first call in a process costs
+        runs = np.ndarray((J - k + 1, N, k), Xs.dtype, Xs, 0,
+                          (Xs.strides[0], Xs.strides[1], Xs.strides[0]))
+        return cls(X, order, Xs, x1, X.min(axis=0), X.max(axis=0), runs)
 
 
 @dataclass(frozen=True)
@@ -25,6 +57,12 @@ class QuantileModel:
     Y: np.ndarray              # J x d responses
     U: np.ndarray              # I x d rank nodes
     epsilon: float
+    # sorted once per model: replace(model, alpha=...) carries it over
+    by_x1: RowSort = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.by_x1 is None or self.by_x1.X is not self.X:
+            object.__setattr__(self, "by_x1", RowSort.of(self.X))
 
     @classmethod
     def from_fit(cls, coupling, data, grid, epsilon):
@@ -40,27 +78,35 @@ class QuantileModel:
         return self.Y.shape[1]
 
 
-def default_eta(dist):
-    """The default ball radius around a probe, from its distance to every
-    observation: the k-th smallest distance, k = ceil(J / 20). The ball then
-    holds the 5 % of the sample nearest to the probe, and every observation
-    tied with the k-th.
+def _ball_rows(J):
+    """k = ceil(J / 20), the rows of a default ball among J observations."""
+    return -(-J // 20)
+
+
+def default_eta(dist, k=None):
+    """The default ball radius around a probe, from its distances: the k-th
+    smallest, k = ceil(J / 20) for J = dist.size. The ball then holds the
+    5 % of the sample nearest to the probe, and every observation tied with
+    the k-th. For the distances of a slab of the J rows that holds the k
+    nearest, pass J's k.
     """
-    k = -(-dist.size // 20)
+    if k is None:
+        k = _ball_rows(dist.size)
     return float(np.partition(dist, k - 1)[k - 1])
 
 
-def ball_conditional_quantile(model, x, eta, i, hard=False):
-    """E[Y | X in B_eta(x), U = u_i]; eta = 0 conditions on X = x exactly and
-    eta = None takes default_eta's radius.
-
-    i is one rank-node index (result shape d) or an array of them (one row
-    of d components per node). The ball is formed once for all of them.
-    """
+def _check_query(model, n_cov, eta):
     if eta is not None and not eta >= 0:  # NaN too
         raise ConfigError("eta must be nonnegative")
-    x = np.asarray(x, dtype=float).ravel()
-    diff = model.X - x[None, :]
+    if n_cov != model.X.shape[1]:
+        raise ConfigError(f"a probe has {n_cov} covariates, the model "
+                          f"{model.X.shape[1]}")
+
+
+def _full_ball(X, x, eta, k):
+    """_balls' rule on every row's distance: a power-of-two rescale per row
+    when any squared distance overflows."""
+    diff = X - x[None, :]
     with np.errstate(over="ignore"):
         dist = np.linalg.norm(diff, axis=1)
         if dist.max() == np.inf:  # squares past 1e308, at a probe like 1e200
@@ -68,10 +114,66 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
             scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max(axis=1))[1])
             dist = np.linalg.norm(diff * scale[:, None], axis=1) / scale
     if eta is None:
-        eta = default_eta(dist)
+        eta = default_eta(dist, k)
     idx = np.nonzero(dist <= eta)[0]
     if idx.size == 0:
         raise EmptyBallError(x, eta, float(dist.min()))
+    return idx
+
+
+def _balls(model, probes, eta):
+    """Each probe's ball, in turn: the indices, in row order, of the rows
+    within eta of it, or for eta None within its k-th smallest distance,
+    k = ceil(J / 20). EmptyBallError when there are none.
+
+    Only a slab of the model's sorted rows is searched: those whose first
+    covariate is within a bound on the radius of the probe's, found by
+    searchsorted. The bound is eta itself, or the far corner of the bounding
+    box of k sorted neighbours. Every row within the radius lies in the
+    slab, so the ball is the one all J rows give, bit for bit, at O(slab)
+    per probe. A probe whose squared distances may overflow takes
+    _full_ball's rule.
+    """
+    J, N = model.X.shape
+    if N == 0:  # every row sits at the one (empty) covariate
+        for _ in probes:
+            yield np.arange(J)
+        return
+    s = model.by_x1
+    k = _ball_rows(J)
+    block = max(1, RUN_BLOCK // (k * N))
+    for b in range(0, probes.shape[0], block):
+        P = probes[b:b + block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = np.maximum(np.abs(P - s.lo), np.abs(s.hi - P))
+            safe = np.add.reduce(reach * reach, axis=1) < SAFE_REACH_SQ  # NaN fails
+            if eta is None:
+                # the k sorted neighbours' bounding box: its far corner is no
+                # nearer than any of them, so no nearer than the k-th distance
+                start = np.minimum(np.maximum(np.searchsorted(s.x1, P[:, 0]) - k // 2, 0), J - k)
+                run = s.runs[start]
+                far = np.maximum(run.max(axis=2) - P, P - run.min(axis=2))
+                bound = np.sqrt(np.add.reduce(far * far, axis=1))
+            else:
+                bound = np.full(P.shape[0], float(eta))
+            # past rounding in the distances, and squares that underflow
+            bound = bound * (1 + 2.0 ** -40) + 2.0 ** -500
+            first = np.searchsorted(s.x1, P[:, 0] - bound)
+            last = np.searchsorted(s.x1, P[:, 0] + bound, side="right")
+        for x, ok, a, e in zip(P, safe, first, last):
+            if ok:
+                diff = s.Xs[a:e] - x  # np.linalg.norm's operations, so its bits
+                dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+                radius = default_eta(dist, k) if eta is None else eta
+                idx = np.sort(s.order[a:e][dist <= radius])
+                if idx.size:
+                    yield idx
+                    continue
+            # an empty slab ball is empty over all rows too: this raises
+            yield _full_ball(model.X, x, eta, k)
+
+
+def _readout(model, x, idx, i, hard):
     # ball columns first: one I x |ball| copy, not whole rows. take() keeps
     # it C-contiguous (alpha[:, idx] is not), so a row sums as a plain vector
     W = model.alpha.take(idx, axis=1)[i]
@@ -87,6 +189,19 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
     return W @ Yb / mass[..., None]
 
 
+def ball_conditional_quantile(model, x, eta, i, hard=False):
+    """E[Y | X in B_eta(x), U = u_i]; eta = 0 conditions on X = x exactly and
+    eta = None takes default_eta's radius.
+
+    i is one rank-node index (result shape d) or an array of them (one row
+    of d components per node). The ball is formed once for all of them.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    _check_query(model, x.size, eta)
+    (idx,) = _balls(model, x[None, :], eta)
+    return _readout(model, x, idx, i, hard)
+
+
 def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     """Quantiles at every (probe, node) pair: a P x |nodes| x d array whose
     [p, k] entry is the readout at probe p and rank node i_set[k].
@@ -96,9 +211,10 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     """
     nodes = np.arange(model.n_nodes) if i_set is None else np.asarray(i_set, dtype=int)
     probes = np.atleast_2d(np.asarray(x_probes, dtype=float))
+    _check_query(model, probes.shape[1], eta)
     Q = np.empty((probes.shape[0], nodes.size, model.n_dim))
-    for p, x in enumerate(probes):
-        Q[p] = ball_conditional_quantile(model, x, eta, nodes, hard=hard)
+    for p, idx in enumerate(_balls(model, probes, eta)):
+        Q[p] = _readout(model, probes[p], idx, nodes, hard)
     return Q
 
 

@@ -241,6 +241,14 @@ def test_compare_qr_solves_its_epsilons_alone(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "probe,eps_0.3"
 
 
+def test_compare_qr_sorts_the_rows_once(tmp_path, capsys, monkeypatch):
+    sorts = []
+    real = quantiles.RowSort.of
+    monkeypatch.setattr(quantiles.RowSort, "of", lambda X: sorts.append(X) or real(X))
+    assert _compare_qr(tmp_path, "--epsilons", "1,0.5,0.1", "--mode", "softhard") == cli.EXIT_OK
+    assert len(sorts) == 1
+
+
 def _compare_qr_two_covariates(tmp_path, column, *extra):
     # x_2 = 2 x_1 or x_2 = 3: the baseline pins x_2's slope with a warning
     rng = np.random.default_rng(2)
@@ -816,3 +824,33 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert cli.main([command, "--seed", "-1", *argv]) == cli.EXIT_CONFIG
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "d.csv", "--x-cols", "x_1", "--y-cols", "y_1,y_2", "--grid", "7",
+     "--epsilon", "0.2", "--tol", "1e-8", "--max-iter", "9", "--out", "m.json"],
+    ["quantiles", "--model", "m.json", "--data", "d.csv", "--probes=-0.5,q50",
+     "--eta", "0.25", "--phi-mode", "hard", "--out", "q.csv"],
+    ["compare-qr", "--data", "d.csv", "--x-cols", "x_1,x_2", "--y-cols", "y_1", "--grid", "9",
+     "--epsilons", "1,0.5", "--probes", "q20", "--eta", "0.1", "--mode", "softhard",
+     "--tol", "1e-6", "--max-iter", "50", "--out", "c.csv"],
+    ["synth", "--out", "s.csv", "--n-samples", "300", "--seed", "4", "--dim", "2",
+     "--n-cov", "3"],
+    ["check", "--seed", "2", "--out", "c.json"],
+])
+def test_named_command_parser_reads_as_the_full_one(argv):
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], cli.EXIT_CONFIG), (["-h"], cli.EXIT_OK), (["--help"], cli.EXIT_OK),
+    (["bogus"], cli.EXIT_CONFIG),
+    # the top parser's error, though only the check parser was built
+    (["check", "--no-such-flag"], cli.EXIT_CONFIG)])
+def test_usage_lists_every_command(capsys, argv, code):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert "{" + ",".join(cli.COMMANDS) + "}" in out + err
+    assert cli.COMMANDS == ("fit", "quantiles", "compare-qr", "synth", "check")

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -381,3 +382,155 @@ def test_monotonicity_diagnostic_matches_pairwise_loop(monkeypatch, rng, d, n, r
     assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in ref]
     np.testing.assert_allclose([v for *_, v in got], [v for *_, v in ref],
                                rtol=1e-12, atol=1e-14)
+
+
+def _reference_ball(X, x, eta):
+    """The ball rule over all J rows, as before the rows were sorted: every
+    distance by np.linalg.norm, a power-of-two rescale per row when any of
+    them is inf, the k-th smallest by np.partition and dist <= eta."""
+    diff = X - x[None, :]
+    with np.errstate(over="ignore"):
+        dist = np.linalg.norm(diff, axis=1)
+        if dist.max() == np.inf:
+            scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max(axis=1))[1])
+            dist = np.linalg.norm(diff * scale[:, None], axis=1) / scale
+    if eta is None:
+        k = -(-dist.size // 20)
+        eta = float(np.partition(dist, k - 1)[k - 1])
+    idx = np.nonzero(dist <= eta)[0]
+    if idx.size == 0:
+        raise EmptyBallError(x, eta, float(dist.min()))
+    return idx
+
+
+def _reference_readout(model, x, eta, i, hard):
+    idx = _reference_ball(model.X, np.asarray(x, dtype=float), eta)
+    W = model.alpha.take(idx, axis=1)[i]
+    Yb = model.Y[idx]
+    if hard:
+        return Yb[W.argmax(axis=-1)]
+    return W @ Yb / W.sum(axis=-1)[..., None]
+
+
+def _assert_readouts_match_reference(model, probes, eta):
+    """quantile_table and ball_conditional_quantile, soft and hard, on all
+    nodes and on subsets, equal the reference bit for bit, or raise the
+    same EmptyBallError."""
+    I = model.n_nodes
+    for hard in (False, True):
+        for nodes in (None, np.array([I - 1, 0, I - 1]), 1):
+            i = np.arange(I) if nodes is None else nodes
+            want, first_error = [], None
+            for x in probes:
+                try:
+                    want.append(_reference_readout(model, x, eta, i, hard))
+                except EmptyBallError as exc:
+                    first_error = first_error or exc
+                    with pytest.raises(EmptyBallError) as got:
+                        qt.ball_conditional_quantile(model, x, eta, i, hard=hard)
+                    assert str(got.value) == str(exc)
+                    assert got.value.nearest == exc.nearest
+                    continue
+                np.testing.assert_array_equal(
+                    qt.ball_conditional_quantile(model, x, eta, i, hard=hard), want[-1])
+            if first_error is not None:
+                with pytest.raises(EmptyBallError, match=re.escape(str(first_error))):
+                    qt.quantile_table(model, probes, nodes, eta=eta, hard=hard)
+            elif np.ndim(i):
+                np.testing.assert_array_equal(
+                    qt.quantile_table(model, probes, nodes, eta=eta, hard=hard),
+                    np.array(want).reshape(len(probes), -1, model.n_dim))
+
+
+def _model_on(rng, X, d=2, I=4):
+    J = X.shape[0]
+    return QuantileModel(alpha=rng.uniform(0.1, 1.0, (I, J)), X=X,
+                         Y=rng.standard_normal((J, d)),
+                         U=rng.uniform(size=(I, d)), epsilon=0.1)
+
+
+_SAMPLES = {
+    "N0": lambda rng: np.zeros((40, 0)),
+    "N1": lambda rng: rng.standard_normal((500, 1)),
+    "N2": lambda rng: rng.standard_normal((500, 2)),
+    "N3": lambda rng: rng.standard_normal((300, 3)),
+    # ties straddle the radius
+    "rounded_N1": lambda rng: np.round(rng.standard_normal((400, 1)), 1),
+    "rounded_N2": lambda rng: np.round(rng.standard_normal((400, 2)), 1),
+    # the slab is every row
+    "constant_x1": lambda rng: np.c_[np.full(200, 0.3), rng.standard_normal(200)],
+    "duplicated_rows": lambda rng: rng.permutation(
+        np.repeat(rng.standard_normal((50, 2)), 4, axis=0)),
+    "J_below_20": lambda rng: rng.standard_normal((13, 2)),  # k = 1
+    # the squares underflow: every distance reads 0
+    "spaced_1e-170": lambda rng: rng.permutation(np.arange(60.0))[:, None] * 1e-170,
+}
+
+
+@pytest.mark.parametrize("eta", [None, 0.0, 0.3])
+@pytest.mark.parametrize("sample", list(_SAMPLES))
+def test_ball_selection_matches_the_full_sample_rule(rng, sample, eta):
+    X = _SAMPLES[sample](rng)
+    J, N = X.shape
+    probes = np.concatenate([X[[0, J // 2, J - 1]], rng.standard_normal((2, N)),
+                             X.max(axis=0, keepdims=True) + 1.0, X.mean(axis=0, keepdims=True)])
+    _assert_readouts_match_reference(_model_on(rng, X), probes, eta)
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+def test_ball_selection_in_probe_blocks(rng, monkeypatch, per_block):
+    # blocks of per_block probes, the last one partial; k = 25 at J = 500
+    monkeypatch.setattr(qt, "RUN_BLOCK", per_block * 25 * 2)
+    X = np.round(rng.standard_normal((500, 2)), 1)
+    probes = np.concatenate([X[:4], rng.standard_normal((3, 2))])
+    _assert_readouts_match_reference(_model_on(rng, X), probes, None)
+
+
+def test_ball_selection_below_the_nearest_distance_names_it_over_all_rows(rng):
+    # the nearest row to 10 is the last in x_1 order but not in x_2's
+    X = np.c_[rng.uniform(-1, 1, 200), rng.standard_normal(200)]
+    model = _model_on(rng, X)
+    probe = np.array([10.0, 0.0])
+    nearest = float(np.linalg.norm(X - probe, axis=1).min())
+    with pytest.raises(EmptyBallError) as exc:
+        qt.quantile_table(model, [probe], eta=0.5 * nearest)
+    assert exc.value.nearest == nearest
+    assert str(exc.value) == (f"no covariate within radius {0.5 * nearest:g} of probe; "
+                              f"nearest distance is {nearest:g}")
+    _assert_readouts_match_reference(model, probe[None, :], 0.5 * nearest)
+
+
+@pytest.mark.parametrize("eta", [None, 1e210])
+def test_ball_selection_at_a_probe_whose_squares_overflow(rng, eta):
+    model = _model_on(rng, rng.standard_normal((30, 1)))
+    _assert_readouts_match_reference(model, np.array([[1e200], [-1e200], [0.0]]), eta)
+
+
+@pytest.mark.parametrize("eta", [None, 0.0, 5e-170, 1.0])
+def test_ball_selection_rescales_when_a_far_row_overflows(rng, eta):
+    # the row at 1e200 overflows the squares, so every row's distance is
+    # rescaled: the rows near the probe read 1e-170, 2e-170, ..., not 0
+    X = np.r_[[[1e200]], rng.permutation(np.arange(1.0, 60.0))[:, None] * 1e-170]
+    model = _model_on(rng, X)
+    _assert_readouts_match_reference(model, np.array([[0.0], [3e-170]]), eta)
+    assert qt.ball_conditional_quantile(model, [0.0], 1.5e-170, 0, hard=True).shape == (2,)
+
+
+@pytest.mark.parametrize("probe, n", [([0.1], 2), ([0.1, 0.2, 0.3], 2), ([], 1)])
+def test_probe_of_the_wrong_length_is_config_error(rng, probe, n):
+    model = _model_on(rng, rng.standard_normal((30, n)))
+    message = f"a probe has {len(probe)} covariates, the model {n}"
+    with pytest.raises(ConfigError, match=message):
+        qt.ball_conditional_quantile(model, probe, None, 0)
+    with pytest.raises(ConfigError, match=message):
+        qt.quantile_table(model, [probe])
+
+
+def test_model_sorts_its_rows_once(rng):
+    model = _model_on(rng, rng.standard_normal((50, 2)))
+    assert replace(model, alpha=2 * model.alpha).by_x1 is model.by_x1
+    other = replace(model, X=model.X[::-1].copy())
+    assert other.by_x1 is not model.by_x1
+    np.testing.assert_array_equal(other.by_x1.Xs, other.X[other.by_x1.order])
+    np.testing.assert_array_equal(  # k = 3 at J = 50
+        other.by_x1.runs, np.lib.stride_tricks.sliding_window_view(other.by_x1.Xs, 3, axis=0))
