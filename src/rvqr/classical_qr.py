@@ -46,7 +46,6 @@ class QrFit:
     t: float
     alpha: float
     beta: np.ndarray
-    loss: float
     iterations: int
 
 
@@ -142,15 +141,28 @@ def _dual_simplex(A, c, b, tol, basis, upper):
         size = alpha[cand]
         ratio = np.abs(excess[cand]) / size
         # breakpoints ratio_j are passed smallest first (ties: larger alpha_j
-        # first) while their alpha_j leave x_r short of its bound; only the
-        # smallest n are sorted, n growing until the pass ends inside them
+        # first) while their alpha_j leave x_r short of its bound. Only the
+        # smallest n are sorted, n growing x4 until the pass ends inside them:
+        # the first growth partitions the rest at every later n at once, and
+        # each growth sorts only its new batch, with the sorted prefix's last
+        # tie group, which the batch may extend
         n = 64
+        order = np.argpartition(ratio, n) if n < cand.size else np.arange(cand.size)
+        near = order[:0]
         while True:
-            near = np.argpartition(ratio, n)[:n] if n < cand.size else np.arange(cand.size)
-            near = near[np.lexsort((-size[near], ratio[near]))]
+            edge = np.searchsorted(ratio[near], ratio[near[-1]]) if near.size else 0
+            batch = np.concatenate([near[edge:], order[near.size:n]])
+            near = np.concatenate([near[:edge],
+                                   batch[np.lexsort((-size[batch], ratio[batch]))]])
             m = int(np.searchsorted(np.cumsum(size[near]), short))
             if near.size == cand.size or (m < n and ratio[near[m]] < ratio[near[-1]]):
                 break
+            if n == 64:
+                kth, later = [], 4 * n
+                while later < cand.size:
+                    kth, later = kth + [later - n], 4 * later
+                if kth:
+                    order[n:] = order[n:][np.argpartition(ratio[order[n:]], kth)]
             n *= 4
         if m == cand.size:
             return None
@@ -226,9 +238,6 @@ def fit_qr_curve(data, t_grid):
         coef = -y_dual
         beta = np.zeros(data.n_cov)
         beta[active] = coef[1:]
-        # reported loss is the LP's E((Y - a - b.X)^+) + (1-t) (a + b.E X)
-        resid = y - coef[0] - data.X @ beta
-        loss = float(nu @ np.maximum(resid, 0.0) + (1.0 - t) * (coef[0] + nu @ data.X @ beta))
         fits.append(QrFit(t=float(t), alpha=float(coef[0]), beta=beta,
-                          loss=loss, iterations=pivots))
+                          iterations=pivots))
     return fits

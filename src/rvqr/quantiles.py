@@ -83,15 +83,12 @@ def _ball_rows(J):
     return -(-J // 20)
 
 
-def default_eta(dist, k=None):
+def default_eta(dist, k):
     """The default ball radius around a probe, from its distances: the k-th
-    smallest, k = ceil(J / 20) for J = dist.size. The ball then holds the
-    5 % of the sample nearest to the probe, and every observation tied with
-    the k-th. For the distances of a slab of the J rows that holds the k
-    nearest, pass J's k.
+    smallest, k = ceil(J / 20) for the model's J rows. The ball then holds
+    the 5 % of the sample nearest to the probe, and every observation tied
+    with the k-th. dist may be a slab of the J rows that holds the k nearest.
     """
-    if k is None:
-        k = _ball_rows(dist.size)
     return float(np.partition(dist, k - 1)[k - 1])
 
 
@@ -174,15 +171,18 @@ def _balls(model, probes, eta):
 
 
 def _readout(model, x, idx, i, hard):
+    """The readout at nodes i, or at every node (from one copy) for i None."""
     # ball columns first: one I x |ball| copy, not whole rows. take() keeps
     # it C-contiguous (alpha[:, idx] is not), so a row sums as a plain vector
-    W = model.alpha.take(idx, axis=1)[i]
+    W = model.alpha.take(idx, axis=1)
+    if i is not None:
+        W = W[i]
     mass = W.sum(axis=-1)
     starved = np.flatnonzero(mass < MASS_FLOOR)
     if starved.size:
         k = starved[0]
-        raise InsufficientMassError(x, int(np.atleast_1d(i)[k]),
-                                    float(np.atleast_1d(mass)[k]))
+        node = k if i is None else np.atleast_1d(i)[k]
+        raise InsufficientMassError(x, int(node), float(np.atleast_1d(mass)[k]))
     Yb = model.Y[idx]
     if hard:
         return Yb[W.argmax(axis=-1)]
@@ -209,10 +209,11 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     Deterministic given a fitted model. Probes are in the model's (centered)
     covariate coordinates; errors are raised at the first offending probe.
     """
-    nodes = np.arange(model.n_nodes) if i_set is None else np.asarray(i_set, dtype=int)
+    nodes = None if i_set is None else np.asarray(i_set, dtype=int)
     probes = np.atleast_2d(np.asarray(x_probes, dtype=float))
     _check_query(model, probes.shape[1], eta)
-    Q = np.empty((probes.shape[0], nodes.size, model.n_dim))
+    Q = np.empty((probes.shape[0], model.n_nodes if nodes is None else nodes.size,
+                  model.n_dim))
     for p, idx in enumerate(_balls(model, probes, eta)):
         Q[p] = _readout(model, probes[p], idx, nodes, hard)
     return Q

@@ -6,6 +6,7 @@ and shared between the gradient, duality-gap and feasibility criteria.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_criterion_07_qr_error_trend(capsys, synth_csv, tmp_path):
                      "--probes", "q10,q30,q60,q90", "--tol", "1e-7",
                      "--out", out])
     assert code == cli.EXIT_OK
-    rows = [ln.split(",") for ln in open(out).read().strip().splitlines()[1:]]
+    rows = [ln.split(",") for ln in Path(out).read_text().strip().splitlines()[1:]]
     table = np.array([[float(v) for v in r[1:]] for r in rows])
     monotone = bool(np.all(np.diff(table, axis=1) >= -1e-12))
     _report(capsys, 7, "QR-vs-transport error nondecreasing in epsilon",
@@ -200,7 +201,7 @@ def test_criterion_08_soft_hard_gap(capsys, synth_csv, tmp_path):
                      "--epsilons", "0.05,1", "--probes", "q30",
                      "--mode", "softhard", "--tol", "1e-7", "--out", out])
     assert code == cli.EXIT_OK
-    row = open(out).read().strip().splitlines()[1].split(",")
+    row = Path(out).read_text().strip().splitlines()[1].split(",")
     gap_small, gap_big = float(row[1]), float(row[2])
     _report(capsys, 8, "soft/hard quantile gap grows with epsilon",
             gap_small < gap_big,

@@ -17,6 +17,14 @@ def _dataset(y, X=None):
     return Dataset(X=X, Y=y, nu=np.full(J, 1.0 / J), x_mean=np.zeros(X.shape[1]))
 
 
+def _pinball(data, fit):
+    """The rank-score LP's value at the fit's coefficients, the pinball
+    objective E(Y - a - b.X)^+ + (1 - t)(a + b.E X)."""
+    resid = data.Y[:, 0] - fit.alpha - data.X @ fit.beta
+    return float(data.nu @ np.maximum(resid, 0.0)
+                 + (1.0 - fit.t) * (fit.alpha + data.nu @ data.X @ fit.beta))
+
+
 def test_empirical_quantile_hand_cases():
     y = [1.0, 2.0, 3.0, 4.0]
     # generalized inverse inf{a : F(a) > t}
@@ -74,7 +82,7 @@ def test_loss_matches_lattice_brute_force(rng):
     t = 0.25
     fit = cq.fit_qr_curve(data, [t])[0]
     losses = [float(np.mean(np.maximum(y - a, 0.0)) + (1 - t) * a) for a in y]
-    assert fit.loss <= min(losses) + 1e-6 * (y.max() - y.min())
+    assert _pinball(data, fit) <= min(losses) + 1e-6 * (y.max() - y.min())
 
 
 def test_location_model_recovers_slope(rng):
@@ -139,7 +147,7 @@ def test_fit_matches_highs_rank_score_lp(rng, n_cov):
         for t in (0.05, 0.3, 0.5, 0.71, 0.95):
             fit = cq.fit_qr_curve(data, [t])[0]
             coef, value = oracles.koenker_bassett_lp(data, t)
-            assert abs(fit.loss - value) <= 1e-12 * scale
+            assert abs(_pinball(data, fit) - value) <= 1e-12 * scale
             assert fit.iterations <= 30
             if trial < 2 and abs(t * J - round(t * J)) > 1e-6:
                 # one minimizer: the coefficients are the LP's
@@ -187,7 +195,7 @@ def test_pilot_skips_rank_dropping_repeated_rows(rng, monkeypatch):
     (basis,) = bases
     assert order[0] in basis and np.linalg.matrix_rank(A[:, basis]) == 2
     _, value = oracles.koenker_bassett_lp(data, 0.3)
-    assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
+    assert abs(_pinball(data, fit) - value) <= 1e-12 * np.ptp(y)
 
 
 def test_heavy_tailed_response_converges(rng):
@@ -200,7 +208,7 @@ def test_heavy_tailed_response_converges(rng):
     fit = cq.fit_qr_curve(data, [0.95])[0]
     _, value = oracles.koenker_bassett_lp(data, 0.95)
     assert 0 < fit.iterations <= cq.MAX_PIVOTS
-    assert abs(fit.loss - value) <= 1e-12 * np.ptp(y)
+    assert abs(_pinball(data, fit) - value) <= 1e-12 * np.ptp(y)
 
 
 def test_step_cap_raises_nonconvergence(rng, monkeypatch):
@@ -271,8 +279,7 @@ def test_curve_start_shared_by_levels_matches_per_level_start(rng):
     levels = np.linspace(0.05, 0.95, 9)
     for fit, t in zip(cq.fit_qr_curve(data, levels), levels):
         (alone,) = cq.fit_qr_curve(data, [t])
-        assert (fit.alpha, fit.loss) == (alone.alpha, alone.loss)
-        assert fit.beta.tobytes() == alone.beta.tobytes()
+        assert (fit.alpha, fit.beta.tobytes()) == (alone.alpha, alone.beta.tobytes())
 
 
 LEVELS_19 = np.linspace(0.05, 0.95, 19)
@@ -362,9 +369,30 @@ def test_warm_curve_matches_highs_on_hard_inputs(rng, monkeypatch, name):
     p = 1 + len(cq._independent_columns(data))
     for fit in fits:
         _, value = oracles.koenker_bassett_lp(data, fit.t)
-        assert abs(fit.loss - value) <= 1e-12 * spread
+        assert abs(_pinball(data, fit) - value) <= 1e-12 * spread
         resid = data.Y[:, 0] - fit.alpha - data.X @ fit.beta
         assert np.count_nonzero(np.abs(resid) <= 1e-13 * spread) >= p
+
+
+def test_ratio_test_growth_sorts_each_breakpoint_once(rng, monkeypatch):
+    # Pareto(0.7) errors at t = 0.5: the pilot's first ratio test grows its
+    # sorted prefix 64 -> 256 -> 1024 -> every candidate. The first growth
+    # partitions the rest once, and each growth sorts only its new batch
+    # with the prefix's last tie group, one entry on this tie-free input
+    data = _hard_input(rng, "pareto")
+    sizes = {"argpartition": [], "lexsort": []}
+    argpartition, lexsort = np.argpartition, np.lexsort
+    monkeypatch.setattr(np, "argpartition", lambda a, kth: sizes["argpartition"].append(
+        len(a)) or argpartition(a, kth))
+    monkeypatch.setattr(np, "lexsort", lambda keys: sizes["lexsort"].append(
+        len(keys[0])) or lexsort(keys))
+    monkeypatch.setattr(cq, "MAX_PIVOTS", 1)  # one ratio test, then no vertex
+    with pytest.raises(NonConvergenceError):
+        cq.fit_qr_curve(data, [0.5])
+    n_cand, sorts = sizes["argpartition"][0], sizes["lexsort"]
+    assert len(sorts) == 4
+    assert sum(sizes["argpartition"]) < 2 * n_cand
+    assert sum(sorts) <= n_cand + len(sorts) - 1
 
 
 def test_pivot_cap_zero_falls_back_to_the_level_alone(rng, monkeypatch):
@@ -380,9 +408,8 @@ def test_pivot_cap_zero_falls_back_to_the_level_alone(rng, monkeypatch):
     assert len(warm) == len(levels) - 1 and not any(warm)
     for fit, t in zip(fits, levels):
         (alone,) = cq.fit_qr_curve(data, [t])
-        assert (fit.alpha, fit.loss, fit.iterations) == (alone.alpha, alone.loss,
-                                                          alone.iterations)
-        assert fit.beta.tobytes() == alone.beta.tobytes()
+        assert ((fit.alpha, fit.beta.tobytes(), fit.iterations)
+                == (alone.alpha, alone.beta.tobytes(), alone.iterations))
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending"])
@@ -403,7 +430,7 @@ def test_intercept_only_curve_is_exact_against_order_statistics(rng, order, ties
         k = math.floor(fit.t * J)
         best = min(float(data.nu @ np.maximum(y - a, 0.0) + (1.0 - fit.t) * a)
                    for a in ys[k - 2:k + 3])
-        assert abs(fit.loss - best) <= 1e-13 * spread
+        assert abs(_pinball(data, fit) - best) <= 1e-13 * spread
 
 
 def test_curve_on_permuted_rows_matches(rng):
@@ -417,4 +444,4 @@ def test_curve_on_permuted_rows_matches(rng):
                           cq.fit_qr_curve(shuffled, LEVELS_19)):
         assert abs(fit.alpha - other.alpha) <= tol
         assert np.abs(fit.beta - other.beta).max() <= tol
-        assert abs(fit.loss - other.loss) <= tol
+        assert abs(_pinball(data, fit) - _pinball(shuffled, other)) <= tol

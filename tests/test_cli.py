@@ -35,7 +35,7 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     assert doc["report"]["converged"]
     printed = capsys.readouterr().out
     assert f"oracle calls      {doc['report']['oracle_calls']}" in printed
@@ -109,7 +109,7 @@ def test_fit_nonconvergence_exit_code_still_writes_model(tmp_path, capsys):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data, extra=("--max-iter", "2", "--tol", "1e-14"))
     assert code == cli.EXIT_NONCONV
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     assert doc["report"]["converged"] is False
 
 
@@ -355,7 +355,7 @@ def test_malformed_model_is_data_error(tmp_path, capsys, damage):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
-    text = open(model).read()
+    text = Path(model).read_text()
     if damage == "truncate":
         text = text[:len(text) // 2]
     else:
@@ -406,7 +406,7 @@ def test_inconsistent_model_is_data_error(tmp_path, capsys, damage, message):
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     damage(doc)
     with open(model, "w") as fh:
         fh.write(json.dumps(doc))
@@ -479,7 +479,7 @@ def test_ambiguous_column_is_data_error(tmp_path, capsys, content, x_cols, y_col
 def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):
     plain = _synth(tmp_path)
     bom = tmp_path / "bom.csv"
-    bom.write_bytes(b"\xef\xbb\xbf" + open(plain, "rb").read())
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
     code, model = _fit(tmp_path, str(bom))
     assert code == cli.EXIT_OK
 
@@ -553,7 +553,7 @@ def test_explicit_radius_at_a_huge_probe(tmp_path, capsys):
     assert _compare_qr(tmp_path, "--epsilons", "1", "--probes", "1e200", "--eta", "1e210",
                        "--out", out) == cli.EXIT_OK
     # the baseline reads ~1e200 and the soft readout O(1): an error of 1
-    assert open(out).read() == "probe,eps_1\np1,1\n"
+    assert Path(out).read_text() == "probe,eps_1\np1,1\n"
 
 
 def test_quantiles_data_not_matching_model_is_config_error(tmp_path, capsys):
@@ -581,7 +581,7 @@ def test_capped_small_epsilon_fit_writes_finite_objective(tmp_path, capsys):
     printed = capsys.readouterr().out
     line = next(s for s in printed.splitlines() if s.startswith("dual objective"))
     assert np.isfinite(float(line.split()[-1]))
-    doc = json.loads(open(model).read(), parse_constant=_reject_constant)
+    doc = json.loads(Path(model).read_text(), parse_constant=_reject_constant)
     assert np.isfinite(doc["report"]["objective"])
 
 
@@ -636,7 +636,7 @@ def test_quantiles_model_without_checksum_is_config_error(tmp_path, capsys, dama
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     damage(doc)
     with open(model, "w") as fh:
         fh.write(json.dumps(doc))
@@ -653,7 +653,7 @@ def test_quantiles_psi_length_not_matching_rows_is_config_error(tmp_path, capsys
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     psi = np.resize(_psi(doc), size)
     doc["psi"] = base64.b64encode(psi.astype("<f8").tobytes()).decode("ascii")
     with open(model, "w") as fh:
@@ -688,7 +688,7 @@ def test_synth_reproducible(tmp_path, capsys):
     b_dir = tmp_path / "b"
     b_dir.mkdir()
     b = _synth(b_dir, seed=11)
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
 
 
 @pytest.mark.parametrize("flag", [["--x-law", "normal"], ["--a1", "-2"]])
@@ -710,7 +710,7 @@ def test_compare_qr_table_shape(tmp_path, capsys):
                      "--epsilons", "0.1,0.5", "--probes", "q30,q70",
                      "--tol", "1e-8", "--out", out])
     assert code == cli.EXIT_OK
-    lines = open(out).read().strip().splitlines()
+    lines = Path(out).read_text().strip().splitlines()
     assert lines[0] == "probe,eps_0.1,eps_0.5"
     assert len(lines) == 3
     vals = np.array([[float(v) for v in ln.split(",")[1:]] for ln in lines[1:]])
@@ -775,7 +775,7 @@ def test_check_command(tmp_path, capsys):
     assert code == cli.EXIT_OK
     printed = capsys.readouterr().out
     assert "pass" in printed and "FAIL" not in printed
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert all(r["passed"] for r in doc.values())
 
 

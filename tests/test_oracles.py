@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rvqr import oracles, solver
+from rvqr import classical_qr, oracles, solver, synth
 from rvqr.errors import ConfigError
 from rvqr.measures import Dataset, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables
@@ -153,6 +153,31 @@ def test_vqr_lp_plan_is_feasible(rng):
     np.testing.assert_allclose(lp.alpha.sum(axis=0), data.nu, rtol=0, atol=1e-12)
     np.testing.assert_allclose(lp.alpha @ data.X, 0.0, rtol=0, atol=1e-12)
     assert lp.objective == pytest.approx(np.sum(lp.alpha * (grid.U @ data.Y.T)), abs=1e-12)
+
+
+def test_vqr_lp_duals_are_the_koenker_bassett_curve(monkeypatch):
+    # the paper's d = 1 identity: on the grid t_i = i/T the transport LP's
+    # duals difference into the pinball fits, 20 (phi_{i+1} - phi_i) = alpha
+    # and 20 (b_{i+1} - b_i) = beta at t = i/20, and row i + 1 of the plan's
+    # V = (D')^-1 pi J is the rank-score LP's solution at that t. t J is
+    # never an integer at J = 403, so each level's fit is unique
+    data = center_covariates(synth.generate(synth.SynthSpec(n_samples=403, seed=3))[0])
+    grid = make_rank_grid(1, 20)
+    solves = []
+    highs = oracles._highs
+    monkeypatch.setattr(oracles, "_highs", lambda *a: solves.append(highs(*a)) or solves[-1])
+    lp = oracles.vqr_lp(data, grid)
+    dual = -solves[0].eqlin.marginals
+    I, J = grid.n_nodes, data.n_obs
+    phi, b = dual[:I], dual[I + J - 1:]
+    V = oracles.inverse_cov_transform(lp.alpha)
+    levels = np.arange(1, I) / I
+    spread = np.ptp(data.Y)
+    for i, fit in enumerate(classical_qr.fit_qr_curve(data, levels), start=1):
+        assert abs(I * (phi[i] - phi[i - 1]) - fit.alpha) <= 1e-9 * spread
+        assert abs(I * (b[i] - b[i - 1]) - fit.beta[0]) <= 1e-9 * spread
+        oracles.koenker_bassett_lp(data, levels[i - 1])
+        np.testing.assert_allclose(V[i], solves[-1].x, rtol=0, atol=1e-9)
 
 
 def test_check_vqr_lp_solves_each_epsilon_once(rng, monkeypatch):

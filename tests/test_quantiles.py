@@ -132,6 +132,10 @@ def test_insufficient_mass(rng):
         qt.ball_conditional_quantile(replace(model, alpha=alpha), [0.0], 1.0,
                                      np.array([0, 1]))
     assert exc.value.rank_index == 1
+    # and so does a table over every node
+    with pytest.raises(InsufficientMassError) as exc:
+        qt.quantile_table(replace(model, alpha=alpha), [[0.0]], eta=1.0)
+    assert exc.value.rank_index == 1
 
 
 def test_node_array_readout_matches_per_node_loop(rng):
@@ -162,7 +166,7 @@ def test_no_covariate_columns_use_every_row(rng):
     data = Dataset(X=np.zeros((12, 0)), Y=y, nu=np.full(12, 1 / 12), x_mean=np.zeros(0))
     model = _fit_model(data, 4, 0.3)
     # every observation sits at the one (empty) covariate
-    assert qt.default_eta(np.linalg.norm(model.X, axis=1)) == 0.0
+    assert qt.default_eta(np.linalg.norm(model.X, axis=1), 1) == 0.0
     for i in range(model.n_nodes):
         row = model.alpha[i]
         expect = float(row @ y[:, 0]) / row.sum()
@@ -182,7 +186,7 @@ def test_default_ball_is_five_percent_distance_quantile(rng, N, J):
     nodes = np.arange(3)
     for x in (X[J // 2], rng.standard_normal(N)):  # an observed and an unseen probe
         dist = np.linalg.norm(X - x, axis=1)
-        ball = dist <= qt.default_eta(dist)
+        ball = dist <= qt.default_eta(dist, -(-J // 20))
         np.testing.assert_array_equal(ball, dist <= np.quantile(dist, 0.05))
         assert ball.sum() >= -(-J // 20)
         np.testing.assert_array_equal(
@@ -244,10 +248,10 @@ def test_explicit_radius_near_the_probe_when_other_squares_overflow():
 def test_default_ball_keeps_ties_at_the_kth_distance():
     # J = 40 on the integers: k = 2, and the probe's two neighbours tie at 1
     dist = np.abs(np.arange(40.0) - 10.0)
-    assert qt.default_eta(dist) == 1.0
-    assert np.flatnonzero(dist <= qt.default_eta(dist)).tolist() == [9, 10, 11]
+    assert qt.default_eta(dist, 2) == 1.0
+    assert np.flatnonzero(dist <= qt.default_eta(dist, 2)).tolist() == [9, 10, 11]
     # more rows: k = 3 at J = 41, still the same three
-    assert qt.default_eta(np.r_[dist, 30.0]) == 1.0
+    assert qt.default_eta(np.r_[dist, 30.0], 3) == 1.0
 
 
 def test_quantile_table_shape_and_determinism(rng):
