@@ -140,29 +140,17 @@ def _dual_simplex(A, c, b, tol, basis, upper):
         cand = np.flatnonzero(alpha > PIVOT_TOL)
         size = alpha[cand]
         ratio = np.abs(excess[cand]) / size
-        # breakpoints ratio_j are passed smallest first (ties: larger alpha_j
-        # first) while their alpha_j leave x_r short of its bound. Only the
-        # smallest n are sorted, n growing x4 until the pass ends inside them:
-        # the first growth partitions the rest at every later n at once, and
-        # each growth sorts only its new batch, with the sorted prefix's last
-        # tie group, which the batch may extend
+        # breakpoints ratio_j are passed smallest first (ties: larger alpha_j,
+        # then lower j) while their alpha_j leave x_r short of its bound. Only
+        # the smallest n are sorted, n growing x4 until the pass ends inside
+        # them: then the breakpoints passed and the entering one are in order
         n = 64
-        order = np.argpartition(ratio, n) if n < cand.size else np.arange(cand.size)
-        near = order[:0]
         while True:
-            edge = np.searchsorted(ratio[near], ratio[near[-1]]) if near.size else 0
-            batch = np.concatenate([near[edge:], order[near.size:n]])
-            near = np.concatenate([near[:edge],
-                                   batch[np.lexsort((-size[batch], ratio[batch]))]])
+            near = np.argpartition(ratio, n)[:n] if n < cand.size else np.arange(cand.size)
+            near = near[np.lexsort((near, -size[near], ratio[near]))]
             m = int(np.searchsorted(np.cumsum(size[near]), short))
             if near.size == cand.size or (m < n and ratio[near[m]] < ratio[near[-1]]):
                 break
-            if n == 64:
-                kth, later = [], 4 * n
-                while later < cand.size:
-                    kth, later = kth + [later - n], 4 * later
-                if kth:
-                    order[n:] = order[n:][np.argpartition(ratio[order[n:]], kth)]
             n *= 4
         if m == cand.size:
             return None

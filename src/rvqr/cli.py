@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: fit, quantiles, compare-qr, synth, check.
-Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 config error,
-4 oracle-check failure.
+Exit codes: 0 success, 1 I/O error, 2 non-convergence, 3 config error or
+a request too large for memory, 4 oracle-check failure.
 """
 
 import argparse
@@ -326,6 +326,9 @@ def main(argv=None):
         return EXIT_NONCONV
     except RvqrError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -2,7 +2,6 @@
 and rank grids."""
 
 import csv
-import itertools
 import math
 import re
 import zlib
@@ -266,10 +265,10 @@ def make_rank_grid(d, n):
         raise InvalidGridError(f"dimension must be >= 1, got {d}")
     if n < 2:
         raise InvalidGridError(f"grid needs at least 2 nodes per axis, got {n}")
+    if n ** d * d * 8 > np.iinfo(np.intp).max:
+        raise InvalidGridError(f"grid of {n}^{d} nodes is too large for memory")
     axis = np.arange(1, n + 1, dtype=float) / n
-    if d == 1:
-        U = axis[:, None]
-    else:
-        U = np.array(list(itertools.product(axis, repeat=d)), dtype=float)
+    # the lexicographic product, last axis fastest
+    U = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     I = U.shape[0]
     return RankGrid(U=U, mu=np.full(I, 1.0 / I))

@@ -28,6 +28,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_samples < 1 or self.d < 1 or self.n_cov < 0:
             raise ConfigError("invalid synthetic-data shape")
+        if self.n_samples * (self.n_cov + self.d) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"{self.n_samples} rows of {self.n_cov + self.d} columns "
+                              "are too large for memory")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

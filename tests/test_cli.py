@@ -826,6 +826,42 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+# 10^15 entries: more bytes than any address space maps, so the allocation
+# fails at once; 10^30 or (10^10)^2 nodes: more bytes than an array may index
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--y-cols", "y_1", "--grid", "1000000000000000"], "Unable to allocate"),
+    (["fit", "--y-cols", "y_1", "--grid", str(10 ** 30)],
+     f"grid of {10 ** 30}^1 nodes is too large for memory"),
+    (["fit", "--y-cols", "y_1,y_2", "--grid", str(10 ** 10)],
+     f"grid of {10 ** 10}^2 nodes is too large for memory"),
+    (["compare-qr", "--y-cols", "y_1", "--grid", "1000000000000000"], "Unable to allocate"),
+    (["compare-qr", "--y-cols", "y_1", "--grid", str(10 ** 30)], "too large for memory"),
+    (["synth", "--n-samples", "1000000000000000"], "Unable to allocate"),
+    (["synth", "--n-samples", str(10 ** 30)],
+     f"{10 ** 30} rows of 2 columns are too large for memory")])
+def test_size_too_large_for_memory_is_config_error(tmp_path, capsys, argv, message):
+    if argv[0] != "synth":
+        data = str(tmp_path / "data.csv")
+        assert cli.main(["synth", "--out", data, "--n-samples", "50", "--dim", "2"]) == 0
+        argv = [*argv, "--data", data, "--x-cols", "x_1"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_module_run_maps_a_failed_allocation_to_config_error(tmp_path):
+    out = tmp_path / "data.csv"
+    run = subprocess.run([sys.executable, "-m", "rvqr.cli", "synth", "--out", str(out),
+                          "--n-samples", "1000000000000000"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == cli.EXIT_CONFIG
+    assert run.stderr.startswith("error: Unable to allocate") and run.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "--data", "d.csv", "--x-cols", "x_1", "--y-cols", "y_1,y_2", "--grid", "7",
      "--epsilon", "0.2", "--tol", "1e-8", "--max-iter", "9", "--out", "m.json"],

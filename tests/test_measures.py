@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -246,6 +247,10 @@ def test_make_rank_grid_tensor_product():
     # lexicographic product of the axis 1/3, 2/3, 1
     np.testing.assert_allclose(g.U[0], [1 / 3, 1 / 3])
     np.testing.assert_allclose(g.U[-1], [1.0, 1.0])
+    for d, n in [(1, 4), (2, 3), (3, 5), (4, 2), (2, 20)]:
+        axis = np.arange(1, n + 1) / n
+        np.testing.assert_array_equal(make_rank_grid(d, n).U,
+                                      list(itertools.product(axis, repeat=d)))
 
 
 def test_make_rank_grid_rejects_bad_shapes():
@@ -253,6 +258,12 @@ def test_make_rank_grid_rejects_bad_shapes():
         make_rank_grid(1, 1)
     with pytest.raises(InvalidGridError):
         make_rank_grid(0, 5)
+    # 10^24 nodes: refused before any allocation
+    with pytest.raises(InvalidGridError, match="1000\\^8 nodes is too large for memory"):
+        make_rank_grid(8, 1000)
+    # 10^15 nodes: one allocation, larger than any address space, fails
+    with pytest.raises(MemoryError):
+        make_rank_grid(3, 10 ** 5)
     with pytest.raises(InvalidGridError):
         RankGrid(U=np.array([[0.0], [0.5]]), mu=np.full(2, 0.5))
     with pytest.raises(InvalidGridError):

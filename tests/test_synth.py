@@ -47,6 +47,9 @@ def test_rejects_bad_shape_and_law():
     for shape in ({"n_samples": 0}, {"d": 0}, {"n_cov": -1}):
         with pytest.raises(ConfigError, match="shape"):
             synth.SynthSpec(**shape)
+    # 10^18 rows of two float64 columns: more bytes than an array may index
+    with pytest.raises(ConfigError, match=f"{10 ** 18} rows of 2 columns are too large"):
+        synth.SynthSpec(n_samples=10 ** 18)
     # the law is fixed: the spec has no field that changes it
     assert [f.name for f in fields(synth.SynthSpec)] == ["n_samples", "seed", "d", "n_cov"]
     for law in ({"x_law": "normal"}, {"a1": -2.0}, {"weights": ((1.0,),)}):
