@@ -22,6 +22,9 @@ EXIT_IO = 1
 EXIT_NONCONV = 2
 EXIT_CONFIG = 3
 EXIT_CHECK = 4
+# defaults that more than one command shares
+GRID = 20
+PROBES = "q10,q30,q60,q90"
 
 
 def _number(tok, what):
@@ -251,15 +254,15 @@ def build_parser(command=None):
     sub = p.add_subparsers(dest="command", required=True, prog="rvqr")
 
     def add_solver_flags(sp):
-        sp.add_argument("--tol", type=float, default=1e-7)
-        sp.add_argument("--max-iter", type=int, default=100)
+        sp.add_argument("--tol", type=float, default=solver.SolverConfig.tol)
+        sp.add_argument("--max-iter", type=int, default=solver.SolverConfig.max_iter)
 
     if command in (None, "fit"):
         f = sub.add_parser("fit", help="fit the regularized transport dual")
         f.add_argument("--data", required=True)
         f.add_argument("--x-cols", required=True)
         f.add_argument("--y-cols", required=True)
-        f.add_argument("--grid", type=int, default=20)
+        f.add_argument("--grid", type=int, default=GRID)
         f.add_argument("--epsilon", type=float, default=0.1)
         add_solver_flags(f)
         f.add_argument("--out", required=True)
@@ -269,7 +272,7 @@ def build_parser(command=None):
         q = sub.add_parser("quantiles", help="conditional quantile table from a fit")
         q.add_argument("--model", required=True)
         q.add_argument("--data", required=True)
-        q.add_argument("--probes", default="q10,q30,q60,q90")
+        q.add_argument("--probes", default=PROBES)
         q.add_argument("--eta", type=float, default=None)
         q.add_argument("--phi-mode", choices=["soft", "hard"], default="soft")
         q.add_argument("--out", required=True)
@@ -280,9 +283,9 @@ def build_parser(command=None):
         c.add_argument("--data", required=True)
         c.add_argument("--x-cols", required=True)
         c.add_argument("--y-cols", required=True)
-        c.add_argument("--grid", type=int, default=20)
+        c.add_argument("--grid", type=int, default=GRID)
         c.add_argument("--epsilons", default="0.05,0.1,0.5,1")
-        c.add_argument("--probes", default="q10,q30,q60,q90")
+        c.add_argument("--probes", default=PROBES)
         c.add_argument("--eta", type=float, default=None)
         c.add_argument("--mode", choices=["qr", "softhard"], default="qr")
         add_solver_flags(c)
@@ -292,10 +295,10 @@ def build_parser(command=None):
     if command in (None, "synth"):
         s = sub.add_parser("synth", help="generate a synthetic dataset with known truth")
         s.add_argument("--out", required=True)
-        s.add_argument("--n-samples", type=int, default=2000)
-        s.add_argument("--seed", type=int, default=7)
-        s.add_argument("--dim", type=int, default=1)
-        s.add_argument("--n-cov", type=int, default=1)
+        s.add_argument("--n-samples", type=int, default=synth.SynthSpec.n_samples)
+        s.add_argument("--seed", type=int, default=synth.SynthSpec.seed)
+        s.add_argument("--dim", type=int, default=synth.SynthSpec.d)
+        s.add_argument("--n-cov", type=int, default=synth.SynthSpec.n_cov)
         s.set_defaults(func=cmd_synth)
 
     if command in (None, "check"):

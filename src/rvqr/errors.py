@@ -62,7 +62,7 @@ class InsufficientMassError(RvqrError):
         self.mass = mass
         super().__init__(
             f"conditional mass {mass:.3e} at rank index {rank_index} is below the floor; "
-            "consider the ball-neighborhood variant (eta > 0)"
+            "widen the ball (a larger --eta) or refit at a larger epsilon"
         )
 
 

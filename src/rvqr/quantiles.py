@@ -19,7 +19,7 @@ MASS_FLOOR = 1e-14
 PAIR_BLOCK = 1 << 18  # node pairs per block of monotonicity_diagnostic
 RUN_BLOCK = 1 << 18  # neighbour entries (probes x N x k) per block of _balls
 # a probe whose squared reach to the sample's far corner is past this may
-# overflow a row's squared distance: it takes _full_ball's rescaling rule
+# overflow a row's squared distance: its slab is every row, rescaled
 SAFE_REACH_SQ = 2.0 ** 1020
 
 
@@ -92,30 +92,21 @@ def default_eta(dist, k):
     return float(np.partition(dist, k - 1)[k - 1])
 
 
-def _check_query(model, n_cov, eta):
-    if eta is not None and not eta >= 0:  # NaN too
-        raise ConfigError("eta must be nonnegative")
-    if n_cov != model.X.shape[1]:
-        raise ConfigError(f"a probe has {n_cov} covariates, the model "
-                          f"{model.X.shape[1]}")
-
-
-def _full_ball(X, x, eta, k):
-    """_balls' rule on every row's distance: a power-of-two rescale per row
-    when any squared distance overflows."""
-    diff = X - x[None, :]
+def _distances(rows, x, safe):
+    """Each row's Euclidean distance to x, by np.linalg.norm's operations
+    (so its bits). Unless safe, squares past 1e308, at a probe like 1e200,
+    take a power-of-two rescale per row once any of them overflows: one for
+    all rows would flush near rows' squares to 0."""
+    diff = rows - x
+    if safe:
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
     with np.errstate(over="ignore"):
-        dist = np.linalg.norm(diff, axis=1)
-        if dist.max() == np.inf:  # squares past 1e308, at a probe like 1e200
-            # a power of two per row: one for all flushes near rows' squares to 0
+        dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        if dist.max() == np.inf:
             scale = np.ldexp(1.0, -np.frexp(np.abs(diff).max(axis=1))[1])
-            dist = np.linalg.norm(diff * scale[:, None], axis=1) / scale
-    if eta is None:
-        eta = default_eta(dist, k)
-    idx = np.nonzero(dist <= eta)[0]
-    if idx.size == 0:
-        raise EmptyBallError(x, eta, float(dist.min()))
-    return idx
+            diff = diff * scale[:, None]
+            dist = np.sqrt(np.add.reduce(diff * diff, axis=1)) / scale
+    return dist
 
 
 def _balls(model, probes, eta):
@@ -128,8 +119,8 @@ def _balls(model, probes, eta):
     searchsorted. The bound is eta itself, or the far corner of the bounding
     box of k sorted neighbours. Every row within the radius lies in the
     slab, so the ball is the one all J rows give, bit for bit, at O(slab)
-    per probe. A probe whose squared distances may overflow takes
-    _full_ball's rule.
+    per probe. The slab of a probe whose squared distances may overflow is
+    every row, their distances rescaled.
     """
     J, N = model.X.shape
     if N == 0:  # every row sits at the one (empty) covariate
@@ -158,16 +149,14 @@ def _balls(model, probes, eta):
             first = np.searchsorted(s.x1, P[:, 0] - bound)
             last = np.searchsorted(s.x1, P[:, 0] + bound, side="right")
         for x, ok, a, e in zip(P, safe, first, last):
-            if ok:
-                diff = s.Xs[a:e] - x  # np.linalg.norm's operations, so its bits
-                dist = np.sqrt(np.add.reduce(diff * diff, axis=1))
-                radius = default_eta(dist, k) if eta is None else eta
-                idx = np.sort(s.order[a:e][dist <= radius])
-                if idx.size:
-                    yield idx
-                    continue
-            # an empty slab ball is empty over all rows too: this raises
-            yield _full_ball(model.X, x, eta, k)
+            if not ok:
+                a, e = 0, J
+            dist = _distances(s.Xs[a:e], x, ok)
+            radius = default_eta(dist, k) if eta is None else eta
+            idx = np.sort(s.order[a:e][dist <= radius])
+            if not idx.size:  # the nearest row may lie outside the slab
+                raise EmptyBallError(x, radius, float(_distances(s.Xs, x, ok).min()))
+            yield idx
 
 
 def _readout(model, x, idx, i, hard):
@@ -194,12 +183,10 @@ def ball_conditional_quantile(model, x, eta, i, hard=False):
     eta = None takes default_eta's radius.
 
     i is one rank-node index (result shape d) or an array of them (one row
-    of d components per node). The ball is formed once for all of them.
+    of d components per node): quantile_table at the one probe x.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    _check_query(model, x.size, eta)
-    (idx,) = _balls(model, x[None, :], eta)
-    return _readout(model, x, idx, i, hard)
+    Q = quantile_table(model, np.reshape(x, (1, -1)), i, eta, hard)[0]
+    return Q[0] if np.ndim(i) == 0 else Q
 
 
 def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
@@ -211,7 +198,11 @@ def quantile_table(model, x_probes, i_set=None, eta=None, hard=False):
     """
     nodes = None if i_set is None else np.asarray(i_set, dtype=int)
     probes = np.atleast_2d(np.asarray(x_probes, dtype=float))
-    _check_query(model, probes.shape[1], eta)
+    if eta is not None and not eta >= 0:  # NaN too
+        raise ConfigError("eta must be nonnegative")
+    if probes.shape[1] != model.X.shape[1]:
+        raise ConfigError(f"a probe has {probes.shape[1]} covariates, the model "
+                          f"{model.X.shape[1]}")
     Q = np.empty((probes.shape[0], model.n_nodes if nodes is None else nodes.size,
                   model.n_dim))
     for p, idx in enumerate(_balls(model, probes, eta)):
@@ -241,7 +232,7 @@ def monotonicity_diagnostic(model, x_probe, eta=None, tol=None):
     """
     if tol is None:
         tol = 1e-6 * value_scale(model.Y)
-    Q = ball_conditional_quantile(model, x_probe, eta, np.arange(model.n_nodes))
+    Q = quantile_table(model, np.reshape(x_probe, (1, -1)), eta=eta)[0]
     if model.n_dim == 1:
         order = np.argsort(model.U[:, 0])
         drop = Q[order[:-1], 0] - Q[order[1:], 0]

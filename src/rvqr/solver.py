@@ -77,7 +77,7 @@ COARSE_MIN_ENTRIES = 20_000
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon: float
-    tol: float = 1e-9
+    tol: float = 1e-7
     max_iter: int = 100  # Newton steps over all epsilon stages
 
     def __post_init__(self):

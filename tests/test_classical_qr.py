@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rvqr import classical_qr as cq
-from rvqr import oracles
+from rvqr import cli, oracles
 from rvqr.errors import ConfigError, NonConvergenceError
 from rvqr.measures import Dataset, center_covariates
 
@@ -34,6 +34,12 @@ def test_empirical_quantile_hand_cases():
     assert cq.empirical_quantile(y, 0.9) == 4.0
     # t = 1/3 with J = 3: float rounding must not skip the atom
     assert cq.empirical_quantile([1.0, 2.0, 3.0], 1 / 3) == 2.0
+
+
+@pytest.mark.parametrize("t", [0.5, [0.1, 0.9]])
+def test_empirical_quantile_of_an_empty_sample_is_config_error(t):
+    with pytest.raises(ConfigError, match="^empty sample$"):
+        cq.empirical_quantile([], t)
 
 
 @pytest.mark.parametrize("J", [3, 7, 200])
@@ -220,6 +226,72 @@ def test_step_cap_raises_nonconvergence(rng, monkeypatch):
     with pytest.raises(NonConvergenceError, match="0 dual simplex pivots") as err:
         cq.fit_qr_curve(data, [0.3])
     assert err.value.best is None
+
+
+def _singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _compare_qr_without_a_certified_vertex(tmp_path, capsys):
+    """compare-qr on a 300-row synth file exits 2 with one error line for
+    the first level, t = 0.4 (the 5-node grid's first interior node), and
+    writes no table."""
+    data, out = str(tmp_path / "d.csv"), tmp_path / "cmp.csv"
+    assert cli.main(["synth", "--out", data, "--n-samples", "300", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare-qr", "--data", data, "--x-cols", "x_1", "--y-cols", "y_1",
+                     "--grid", "5", "--out", str(out)]) == cli.EXIT_NONCONV
+    assert capsys.readouterr().err == (
+        "error: pinball fit at t=0.4: no certified vertex within 100 dual simplex "
+        "pivots from the previous level's basis or the pilot\n")
+    assert not out.exists()
+
+
+def test_singular_basis_falls_back_to_the_pilot(rng, monkeypatch):
+    # the second level's walk from the first level's basis finds it
+    # singular at its first solve: the level starts again from its pilot
+    # and ends at the unpatched curve's coefficients
+    data = _normal_instance(rng)
+    want = cq.fit_qr_curve(data, [0.3, 0.6])
+    calls, simplex = [], cq._dual_simplex
+
+    def singular_second_call(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            if len(calls) == 1:
+                mp.setattr(np.linalg, "solve", _singular)
+            calls.append(simplex(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(cq, "_dual_simplex", singular_second_call)
+    got = cq.fit_qr_curve(data, [0.3, 0.6])
+    assert [out is None for out in calls] == [False, True, False]
+    for g, w in zip(got, want):
+        assert (g.alpha, g.beta.tobytes()) == (w.alpha, w.beta.tobytes())
+
+
+def test_empty_ratio_test_ends_in_nonconvergence(rng, tmp_path, capsys, monkeypatch):
+    # no |alpha_j| passes an infinite pivot tolerance, so the first pivot's
+    # ratio test has no candidate, from the pilot as from any basis
+    data = _normal_instance(rng)
+    assert cq.fit_qr_curve(data, [0.3])[0].iterations > 0
+    monkeypatch.setattr(cq, "PIVOT_TOL", np.inf)
+    with pytest.raises(NonConvergenceError, match=(
+            r"^pinball fit at t=0.3: no certified vertex within 100 dual simplex pivots "
+            r"from the previous level's basis or the pilot$")) as err:
+        cq.fit_qr_curve(data, [0.3])
+    assert err.value.best is None
+    _compare_qr_without_a_certified_vertex(tmp_path, capsys)
+
+
+def test_singular_pilot_ends_in_nonconvergence(rng, tmp_path, capsys, monkeypatch):
+    # a pilot basis np.linalg.solve finds singular gives no start at all
+    data = _normal_instance(rng)
+    monkeypatch.setattr(np.linalg, "solve", _singular)
+    with pytest.raises(NonConvergenceError, match=(
+            r"^pinball fit at t=0.3: no certified vertex within 100 dual simplex pivots "
+            r"from the previous level's basis or the pilot$")):
+        cq.fit_qr_curve(data, [0.3])
+    _compare_qr_without_a_certified_vertex(tmp_path, capsys)
 
 
 def test_rejects_bad_inputs(rng):

@@ -205,6 +205,18 @@ def test_dataset_validation():
                 nu=np.full(2, 0.5), x_mean=np.zeros(1))
 
 
+def test_dataset_with_no_rows_is_empty_data_error():
+    with pytest.raises(EmptyDataError, match="^dataset has no rows$"):
+        Dataset(X=np.zeros((0, 1)), Y=np.zeros((0, 1)), nu=np.zeros(0), x_mean=np.zeros(1))
+
+
+@pytest.mark.parametrize("nu", [[1.0, 0.0], [1.5, -0.5]])
+def test_dataset_refuses_a_weight_that_is_not_positive(nu):
+    # both sum to 1, so only the sign test can refuse them
+    with pytest.raises(DataError, match="^all weights nu_j must be strictly positive$"):
+        Dataset(X=np.zeros((2, 1)), Y=np.zeros((2, 1)), nu=nu, x_mean=np.zeros(1))
+
+
 @pytest.mark.parametrize("names, message", [
     ({"x_names": ("a",)}, "1 names for the 2 columns of X"),
     ({"y_names": ("y", "z")}, "2 names for the 1 columns of Y")])
@@ -272,6 +284,11 @@ def test_make_rank_grid_rejects_bad_shapes():
         RankGrid(U=np.array([[0.5], [np.nan]]), mu=np.full(2, 0.5))
     with pytest.raises(InvalidGridError):
         RankGrid(U=np.array([[0.5], [1.0]]), mu=np.array([np.nan, 0.5]))
+
+
+def test_rank_grid_refuses_u_and_mu_of_other_row_counts():
+    with pytest.raises(InvalidGridError, match="^U and mu row counts differ$"):
+        RankGrid(U=np.array([[0.5], [1.0]]), mu=np.full(3, 1 / 3))
 
 
 def test_value_scale():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rvqr import classical_qr, oracles, solver, synth
-from rvqr.errors import ConfigError
+from rvqr.errors import ConfigError, NonConvergenceError
 from rvqr.measures import Dataset, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables
 
@@ -54,6 +54,15 @@ def test_sinkhorn_rejects_bad_marginals():
         oracles.sinkhorn(np.array([0.5, -0.5]), np.full(2, 0.5), np.zeros((2, 2)), 1.0)
     with pytest.raises(ConfigError):
         oracles.sinkhorn(np.full(2, 0.4), np.full(2, 0.5), np.zeros((2, 2)), 1.0)
+
+
+def test_sinkhorn_out_of_iterations_is_nonconvergence():
+    # one sweep leaves the 2 x 2 coupling's column sums off: the ladder's
+    # first stage runs out of the budget for all of them
+    G = np.array([[1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonConvergenceError,
+                       match=r"^Sinkhorn residuals \(.+, .+\) above tol after 1 iterations$"):
+        oracles.sinkhorn(np.full(2, 0.5), np.array([0.3, 0.7]), G, 0.1, max_iter=1)
 
 
 def test_check_against_sinkhorn_requires_constant_covariates(rng):
@@ -208,6 +217,25 @@ def test_check_vqr_lp_catches_a_fit_at_the_wrong_epsilon(rng, monkeypatch):
     monkeypatch.setattr(solver, "solve_chain", lambda d, g, cfgs: real(
         d, g, [replace(cfg, epsilon=4 * cfg.epsilon) for cfg in cfgs]))
     assert oracles.check_vqr_lp(data, grid)[0] >= 1e-3
+
+
+def test_highs_status_other_than_optimal_is_nonconvergence():
+    # x = 1 and x = 2 at once: HiGHS reports the LP infeasible (status 2)
+    A = np.array([[1.0], [1.0]])
+    with pytest.raises(NonConvergenceError, match="^HiGHS: The problem is infeasible"):
+        oracles._highs(np.ones(1), A, np.array([1.0, 2.0]), (0.0, None))
+
+
+def test_check_vqr_lp_raises_when_the_chain_does_not_converge(rng, monkeypatch):
+    # one Newton step over all epsilon stages: the first solve of the chain
+    # does not converge, and the check raises its error rather than read it
+    data, grid = _lp_instance(rng, 40, 1, 1, 8)
+    real = oracles.SolverConfig
+    monkeypatch.setattr(oracles, "SolverConfig",
+                        lambda **kw: real(**kw, max_iter=1))
+    with pytest.raises(NonConvergenceError,
+                       match=r"^not converged after 1 Newton steps: residual .+ \(tol 1e-10\)"):
+        oracles.check_vqr_lp(data, grid)
 
 
 def test_run_all_checks_pass():

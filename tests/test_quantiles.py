@@ -123,8 +123,11 @@ def test_insufficient_mass(rng):
     model = _fit_model(data, 2, 0.5)
     starved = QuantileModel(alpha=np.zeros_like(model.alpha), X=model.X,
                             Y=model.Y, U=model.U, epsilon=model.epsilon)
-    with pytest.raises(InsufficientMassError):
+    with pytest.raises(InsufficientMassError) as exc:
         qt.ball_conditional_quantile(starved, [0.0], 1.0, 0)
+    assert str(exc.value) == ("conditional mass 0.000e+00 at rank index 0 is below the "
+                              "floor; widen the ball (a larger --eta) or refit at a larger "
+                              "epsilon")
     # a node array reports its first starved node
     alpha = model.alpha.copy()
     alpha[1] = 0.0

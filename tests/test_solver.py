@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from rvqr import kernels, solver, synth
+from rvqr import cli, kernels, solver, synth
 from rvqr.errors import ConfigError, NonConvergenceError
 from rvqr.measures import Dataset, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables, SolverConfig
@@ -803,6 +803,32 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
                 assert eps_seen == sorted(eps_seen, reverse=True)
                 assert list(dict.fromkeys(eps_seen)) == want
         seen.clear()
+
+
+def test_nonfinite_log_sum_exps_are_a_config_error(tmp_path, capsys, monkeypatch):
+    # a walk that ends on a log-sum-exp of nan: the dual point is refused
+    # as not finite, without blaming epsilon, and fit writes no model
+    real = solver._walk
+
+    def nan_lse(*args):
+        z, r, lse = real(*args)
+        lse = lse.copy()
+        lse[0] = np.nan
+        return z, r, lse
+
+    monkeypatch.setattr(solver, "_walk", nan_lse)
+    data, grid = _fit_instance(n=300)
+    message = ("the dual point at epsilon 0.5 is not finite: b or the log-sum-exps "
+               "are not finite")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        solver.solve(data, grid, SolverConfig(epsilon=0.5))
+    csv, model = str(tmp_path / "d.csv"), tmp_path / "m.json"
+    assert cli.main(["synth", "--out", csv, "--n-samples", "300"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["fit", "--data", csv, "--x-cols", "x_1", "--y-cols", "y_1",
+                     "--grid", "10", "--epsilon", "0.5", "--out", str(model)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("eps", [2e307, 1e308])
