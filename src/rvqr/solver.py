@@ -210,8 +210,9 @@ class SemiDual:
         moments = np.zeros((I, K * K))
         for (s, e), feats, weights, p in zip(self.bounds, self.feats, self.weights, self.p):
             np.matmul(self.coef, feats, out=p)
-            lse[s:e], block_moments = kernels.column_softmax(p, weights)
-            moments += block_moments
+            # the row softmax of p's transpose is the column softmax of p
+            lse[s:e] = kernels.coupling(p.T, 1.0)[1]
+            moments += p @ weights
         self.m = moments.reshape(I, K, K)
         f = float(self.grid.mu @ (z @ self.a_bar)) + eps * float(self.data.nu @ lse)
         grad = np.outer(self.grid.mu, self.a_bar) - self.m[:, :, 0]
@@ -297,13 +298,13 @@ def _ladder(epsilon, eps_z, data, grid):
     epsilon 4^k, k >= 1, strictly below eps_z and at most LADDER_TOP times
     the spread of u_i.y_j, largest first, then epsilon. The spread is found
     only when epsilon 4 < eps_z."""
-    top = 0
+    rungs = [epsilon]
     if epsilon * LADDER_RATIO < eps_z:
         spread = _spread(data, grid)
-        while (epsilon * LADDER_RATIO ** (top + 1) < eps_z
-               and epsilon * LADDER_RATIO ** (top + 1) <= LADDER_TOP * spread):
-            top += 1
-    return [epsilon * LADDER_RATIO ** k for k in range(top, -1, -1)]
+        # one exact product per rung; a rung that overflows to inf ends it
+        while (rung := rungs[-1] * LADDER_RATIO) < eps_z and rung <= LADDER_TOP * spread:
+            rungs.append(rung)
+    return rungs[::-1]
 
 
 def _stop_weights(data, grid):

@@ -818,6 +818,31 @@ def test_overflowing_epsilon_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["tiny_eps", "subnormal_eps", "inf_spread", "huge_y"])
+def test_fit_whose_ladder_would_overflow_is_config_error(tmp_path, case):
+    # epsilon 4^k for the rungs of the epsilon ladder would pass the float64
+    # range before it reaches LADDER_TOP times the spread of u.y: the solve
+    # runs, its dual point is not finite, and the fit exits 3 with one
+    # error line after numpy's warnings, writing no model
+    data = tmp_path / "d.csv"
+    eps, y = {"tiny_eps": ("1e-308", None), "subnormal_eps": ("5e-324", None),
+              "inf_spread": ("0.1", [1e308, -1e308] * 3),
+              "huge_y": ("1e-3", np.random.default_rng(4).standard_normal(30) * 1e306)}[case]
+    if y is None:
+        assert cli.main(["synth", "--out", str(data), "--n-samples", "200", "--seed", "3"]) == 0
+    else:  # x_1 = 0, 1, 2, ...
+        data.write_text("x_1,y_1\n" + "".join(f"{j},{float(v)!r}\n" for j, v in enumerate(y)))
+    model = tmp_path / "model.json"
+    run = subprocess.run([sys.executable, "-m", "rvqr.cli", "fit", "--data", str(data),
+                          "--x-cols", "x_1", "--y-cols", "y_1", "--grid", "5",
+                          "--epsilon", eps, "--out", str(model)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC})
+    assert run.returncode == cli.EXIT_CONFIG
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1].startswith("error: the dual point at epsilon")
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "check"])
 def test_negative_seed_is_config_error(tmp_path, capsys, command):
     argv = ["--out", str(tmp_path / "out")]

@@ -94,14 +94,15 @@ def test_solve_returns_its_pinned_gauge(rng, n_cov):
 
 
 def test_solve_forms_theta_once(rng, monkeypatch):
-    # the post-solve work is one extract_coupling pass: one theta, one
-    # row-softmax coupling
+    # the post-solve work is one extract_coupling pass: one I x J theta, one
+    # row-softmax coupling; the semi-dual passes give coupling transposed
+    # blocks
     data, grid = random_instance(rng, I=5, J=20, N=1)
-    calls = []
-    real = kernels.coupling
-    monkeypatch.setattr(kernels, "coupling", lambda *args: calls.append(1) or real(*args))
+    shape = (grid.n_nodes, data.n_obs)
+    psi_dual = _count_calls(monkeypatch, kernels, "coupling", lambda theta, mu: (
+        theta.shape == shape and theta.flags.c_contiguous))
     solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
-    assert len(calls) == 1
+    assert len(psi_dual) == 1
 
 
 def test_gradient_equals_minus_residuals(rng):
@@ -343,11 +344,20 @@ def test_newton_step_solves_the_damped_system(rng, monkeypatch):
                                rtol=1e-9, atol=1e-12)
 
 
-def _count_calls(monkeypatch, owner, name):
-    """Wrap owner.name; the returned list gets one entry per call."""
+def _count_calls(monkeypatch, owner, name, keep=lambda *args: True):
+    """Wrap owner.name; the returned list gets one entry per call whose
+    arguments pass `keep`."""
     calls, real = [], getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or real(*args))
+    monkeypatch.setattr(owner, name,
+                        lambda *args: (keep(*args) and calls.append(1)) or real(*args))
     return calls
+
+
+def _block_call(theta, mu):
+    """A semi-dual pass's call of kernels.coupling: the transpose of a
+    C-ordered workspace block, at mu = 1.0."""
+    return (theta.T.flags.c_contiguous and not theta.flags.c_contiguous
+            and np.ndim(mu) == 0 and mu == 1.0)
 
 
 def test_report_counts_computed_oracle_passes(rng, monkeypatch):
@@ -360,7 +370,8 @@ def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     real = solver.SemiDual.evaluate
     monkeypatch.setattr(solver.SemiDual, "evaluate",
                         lambda sd, z, eps: passes.append(sd.data.n_obs) or real(sd, z, eps))
-    blocks = _count_calls(monkeypatch, kernels, "column_softmax")
+    blocks = _count_calls(monkeypatch, kernels, "coupling", _block_call)
+    softmaxes = _count_calls(monkeypatch, kernels, "coupling")
     products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
     assert report.iterations < report.oracle_calls
@@ -370,6 +381,7 @@ def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     assert len(passes) == report.oracle_calls
     assert 0 < passes.count(5) == passes.index(20) and passes.count(20) > 0
     assert len(blocks) == passes.count(5) + 3 * passes.count(20)
+    assert len(softmaxes) == len(blocks) + 1  # and extract_coupling's pass
     assert len(products) == report.cg_products >= report.iterations
 
 
@@ -757,6 +769,35 @@ def test_ladder_reads_the_spread_only_when_a_rung_fits_below_eps_z(monkeypatch):
     assert solver._ladder(0.02, 0.0801, data, grid) == [0.08, 0.02] and len(calls) == 1
     # the top rung is the largest at most LADDER_TOP * 10 = 4
     assert solver._ladder(0.02, math.inf, data, grid) == [1.28, 0.32, 0.08, 0.02]
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1e-300])
+@pytest.mark.parametrize("eps_z", [0.5, 7.0, 1e-290, math.inf])
+def test_ladder_rungs_are_epsilon_times_powers_of_four(epsilon, eps_z):
+    # each rung is epsilon 4^k bit for bit: the spread here is 10, so the
+    # top rung is the largest of them at most 4 and below eps_z
+    data = Dataset(X=np.zeros((2, 0)), Y=[[10.0], [0.0]], nu=[0.5, 0.5], x_mean=[])
+    ladder = solver._ladder(epsilon, eps_z, data, make_rank_grid(1, 2))
+    top = len(ladder) - 1
+    assert ladder == [epsilon * solver.LADDER_RATIO ** k for k in range(top, -1, -1)]
+    assert ladder[0] < eps_z or top == 0
+    assert ladder[0] <= 4.0 and (ladder[0] * 4 > 4.0 or ladder[0] * 4 >= eps_z)
+
+
+@pytest.mark.parametrize("epsilon, y", [(0.1, 1e308), (5e-324, 1.0), (5e-324, 1e308)])
+def test_ladder_ends_finite_where_the_powers_of_four_overflow(epsilon, y):
+    # an infinite spread of u.y, or a subnormal epsilon, takes 4^k past the
+    # float64 range before the top rung: the rungs stay finite, descend
+    # strictly and end at epsilon, and the top one is the last below the
+    # spread's bound 0.8 or the last finite one
+    data = Dataset(X=np.zeros((2, 0)), Y=[[y], [-y]], nu=[0.5, 0.5], x_mean=[])
+    grid = make_rank_grid(1, 2)
+    with np.errstate(over="ignore"):
+        assert solver._spread(data, grid) == (math.inf if y == 1e308 else 2.0)
+        ladder = solver._ladder(epsilon, math.inf, data, grid)
+    assert np.isfinite(ladder).all() and ladder[-1] == epsilon
+    assert all(a > b for a, b in zip(ladder, ladder[1:]))
+    assert ladder[0] * 4 == math.inf or ladder[0] * 4 > 0.8
 
 
 @pytest.mark.parametrize("case", ["cold", "coarse", "warm", "first_fails"])
