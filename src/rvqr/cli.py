@@ -81,14 +81,9 @@ def cmd_fit(args):
     grid = make_rank_grid(data.n_dim, args.grid)
     cfg = solver.SolverConfig(epsilon=args.epsilon, tol=args.tol,
                               max_iter=args.max_iter)
-    exit_code = EXIT_OK
-    try:
-        dv, coupling, report = solver.solve(data, grid, cfg)
-    except NonConvergenceError as exc:
-        dv, coupling = exc.best
-        report = exc.report
-        exit_code = EXIT_NONCONV
-        print(f"warning: {exc}", file=sys.stderr)
+    dv, coupling, report = solver.solve(data, grid, cfg)
+    if not report.converged:
+        print(f"warning: {solver.shortfall(report, cfg)}", file=sys.stderr)
     solver.save_model(args.out, dv, data, grid, cfg, report)
     print(f"model written to {args.out}")
     print(f"levels (rows)     {', '.join(map(str, report.levels))}")
@@ -104,7 +99,7 @@ def cmd_fit(args):
     if coupling.mi_residual.size:
         print(f"mi residual       {np.abs(coupling.mi_residual).max():.3e}")
     print(f"wall time         {report.wall_time:.2f}s")
-    return exit_code
+    return EXIT_OK if report.converged else EXIT_NONCONV
 
 
 def _model_from_files(args):
@@ -163,8 +158,13 @@ def cmd_compare_qr(args):
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
         # P x T baseline quantiles, empty when no probe is given
-        qr_q = (np.array([f.alpha for f in qr_fits])
-                + probes @ np.array([f.beta for f in qr_fits]).T)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            qr_q = (np.array([f.alpha for f in qr_fits])
+                    + probes @ np.array([f.beta for f in qr_fits]).T)
+        bad = np.flatnonzero(~np.isfinite(qr_q).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"--probes: the baseline quantiles at probe p{bad[0] + 1} "
+                              "are not finite in float64")
 
     by_x1 = quantiles.RowSort.of(data.X)  # one sort of the rows for every epsilon
 
@@ -192,15 +192,16 @@ def cmd_compare_qr(args):
     exit_code = EXIT_OK
     chain = solver.solve_chain(data, grid, [cfgs[k] for k in order])
     for k in order:
-        result = next(chain)
-        if isinstance(result, NonConvergenceError):
+        _, coupling, report = next(chain)
+        if report.converged:
+            table[k] = relative_errors(coupling, eps_list[k])
+        else:
             # keep the sweep going; this column reads nan
-            print(f"warning: eps {eps_list[k]:g}: {result}", file=sys.stderr)
+            print(f"warning: eps {eps_list[k]:g}: {solver.shortfall(report, cfgs[k])}",
+                  file=sys.stderr)
             table[k] = [math.nan] * len(probes)
             exit_code = EXIT_NONCONV
-        else:
-            table[k] = relative_errors(result[1], eps_list[k])
-        del result  # the next coupling is extracted with this one freed
+        del coupling  # the next coupling is extracted with this one freed
     for p in range(len(probes)):
         cells = [f"p{p + 1}"] + [f"{table[e][p]:.6g}" for e in range(len(eps_list))]
         lines.append(",".join(cells))

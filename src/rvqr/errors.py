@@ -45,12 +45,7 @@ class ConfigError(RvqrError):
 
 
 class NonConvergenceError(RvqrError):
-    """Iteration budget exhausted. Carries the best iterate found."""
-
-    def __init__(self, message, best=None, report=None):
-        self.best = best
-        self.report = report
-        super().__init__(message)
+    """The pinball baseline, Sinkhorn or HiGHS ended without converging."""
 
 
 class InsufficientMassError(RvqrError):

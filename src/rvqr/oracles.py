@@ -71,7 +71,9 @@ def check_against_sinkhorn(data, grid, epsilon, tol=1e-10):
     if data.n_cov and np.abs(data.X).max() > 1e-12:
         raise ConfigError("this check requires X identically zero after centering")
     cfg = SolverConfig(epsilon=epsilon, tol=tol)
-    _, coupling, _ = rvqr_solver.solve(data, grid, cfg)
+    _, coupling, report = rvqr_solver.solve(data, grid, cfg)
+    if not report.converged:
+        raise NonConvergenceError(rvqr_solver.shortfall(report, cfg))
     pi = sinkhorn(grid.mu, data.nu, grid.U @ data.Y.T, epsilon, tol=tol)
     return float(np.abs(coupling.alpha - pi).max())
 
@@ -197,16 +199,14 @@ def check_vqr_lp(data, grid):
     """
     lp = vqr_lp(data, grid)
     G = grid.U @ data.Y.T
-    epsilons = (0.5, 0.1, 0.02)
-    cfgs = [SolverConfig(epsilon=eps, tol=1e-10) for eps in epsilons]
+    cfgs = [SolverConfig(epsilon=eps, tol=1e-10) for eps in (0.5, 0.1, 0.02)]
     worst = -np.inf
-    for eps, result in zip(epsilons, rvqr_solver.solve_chain(data, grid, cfgs)):
-        if isinstance(result, NonConvergenceError):
-            raise result
-        _, fit, _ = result
+    for cfg, (_, fit, report) in zip(cfgs, rvqr_solver.solve_chain(data, grid, cfgs)):
+        if not report.converged:
+            raise NonConvergenceError(rvqr_solver.shortfall(report, cfg))
         worst = max(worst, float(np.sum(fit.alpha * G)) - lp.objective,
-                    rvqr_solver.primal_value(lp, grid, data, eps)
-                    - rvqr_solver.primal_value(fit, grid, data, eps))
+                    rvqr_solver.primal_value(lp, grid, data, cfg.epsilon)
+                    - rvqr_solver.primal_value(fit, grid, data, cfg.epsilon))
     return worst / float(G.max() - G.min()), lp
 
 

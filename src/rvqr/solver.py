@@ -32,12 +32,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ConfigError,
-    DataError,
-    InvalidGridError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, DataError, InvalidGridError
 from .measures import RankGrid
 
 # the Armijo constant, and the relative rounding error of an objective
@@ -115,7 +110,8 @@ class SolveReport:
     grad_inf: float  # largest column or mean-independence residual
     duality_gap: float
     wall_time: float
-    converged: bool
+    converged: bool  # residual <= tol
+    residual: float  # the scale-free stop residual r of the last rung (see _walk)
     stages: int = 0  # epsilon stages evaluated
     oracle_calls: int = 0  # semi-dual passes: stages + iterations + backtracks
     backtracks: int = 0  # rejected line-search trials
@@ -430,17 +426,16 @@ def solve_chain(data, grid, cfgs):
     and there at cfg.tol; max_iter bounds the config's Newton steps over its
     levels and stages.
 
-    Yields (DualVariables, Coupling, SolveReport) for a config that
-    converges: the psi-dual point of the last accepted iterate in the
-    solver's gauge (phi_1 = 0 and b_1 = 0 exactly, as no step moves node 1;
-    psi_j = eps (lse_j - log nu_j) read off the last accepted pass), its
-    row-exact coupling and J from one extract_coupling pass, and a report
-    whose counters are the config's own, summed over its levels. For a
-    config that ends above its tol it yields a NonConvergenceError carrying
-    that point and report. A psi-dual point that is not finite, as psi
-    overflows at a huge epsilon, raises ConfigError. The generator drops each
-    result when it resumes, so a caller that drops it too before asking for
-    the next keeps one I x J coupling alive at a time.
+    Yields (DualVariables, Coupling, SolveReport) for every config, whether
+    or not it ends within its tol: the psi-dual point of the last accepted
+    iterate in the solver's gauge (phi_1 = 0 and b_1 = 0 exactly, as no step
+    moves node 1; psi_j = eps (lse_j - log nu_j) read off the last accepted
+    pass), its row-exact coupling and J from one extract_coupling pass, and
+    a report whose counters are the config's own, summed over its levels;
+    report.converged says how it ended. A psi-dual point that is not finite,
+    as psi overflows at a huge epsilon, raises ConfigError. The generator
+    drops each result when it resumes, so a caller that drops it too before
+    asking for the next keeps one I x J coupling alive at a time.
     """
     if grid.n_dim != data.n_dim:
         raise ConfigError(
@@ -484,30 +479,22 @@ def solve_chain(data, grid, cfgs):
         report = SolveReport(**asdict(tally), objective=coupling.objective,
                              oracle_calls=tally.stages + tally.iterations + tally.backtracks,
                              grad_inf=grad_inf, duality_gap=gap, wall_time=wall,
-                             converged=converged)
-        if converged:
-            yield dv, coupling, report
-        else:
-            yield NonConvergenceError(
-                f"not converged after {tally.iterations} Newton steps: residual "
-                f"{r:.3e} (tol {cfg.tol:g}), duality gap {gap:.3e}",
-                best=(dv, coupling), report=report,
-            )
+                             converged=converged, residual=r)
+        yield dv, coupling, report
         del dv, coupling  # the next coupling pass runs with this one freed
         start = time.perf_counter()
 
 
 def solve(data, grid, cfg):
-    """solve_chain at one config: a cold solve (see _coarse_start).
+    """solve_chain at one config: a cold solve (see _coarse_start). Returns
+    (DualVariables, Coupling, SolveReport), converged or not."""
+    return next(solve_chain(data, grid, [cfg]))
 
-    Returns (DualVariables, Coupling, SolveReport); raises the
-    NonConvergenceError (carrying the point and report) if the solve ends
-    above cfg.tol.
-    """
-    result = next(solve_chain(data, grid, [cfg]))
-    if isinstance(result, NonConvergenceError):
-        raise result
-    return result
+
+def shortfall(report, cfg):
+    """How a solve that ended above cfg.tol fell short, in one line."""
+    return (f"not converged after {report.iterations} Newton steps: residual "
+            f"{report.residual:.3e} (tol {cfg.tol:g}), duality gap {report.duality_gap:.3e}")
 
 
 # --- fitted-model persistence -------------------------------------------------

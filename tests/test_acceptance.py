@@ -57,6 +57,7 @@ def solved_instances(instances):
     for data, grid, eps in instances:
         cfg = SolverConfig(epsilon=eps, tol=1e-9, max_iter=50000)
         dv, coupling, report = solver.solve(data, grid, cfg)
+        assert report.converged
         solved.append((data, grid, eps, dv, coupling, report))
     return solved, time.perf_counter() - t0
 
@@ -256,8 +257,9 @@ def test_criterion_11_monotonicity(capsys):
     data = Dataset(X=np.zeros((J, 1)), Y=y, nu=np.full(J, 1.0 / J),
                    x_mean=np.zeros(1))
     grid = make_rank_grid(1, 20)
-    _, coupling, _ = solver.solve(data, grid,
-                                  SolverConfig(epsilon=0.01, tol=1e-7))
+    _, coupling, report = solver.solve(data, grid,
+                                       SolverConfig(epsilon=0.01, tol=1e-7))
+    assert report.converged
     model = quantiles.QuantileModel.from_fit(coupling, data, grid, 0.01)
     tol = 1e-6 * value_scale(y)
     violations = quantiles.monotonicity_diagnostic(model, [0.0], eta=1e9,

@@ -1,8 +1,10 @@
 import base64
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ def test_fit_quantiles_pipeline(tmp_path, capsys):
     code, model = _fit(tmp_path, data)
     assert code == cli.EXIT_OK
     doc = json.loads(Path(model).read_text())
-    assert doc["report"]["converged"]
+    assert doc["report"]["converged"] and 0 <= doc["report"]["residual"] <= 1e-7
     printed = capsys.readouterr().out
     assert f"oracle calls      {doc['report']['oracle_calls']}" in printed
     assert f"backtracks        {doc['report']['backtracks']}" in printed
@@ -106,11 +108,15 @@ def test_quantiles_default_radius_follows_u(tmp_path, capsys):
 
 
 def test_fit_nonconvergence_exit_code_still_writes_model(tmp_path, capsys):
+    # the model's report holds the stop residual its warning line quotes
     data = _synth(tmp_path)
     code, model = _fit(tmp_path, data, extra=("--max-iter", "2", "--tol", "1e-14"))
     assert code == cli.EXIT_NONCONV
-    doc = json.loads(Path(model).read_text())
-    assert doc["report"]["converged"] is False
+    report = json.loads(Path(model).read_text())["report"]
+    assert report["converged"] is False and report["residual"] > 1e-14
+    assert capsys.readouterr().err == (
+        f"warning: not converged after 2 Newton steps: residual {report['residual']:.3e} "
+        f"(tol 1e-14), duality gap {report['duality_gap']:.3e}\n")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -304,7 +310,8 @@ def test_compare_qr_matches_per_probe_reference(tmp_path, capsys, mode):
     fits = classical_qr.fit_qr_curve(data, grid.U[interior, 0])
     rows = [["p1"], ["p2"]]
     for eps in (1.0, 0.5):
-        _, coupling, _ = solver.solve(data, grid, solver.SolverConfig(epsilon=eps, tol=1e-7))
+        _, coupling, report = solver.solve(data, grid, solver.SolverConfig(epsilon=eps, tol=1e-7))
+        assert report.converged
         model = quantiles.QuantileModel.from_fit(coupling, data, grid, eps)
         for row, x in zip(rows, probes):
             eta = float(np.quantile(np.abs(data.X[:, 0] - x), 0.05))
@@ -337,6 +344,20 @@ def test_compare_qr_huge_probe_reads_finite(tmp_path, capsys):
                        "--out", str(out))
     assert code == cli.EXIT_OK
     assert out.read_text() == "probe,eps_1,eps_0.5\np1,1,1\np2,1,1\n"
+
+
+@pytest.mark.parametrize("probes, bad", [("1.7e308", 1), ("q50,-1.7e308,1.7e308", 2)])
+def test_compare_qr_overflowing_baseline_probe_is_config_error(
+        tmp_path, capsys, monkeypatch, probes, bad):
+    # past float64's range the baseline's quantiles overflow: the command
+    # names the first such probe before any solve, with no numpy warning
+    monkeypatch.setattr(solver, "solve_chain", lambda *args: pytest.fail("solved"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = _compare_qr(tmp_path, f"--probes={probes}")
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"error: --probes: the baseline quantiles at "
+                                       f"probe p{bad} are not finite in float64\n")
 
 
 def test_compare_qr_grid_without_interior_node_is_config_error(tmp_path, capsys):
@@ -734,7 +755,9 @@ def test_compare_qr_nonconvergent_epsilon_keeps_other_columns(tmp_path, capsys):
     data = _synth(tmp_path, n=300)
     code, head, vals = _compare_qr_table(tmp_path, data, "1,0.001", "--max-iter", "5")
     assert code == cli.EXIT_NONCONV
-    assert "eps 0.001" in capsys.readouterr().err
+    assert re.fullmatch(r"warning: eps 0.001: not converged after 5 Newton steps: "
+                        r"residual \S+ \(tol 1e-08\), duality gap \S+\n",
+                        capsys.readouterr().err)
     assert head == "probe,eps_1,eps_0.001"
     assert vals.shape == (2, 2)
     assert np.isfinite(vals[:, 0]).all() and np.isnan(vals[:, 1]).all()

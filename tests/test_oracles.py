@@ -81,6 +81,17 @@ def test_check_against_sinkhorn_small(rng):
     assert dev <= 1e-7
 
 
+def test_check_against_sinkhorn_raises_when_the_solve_does_not_converge(rng, monkeypatch):
+    # capped at one Newton step, the solve stops above tol: the check raises
+    # rather than compare its coupling
+    data = _no_cov(np.sort(rng.standard_normal(6)))
+    real = oracles.SolverConfig
+    monkeypatch.setattr(oracles, "SolverConfig", lambda **kw: real(**kw, max_iter=1))
+    with pytest.raises(NonConvergenceError,
+                       match=r"^not converged after 1 Newton steps: residual .+ \(tol 1e-12\)"):
+        oracles.check_against_sinkhorn(data, make_rank_grid(1, 6), 0.01, tol=1e-12)
+
+
 def test_gradient_fd_agrees(rng):
     data = center_covariates(Dataset(
         X=rng.standard_normal((9, 2)), Y=rng.standard_normal((9, 1)),

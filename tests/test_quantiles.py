@@ -15,7 +15,8 @@ from rvqr.solver import SolverConfig
 
 def _fit_model(data, n_grid, eps, tol=1e-9):
     grid = make_rank_grid(data.n_dim, n_grid)
-    _, coupling, _ = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=tol))
+    _, coupling, report = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=tol))
+    assert report.converged
     return QuantileModel.from_fit(coupling, data, grid, eps)
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_instance
 from rvqr import cli, kernels, solver, synth
-from rvqr.errors import ConfigError, NonConvergenceError
+from rvqr.errors import ConfigError
 from rvqr.measures import Dataset, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables, SolverConfig
 
@@ -87,6 +87,7 @@ def test_solve_returns_its_pinned_gauge(rng, n_cov):
     # psi-dual value of the returned point, with no second gauge shift
     data, grid = random_instance(rng, I=5, J=10, N=n_cov)
     dv, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.4, tol=1e-9))
+    assert report.converged
     assert dv.b.shape == (grid.n_nodes, n_cov)
     assert np.all(dv.b[0] == 0.0)
     ref = solver.extract_coupling(dv, data, grid, 0.4).objective
@@ -101,7 +102,7 @@ def test_solve_forms_theta_once(rng, monkeypatch):
     shape = (grid.n_nodes, data.n_obs)
     psi_dual = _count_calls(monkeypatch, kernels, "coupling", lambda theta, mu: (
         theta.shape == shape and theta.flags.c_contiguous))
-    solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
+    assert solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))[2].converged
     assert len(psi_dual) == 1
 
 
@@ -186,13 +187,54 @@ def test_solver_config_validation():
 
 
 def test_nonconvergence_carries_best_iterate(rng):
+    # a solve that runs out of Newton steps returns its point and coupling,
+    # and a report that says it stopped above tol
     data, grid = random_instance(rng, I=5, J=20, N=1)
-    with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-12, max_iter=3))
-    dv, coupling = exc.value.best
+    cfg = SolverConfig(epsilon=0.1, tol=1e-12, max_iter=3)
+    dv, coupling, report = solver.solve(data, grid, cfg)
     assert dv.psi.size == data.n_obs
     assert coupling.alpha.shape == (grid.n_nodes, data.n_obs)
-    assert exc.value.report.converged is False
+    assert report.converged is False and report.iterations == 3
+    assert math.isfinite(report.residual) and report.residual > cfg.tol
+
+
+@pytest.mark.parametrize("max_iter", [1, 100])
+def test_report_residual_is_the_last_walks_stop_residual(rng, monkeypatch, max_iter):
+    # the r the last walk returned: finite, and within tol exactly when the
+    # report says the solve converged
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    walks = []
+    real = solver._walk
+    monkeypatch.setattr(solver, "_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    cfg = SolverConfig(epsilon=0.1, tol=1e-9, max_iter=max_iter)
+    _, _, report = solver.solve(data, grid, cfg)
+    assert report.residual == walks[-1][1] and math.isfinite(report.residual)
+    assert report.converged == (report.residual <= cfg.tol) == (max_iter == 100)
+
+
+def test_chain_reports_each_configs_residual(rng, monkeypatch):
+    # one report per config, converged or not, each with its own walk's r
+    data, grid = random_instance(rng, I=5, J=40, N=1)
+    walks = []
+    real = solver._walk
+    monkeypatch.setattr(solver, "_walk", lambda *args: walks.append(real(*args)) or walks[-1])
+    cfgs = [SolverConfig(epsilon=0.5, tol=1e-9),
+            SolverConfig(epsilon=0.1, tol=1e-12, max_iter=1),
+            SolverConfig(epsilon=0.1, tol=1e-9)]
+    reports = [report for _, _, report in solver.solve_chain(data, grid, cfgs)]
+    assert [r.residual for r in reports] == [r for _, r, _ in walks]
+    assert [r.converged for r in reports] == [True, False, True]
+    assert all(r.converged == (r.residual <= cfg.tol) for r, cfg in zip(reports, cfgs))
+
+
+def test_shortfall_quotes_steps_residual_tol_and_gap(rng):
+    data, grid = random_instance(rng, I=5, J=20, N=1)
+    cfg = SolverConfig(epsilon=0.1, tol=1e-10, max_iter=1)
+    _, _, report = solver.solve(data, grid, cfg)
+    text = solver.shortfall(report, cfg)
+    assert re.match(r"^not converged after 1 Newton steps: residual .+ \(tol 1e-10\)", text)
+    assert text == (f"not converged after 1 Newton steps: residual {report.residual:.3e} "
+                    f"(tol 1e-10), duality gap {report.duality_gap:.3e}")
 
 
 def test_model_save_load_roundtrip(tmp_path, rng):
@@ -374,7 +416,7 @@ def test_report_counts_computed_oracle_passes(rng, monkeypatch):
     softmaxes = _count_calls(monkeypatch, kernels, "coupling")
     products = _count_calls(monkeypatch, solver.SemiDual, "hvp")
     _, _, report = solver.solve(data, grid, SolverConfig(epsilon=0.5, tol=1e-9))
-    assert report.iterations < report.oracle_calls
+    assert report.converged and report.iterations < report.oracle_calls
     assert report.levels == (5, 20)
     # every semi-dual pass is counted: psi is read off the last one; each
     # pass covers every block of its level's workspace
@@ -397,16 +439,14 @@ def test_oracle_calls_add_up(rng):
 def test_failed_line_search_ends_as_nonconvergence(rng, monkeypatch):
     # a descent direction whose trials are never finite: the line search
     # gives up after MAX_HALVINGS rejected trials and the solve stops there,
-    # carrying the last accepted point
+    # returning the last accepted point
     data, grid = random_instance(rng, I=5, J=20, N=1)
     monkeypatch.setattr(solver, "_newton_step",
                         lambda sd, grad, r, eps: -1e300 * grad)
-    with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, SolverConfig(epsilon=0.5))
-    r = exc.value.report
+    dv, coupling, r = solver.solve(data, grid, SolverConfig(epsilon=0.5))
+    assert not r.converged
     assert r.iterations == 0 and r.backtracks == solver.MAX_HALVINGS
     assert r.oracle_calls == r.stages + r.backtracks
-    dv, coupling = exc.value.best
     assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
 
 
@@ -417,9 +457,8 @@ def test_non_descent_direction_ends_as_nonconvergence(rng, monkeypatch, directio
     bad = {"ascent": lambda grad: grad, "nan": lambda grad: np.full_like(grad, np.nan)}
     monkeypatch.setattr(solver, "_newton_step",
                         lambda sd, grad, r, eps: bad[direction](grad))
-    with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, SolverConfig(epsilon=0.5))
-    r = exc.value.report
+    _, _, r = solver.solve(data, grid, SolverConfig(epsilon=0.5))
+    assert not r.converged
     assert r.iterations == 0 and r.backtracks == 0
     assert r.oracle_calls == r.stages == 1
 
@@ -433,16 +472,14 @@ def test_spent_steps_skip_to_the_last_rung(rng, monkeypatch):
     monkeypatch.setattr(solver.SemiDual, "evaluate",
                         lambda sd, z, eps: seen.append(eps) or real(sd, z, eps))
     cfg = SolverConfig(epsilon=1e-30, max_iter=1)
-    with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, cfg)
-    r = exc.value.report
+    dv, _, r = solver.solve(data, grid, cfg)
+    assert not r.converged
     ladder = solver._ladder(cfg.epsilon, math.inf, data, grid)
     rungs = list(dict.fromkeys(seen))
     assert r.iterations == 1 and len(ladder) > 40
     assert rungs == ladder[:r.stages - 1] + [ladder[-1]] and r.stages < 5
     assert seen.count(cfg.epsilon) == 1 and seen[-1] == cfg.epsilon
     assert r.oracle_calls == len(seen) == r.stages + r.iterations + r.backtracks
-    dv, _ = exc.value.best
     assert np.isfinite(dv.psi).all()
 
 
@@ -458,7 +495,6 @@ def test_chain_meets_the_gates_of_a_cold_solve(monkeypatch, d, n_grid):
     cfgs = [SolverConfig(epsilon=eps, tol=tol) for eps in (1.0, 0.5, 0.1, 0.05)]
     reports = []
     for result in solver.solve_chain(data, grid, cfgs):
-        assert not isinstance(result, NonConvergenceError)
         _, coupling, r = result
         assert r.converged and r.grad_inf <= tol
         assert r.duality_gap <= 10 * tol * max(1.0, abs(r.objective))
@@ -497,10 +533,10 @@ def test_chain_restarts_cold_until_a_config_converges(rng):
     # down its whole ladder, as a cold solve, bit for bit
     data, grid = random_instance(rng, I=5, J=40, N=1)
     cold = SolverConfig(epsilon=0.1, tol=1e-9)
-    failed, result = solver.solve_chain(
+    (_, _, failed), (dv, _, r) = solver.solve_chain(
         data, grid, [SolverConfig(epsilon=0.5, tol=1e-12, max_iter=1), cold])
-    assert isinstance(failed, NonConvergenceError) and failed.report.iterations == 1
-    dv, _, r = result
+    assert not failed.converged and failed.iterations == 1
+    assert r.converged
     dv_cold, _, r_cold = solver.solve(data, grid, cold)
     assert dv.psi.tobytes() == dv_cold.psi.tobytes()
     assert dv.b.tobytes() == dv_cold.b.tobytes()
@@ -510,6 +546,7 @@ def test_chain_restarts_cold_until_a_config_converges(rng):
 def test_report_objective_is_psi_dual_value(rng):
     data, grid = random_instance(rng, I=6, J=30, N=2)
     dv, coupling, r = solver.solve(data, grid, SolverConfig(epsilon=0.1, tol=1e-9))
+    assert r.converged
     ref = solver.extract_coupling(dv, data, grid, 0.1).objective
     assert abs(r.objective - ref) <= 1e-9 * max(1.0, abs(ref))
     assert r.grad_inf == max(np.abs(coupling.col_residual).max(),
@@ -518,15 +555,13 @@ def test_report_objective_is_psi_dual_value(rng):
 
 def test_capped_small_epsilon_solve_reports_the_psi_dual_value():
     # a solve stopped after one Newton step at a small epsilon: the report's
-    # objective is J at the point it carries, bit for bit, and finite
+    # objective is J at the point it returns, bit for bit, and finite
     data, _ = synth.generate(synth.SynthSpec(n_samples=200, seed=3))
     data, grid = center_covariates(data), make_rank_grid(1, 10)
-    with pytest.raises(NonConvergenceError) as info:
-        solver.solve(data, grid, SolverConfig(epsilon=1e-4, tol=1e-7, max_iter=1))
-    dv, _ = info.value.best
-    objective = info.value.report.objective
-    assert np.isfinite(objective)
-    assert objective == solver.extract_coupling(dv, data, grid, 1e-4).objective
+    dv, _, report = solver.solve(data, grid, SolverConfig(epsilon=1e-4, tol=1e-7, max_iter=1))
+    assert not report.converged
+    assert np.isfinite(report.objective)
+    assert report.objective == solver.extract_coupling(dv, data, grid, 1e-4).objective
 
 
 def _synth_fit(X, Y, eps, grid):
@@ -555,12 +590,13 @@ def test_step_count_and_coupling_are_scale_free():
     grid = make_rank_grid(2, 4)
     eps = 0.05
     _, base, r0 = _synth_fit(data.X, data.Y, eps, grid)
+    assert r0.converged
     # the last case shifts X by 1000 times its spread before centering
     for X, Y, e in ((data.X * 1e3, data.Y, eps), (data.X / 1e3, data.Y, eps),
                     (data.X, data.Y * 1e3, eps * 1e3),
                     (data.X + 1e3 * np.ptp(data.X, axis=0), data.Y, eps)):
         _, coupling, r = _synth_fit(X, Y, e, grid)
-        assert (r.iterations, r.stages, r.backtracks) == \
+        assert r.converged and (r.iterations, r.stages, r.backtracks) == \
             (r0.iterations, r0.stages, r0.backtracks)
         np.testing.assert_allclose(coupling.alpha, base.alpha, rtol=0, atol=1e-9)
 
@@ -603,7 +639,6 @@ def _fit_instance(n=1200, order=None):
 def _assert_gates(result, tol=1e-7):
     """The benchmark's gates on a fit: converged, gap < 1e-5, row residual
     < 1e-12, column and mean-independence residuals < 1e-6."""
-    assert not isinstance(result, NonConvergenceError), result
     _, coupling, r = result
     assert r.converged and r.grad_inf <= tol and r.duality_gap < 1e-5
     assert np.abs(coupling.row_residual).max() < 1e-12
@@ -712,9 +747,7 @@ def test_capped_solve_keeps_the_coarse_level_steps(monkeypatch, max_iter):
     real = solver.SemiDual.evaluate
     monkeypatch.setattr(solver.SemiDual, "evaluate", lambda sd, z, eps: passes.append(
         (sd.data.n_obs, eps, z.copy())) or real(sd, z, eps))
-    with pytest.raises(NonConvergenceError) as exc:
-        solver.solve(data, grid, cfg)
-    r = exc.value.report
+    dv, coupling, r = solver.solve(data, grid, cfg)
     assert r.levels == (300, 1200) and r.iterations == max_iter and not r.converged
     assert r.oracle_calls == len(passes) == r.stages + r.iterations + r.backtracks
     # the one full-level pass is at the coarse level's last point, bit for bit
@@ -722,7 +755,6 @@ def test_capped_solve_keeps_the_coarse_level_steps(monkeypatch, max_iter):
     coarse = [z for n, _, z in passes if n == 300][-1]
     np.testing.assert_array_equal(z, coarse)
     assert eps == 0.1 and np.abs(z).max() > 0 and np.all(z[0] == 0.0)
-    dv, coupling = exc.value.best
     np.testing.assert_array_equal(dv.b, z[:, 1:])
     assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
     assert np.isfinite(r.objective) and r.grad_inf < at_zero
@@ -739,7 +771,7 @@ def test_chain_solves_one_coarse_level_at_most(monkeypatch):
                         lambda sd, data, grid: sizes.append(data.n_obs) or real(sd, data, grid))
     cfgs = [SolverConfig(epsilon=0.5, tol=1e-7, max_iter=1), SolverConfig(epsilon=0.1, tol=1e-7)]
     first, second = solver.solve_chain(data, grid, cfgs)
-    assert isinstance(first, NonConvergenceError) and first.report.levels == (300, 1200)
+    assert not first[2].converged and first[2].levels == (300, 1200)
     _assert_gates(second)
     assert second[2].levels == (1200,) and sizes == [300, 1200]
     monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 10 ** 18)
@@ -837,7 +869,7 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
         (sd.data.n_obs, eps)) or real(sd, z, eps))
     results = solver.solve_chain(data, grid, cfgs)
     for config, result, (full, coarse) in zip(cfgs, results, expected, strict=True):
-        assert isinstance(result, NonConvergenceError) == (config is capped)
+        assert result[2].converged == (config is not capped)
         for rows, want in ((1200, full), (300, coarse)):
             eps_seen = [e for n, e in seen if n == rows]
             if want is not None:
