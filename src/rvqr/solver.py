@@ -18,9 +18,9 @@ returns psi_j = eps log sum_i exp(s_ij) - eps log nu_j, the psi-dual point
 of the same coupling. The dual is unchanged by psi -> psi + c and
 (psi, b) -> (psi - X c, b + c); the gauge of the returned point is the
 solver's own: Newton never moves node 1, so phi_1 = 0 and b_1 = 0 exactly,
-and psi is read off the last accepted pass. As z does not grow with J, a
-large cold solve starts from the z solved on every fourth row. All
-log-sum-exp / softmax reductions are max-stabilized (see kernels).
+and psi is read off the last accepted pass. A cold walk starts at F's
+minimizer at eps = inf; a large cold solve first walks every fourth row.
+All log-sum-exp / softmax reductions are max-stabilized (see kernels).
 """
 
 import base64
@@ -217,15 +217,13 @@ class SemiDual:
     def hvp(self, v, eps):
         """H v at the last point evaluated, for an I x K array v:
         (H v)_i = (1/eps) [m_i v_i - sum_j nu_j p_ij c_j a_j] with
-        c_j = sum_k p_kj a_j.v_k = (v'p)_0j + sum_{r>=1} (v'p)_rj a_rj, as
-        a_0 = 1: two skinny products with each block of p and no I x J
+        c_j = sum_k p_kj a_j.v_k = sum_r (v'p)_rj a_rj, one einsum over the
+        block's a: two skinny products with each block of p and no I x J
         temporary."""
-        d = self.data.n_dim
         cross = np.zeros(v.shape[::-1])
         for feats, a_nu, p in zip(self.feats, self.a_nu, self.p):
-            vp = v.T @ p
-            vp[1:] *= feats[d + 1:]
-            cross += (a_nu * vp.sum(axis=0)) @ p.T
+            c = np.einsum("rj,rj->j", v.T @ p, feats[self.data.n_dim:])
+            cross += (a_nu * c) @ p.T
         self.products += 1
         return (np.einsum("irs,is->ir", self.m, v) - cross.T) / eps
 
@@ -240,7 +238,7 @@ def _newton_step(sd, grad, r, eps):
     part -sum_j nu_j p_ij^2 a_j a_j' / eps, they carry every per-node
     degeneracy (a constant or collinear covariate). They stop once the
     preconditioned residual norm is CG_FORCING times that of -grad, or
-    after CG_MAX_ITER products.
+    after CG_MAX_ITER products, in place on I x K arrays whose row 1 is 0.
     """
     I, K = grad.shape
     blocks = sd.m[1:] / eps
@@ -250,33 +248,23 @@ def _newton_step(sd, grad, r, eps):
     blocks[:, np.arange(K), np.arange(K)] += D
     inverse = np.linalg.inv(blocks)
 
-    v = np.zeros((I, K))
-
-    def product(x):
-        v[1:] = x
-        return sd.hvp(v, eps)[1:] + D * x
-
-    def precondition(x):
-        return np.einsum("irs,is->ir", inverse, x)
-
-    x = np.zeros((I - 1, K))
+    step, direction = np.zeros((I, K)), np.zeros((I, K))
     res = -grad[1:]
-    y = precondition(res)
-    direction = y
-    ry = float(np.sum(res * y))
+    direction[1:] = y = np.einsum("irs,is->ir", inverse, res)
+    ry = np.vdot(res, y)
     stop = CG_FORCING ** 2 * ry
     for _ in range(CG_MAX_ITER):
-        hd = product(direction)
-        alpha = ry / float(np.sum(direction * hd))
-        x = x + alpha * direction
-        res = res - alpha * hd
-        y = precondition(res)
-        ry, ry_old = float(np.sum(res * y)), ry
+        hd = sd.hvp(direction, eps)[1:]
+        hd += D * direction[1:]
+        alpha = ry / np.vdot(direction[1:], hd)
+        step[1:] += alpha * direction[1:]
+        res -= alpha * hd
+        np.einsum("irs,is->ir", inverse, res, out=y)
+        ry, ry_old = np.vdot(res, y), ry
         if ry <= stop:
             break
-        direction = y + (ry / ry_old) * direction
-    step = np.zeros_like(grad)
-    step[1:] = x
+        direction[1:] *= ry / ry_old
+        direction[1:] += y
     return step
 
 
@@ -314,6 +302,18 @@ def _stop_weights(data, grid):
     return scale / grid.mu[:, None]
 
 
+def _cold_start(data, grid):
+    """(z_LS, inf), z_LS_i = B (u_i - u_1) for B the nu-weighted least-squares
+    coefficients of Y on a = (1, x), minimum-norm for a constant or collinear
+    x: for equal mu_i, F's minimizer at eps = inf, as F = c(eps) + V(z)/(2 eps)
+    + O(1/eps^2) with V(z) = sum_j nu_j var_i(u_i.y_j - z_i.a_j)."""
+    w = np.sqrt(data.nu)[:, None]
+    B = np.linalg.lstsq(w * np.c_[np.ones(data.n_obs), data.X], w * data.Y, rcond=None)[0]
+    z = np.zeros((grid.n_nodes, 1 + data.n_cov))
+    z[1:] = (grid.U[1:] - grid.U[0]) @ B.T
+    return z, math.inf
+
+
 @dataclass
 class _Tally:
     """The counters of one config's solve, summed over its levels."""
@@ -327,9 +327,9 @@ class _Tally:
 def _walk(sd, z, eps_z, cfg, tol, tally):
     """Damped Newton on the semi-dual of `sd` at cfg.epsilon from the start
     (z, eps_z): a z already solved at eps_z to at least STAGE_TOL, or
-    eps_z = inf, as for the cold start z = 0. Every walk starts by this one
-    rule, the epsilon scaling of Schmitzer (arXiv 1610.06519): it runs down
-    the rungs of _ladder(cfg.epsilon, eps_z, sd.data, sd.grid). Each rung
+    eps_z = inf, as for _cold_start's (z_LS, inf). Every walk starts by this
+    one rule, the epsilon scaling of Schmitzer (arXiv 1610.06519): it runs
+    down the rungs of _ladder(cfg.epsilon, eps_z, sd.data, sd.grid). Each rung
     stops on the scale-free residual
     r = max_i |grad_i * (1, 1/|x_1|max, ..., 1/|x_N|max)|_inf / mu_i, the
     relative row and mean-independence residuals of the semi-dual coupling
@@ -386,8 +386,8 @@ def _walk(sd, z, eps_z, cfg, tol, tally):
 
 def _coarse_start(data, grid, cfg, tally):
     """The start (z, eps_z) of a cold walk on `data` at cfg.epsilon (see
-    _walk): (0, inf), or where I J >= COARSE_MIN_ENTRIES and rows 0, 4,
-    8, ... keep one per node, the z those rows reach.
+    _walk): _cold_start's (z_LS, inf), or where I J >= COARSE_MIN_ENTRIES
+    and rows 0, 4, 8, ... keep one per node, the z those rows reach.
 
     The unknowns z live on the rank grid, so a subsample's optimum lies next
     to the full sample's: the coarse-to-fine scheme of multiscale
@@ -402,7 +402,7 @@ def _coarse_start(data, grid, cfg, tally):
     """
     I, J = grid.n_nodes, data.n_obs
     if I * J < COARSE_MIN_ENTRIES or J // COARSE_STRIDE < I:
-        return np.zeros((I, 1 + data.n_cov)), math.inf
+        return _cold_start(data, grid)
     rows = slice(None, None, COARSE_STRIDE)
     sub = replace(data, X=data.X[rows], Y=data.Y[rows],
                   nu=data.nu[rows] / data.nu[rows].sum())
@@ -418,13 +418,13 @@ def solve_chain(data, grid, cfgs):
 
     Every walk starts from one pair (z, eps_z), as _walk says. The chain
     keeps the pair of the last config that converged, (z, cfg.epsilon), and
-    (0, inf) before one has; the first config alone starts instead from
-    _coarse_start's pair, whose workspace is freed before the chain's is
-    allocated. Given in descending epsilon, the list is one descending
-    chain: each config walks only the rungs below the last converged
-    epsilon. Each walk stops at STAGE_TOL on every rung but cfg.epsilon's,
-    and there at cfg.tol; max_iter bounds the config's Newton steps over its
-    levels and stages.
+    starts from _cold_start's (z_LS, inf) before one has; the first config
+    alone starts instead from _coarse_start's pair, whose workspace is freed
+    before the chain's is allocated. Given in descending epsilon, the list
+    is one descending chain: each config walks only the rungs below the last
+    converged epsilon. Each walk stops at STAGE_TOL on every rung but
+    cfg.epsilon's, and there at cfg.tol; max_iter bounds the config's Newton
+    steps over its levels and stages.
 
     Yields (DualVariables, Coupling, SolveReport) for every config, whether
     or not it ends within its tol: the psi-dual point of the last accepted
@@ -445,15 +445,17 @@ def solve_chain(data, grid, cfgs):
         raise ConfigError("covariates must be centered before solving")
 
     start = time.perf_counter()
-    warm = np.zeros((grid.n_nodes, 1 + data.n_cov)), math.inf
+    warm = None
     for n, cfg in enumerate(cfgs):
         tally = _Tally()
-        if n == 0:
-            z, eps_z = _coarse_start(data, grid, cfg, tally)
-            sd = SemiDual(data, grid)
-        else:
-            z, eps_z = warm
-        z, r, lse = _walk(sd, z, eps_z, cfg, cfg.tol, tally)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            if n == 0:
+                z, eps_z = _coarse_start(data, grid, cfg, tally)
+                sd = SemiDual(data, grid)
+            else:
+                z, eps_z = warm or _cold_start(data, grid)
+            z, r, lse = _walk(sd, z, eps_z, cfg, cfg.tol, tally)
+            dv = DualVariables(psi=cfg.epsilon * (lse - np.log(data.nu)), b=z[:, 1:])
         wall = time.perf_counter() - start
         converged = r <= cfg.tol
         if converged:
@@ -462,8 +464,6 @@ def solve_chain(data, grid, cfgs):
             # free the workspace before the last coupling pass allocates its own
             del sd
 
-        with np.errstate(over="ignore"):  # refused just below
-            dv = DualVariables(psi=cfg.epsilon * (lse - np.log(data.nu)), b=z[:, 1:])
         if not (np.isfinite(dv.psi).all() and np.isfinite(dv.b).all()):
             why = ("psi = eps (lse - log nu) overflows, as epsilon is too large for this data"
                    if np.isfinite(lse).all() and np.isfinite(dv.b).all() else

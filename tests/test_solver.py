@@ -9,7 +9,7 @@ import pytest
 from conftest import random_instance
 from rvqr import cli, kernels, solver, synth
 from rvqr.errors import ConfigError
-from rvqr.measures import Dataset, center_covariates, make_rank_grid
+from rvqr.measures import Dataset, RankGrid, center_covariates, make_rank_grid
 from rvqr.solver import DualVariables, SolverConfig
 
 
@@ -529,8 +529,9 @@ def test_chain_walks_the_rungs_below_the_last_converged_epsilon(rng, monkeypatch
 
 
 def test_chain_restarts_cold_until_a_config_converges(rng):
-    # the first config runs out of Newton steps; the next starts from z = 0
-    # down its whole ladder, as a cold solve, bit for bit
+    # the first config runs out of Newton steps; the next starts from the
+    # cold start (z_LS, inf) down its whole ladder, as a cold solve, bit for
+    # bit
     data, grid = random_instance(rng, I=5, J=40, N=1)
     cold = SolverConfig(epsilon=0.1, tol=1e-9)
     (_, _, failed), (dv, _, r) = solver.solve_chain(
@@ -643,16 +644,17 @@ def _assert_gates(result, tol=1e-7):
     assert r.converged and r.grad_inf <= tol and r.duality_gap < 1e-5
     assert np.abs(coupling.row_residual).max() < 1e-12
     assert np.abs(coupling.col_residual).max() < 1e-6
-    assert np.abs(coupling.mi_residual).max() < 1e-6
+    assert np.abs(coupling.mi_residual).max(initial=0.0) < 1e-6
 
 
 def test_small_solve_keeps_one_level_and_its_counters():
     # 1,200 rows on 10 nodes are fewer than COARSE_MIN_ENTRIES entries: the
     # solve never starts from a coarse level, and these are the counters of
-    # the solver before the level existed
+    # one level walked from the least-squares start (from z = 0 they were
+    # (2, 6, 9, 1, 36) and (4, 8, 12, 0, 70))
     data, grid = _fit_instance()
     assert grid.n_nodes * data.n_obs < solver.COARSE_MIN_ENTRIES
-    for eps, counts in ((0.1, (2, 6, 9, 1, 36)), (0.01, (4, 8, 12, 0, 70))):
+    for eps, counts in ((0.1, (2, 4, 6, 0, 26)), (0.01, (4, 6, 10, 0, 68))):
         _, _, r = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=1e-7))
         assert r.levels == (1200,)
         assert (r.stages, r.iterations, r.oracle_calls, r.backtracks,
@@ -729,19 +731,20 @@ def test_coarse_level_survives_adversarial_row_orders(monkeypatch, order, eps):
 @pytest.mark.parametrize("max_iter", [1, 3])
 def test_capped_solve_keeps_the_coarse_level_steps(monkeypatch, max_iter):
     # max_iter bounds the Newton steps of every level together. Capped below
-    # what the coarse level needs, it spends them all there and ends above
-    # STAGE_TOL; the full level starts from the point those steps reached,
-    # walks the whole ladder and, with no step left, evaluates its last rung
+    # what the coarse level needs (4 steps to STAGE_TOL at this epsilon), it
+    # spends them all there and ends above STAGE_TOL; the full level starts
+    # from the point those steps reached, walks the whole ladder and, with no
+    # step left, evaluates its last rung
     data, grid = _fit_instance()
-    cfg = SolverConfig(epsilon=0.1, tol=1e-7, max_iter=max_iter)
+    eps = 0.005
+    cfg = SolverConfig(epsilon=eps, tol=1e-7, max_iter=max_iter)
 
     def residual(z):  # of the psi-dual point read off z
-        lse = solver.SemiDual(data, grid).evaluate(z, 0.1)[2]
+        lse = solver.SemiDual(data, grid).evaluate(z, eps)[2]
         c = solver.extract_coupling(solver.DualVariables(
-            psi=0.1 * (lse - np.log(data.nu)), b=z[:, 1:]), data, grid, 0.1)
+            psi=eps * (lse - np.log(data.nu)), b=z[:, 1:]), data, grid, eps)
         return max(np.abs(c.col_residual).max(), np.abs(c.mi_residual).max())
 
-    at_zero = residual(np.zeros((grid.n_nodes, 2)))
     monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 12000)
     passes = []  # (rows, eps, z) of each semi-dual pass
     real = solver.SemiDual.evaluate
@@ -751,18 +754,20 @@ def test_capped_solve_keeps_the_coarse_level_steps(monkeypatch, max_iter):
     assert r.levels == (300, 1200) and r.iterations == max_iter and not r.converged
     assert r.oracle_calls == len(passes) == r.stages + r.iterations + r.backtracks
     # the one full-level pass is at the coarse level's last point, bit for bit
-    (_, eps, z), = [p for p in passes if p[0] == 1200]
+    (_, last, z), = [p for p in passes if p[0] == 1200]
     coarse = [z for n, _, z in passes if n == 300][-1]
     np.testing.assert_array_equal(z, coarse)
-    assert eps == 0.1 and np.abs(z).max() > 0 and np.all(z[0] == 0.0)
+    assert last == eps and np.abs(z).max() > 0 and np.all(z[0] == 0.0)
     np.testing.assert_array_equal(dv.b, z[:, 1:])
     assert np.isfinite(dv.psi).all() and np.isfinite(coupling.alpha).all()
-    assert np.isfinite(r.objective) and r.grad_inf < at_zero
+    # nearer the optimum than the coarse rows' cold start, the first pass
+    assert np.isfinite(r.objective) and r.grad_inf < residual(passes[0][2])
 
 
 def test_chain_solves_one_coarse_level_at_most(monkeypatch):
     # a first config that does not converge leaves the next one cold: it
-    # starts from z = 0 on the full workspace, without a second coarse level
+    # starts from the full sample's least-squares z on the full workspace,
+    # without a second coarse level
     data, grid = _fit_instance()
     monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 12000)
     sizes = []
@@ -777,6 +782,73 @@ def test_chain_solves_one_coarse_level_at_most(monkeypatch):
     monkeypatch.setattr(solver, "COARSE_MIN_ENTRIES", 10 ** 18)
     _, _, cold = solver.solve(data, grid, cfgs[1])
     assert second[2].oracle_calls == cold.oracle_calls
+
+
+def _synth_instance(n, d, n_cov, n_grid, seed=7):
+    data, _ = synth.generate(synth.SynthSpec(n_samples=n, seed=seed, d=d, n_cov=n_cov))
+    return center_covariates(data), make_rank_grid(d, n_grid)
+
+
+@pytest.mark.parametrize("d, n_cov", [(1, 0), (1, 1), (2, 2)])
+def test_cold_start_is_the_weighted_least_squares_map(d, n_cov):
+    # z_i = B (u_i - u_1), B from the normal equations of Y on (1, x) with
+    # the weights nu; node 1 is exactly +0.0, bit for bit, at any scale of Y
+    data, grid = _synth_instance(300, d, n_cov, 4)
+    nu = np.linspace(1.0, 3.0, data.n_obs)
+    data = replace(data, nu=nu / nu.sum())
+    a = np.hstack([np.ones((data.n_obs, 1)), data.X])
+    B = np.linalg.solve(a.T @ (data.nu[:, None] * a), a.T @ (data.nu[:, None] * data.Y))
+    for scale in (1.0, -1e300):
+        scaled = replace(data, Y=scale * data.Y)
+        z, eps_z = solver._cold_start(scaled, grid)
+        assert eps_z == math.inf and z.shape == (grid.n_nodes, 1 + n_cov)
+        assert z[0].tobytes() == np.zeros(1 + n_cov).tobytes()
+        np.testing.assert_allclose(z, scale * (grid.U - grid.U[0]) @ B.T, rtol=1e-10,
+                                   atol=1e-12 * abs(scale))
+
+
+def test_walk_at_large_epsilon_ends_within_a_first_order_term_of_the_start():
+    # the cold start is the semi-dual's minimizer at eps = inf: at eps = 10,
+    # 100 and 1000 the walk's solution z(eps) is within C / eps of it, C =
+    # 0.05 for this instance, and eps |z(eps) - z_LS| is one first-order
+    # term, the same at all three to 1 %
+    data, grid = _synth_instance(300, 2, 2, 4)
+    sd = solver.SemiDual(data, grid)
+    z_ls, eps_z = solver._cold_start(data, grid)
+    terms = []
+    for eps in (10.0, 100.0, 1000.0):
+        z, r, _ = solver._walk(sd, z_ls, eps_z, SolverConfig(epsilon=eps, tol=1e-12), 1e-12,
+                               solver._Tally())
+        assert r <= 1e-12 and np.all(z[0] == 0.0)
+        terms.append(eps * np.abs(z - z_ls).max())
+    assert max(terms) <= 0.05
+    assert max(terms) <= 1.01 * min(terms) and min(terms) > 0
+
+
+@pytest.mark.parametrize("case", ["no_covariate", "constant", "collinear", "weighted_grid"])
+def test_fits_from_the_least_squares_start_meet_the_gates(case):
+    # the start's least-squares solve is minimum-norm: a constant covariate
+    # (centered to rounding noise) or x_2 = 2 x_1 leaves its normal
+    # equations singular; on a grid of unequal weights mu the start is not
+    # the eps = inf minimizer, and the walk still gets there
+    if case == "collinear":
+        data, grid = _synth_instance(500, 2, 2, 4, seed=3)
+        data = center_covariates(replace(data, X=np.column_stack(
+            [data.X[:, 0], 2.0 * data.X[:, 0]]) + data.x_mean, x_mean=np.zeros(2)))
+    else:
+        data, grid = _fit_instance()
+        if case == "no_covariate":
+            data = replace(data, X=data.X[:, :0], x_mean=data.x_mean[:0], x_names=())
+        elif case == "constant":
+            data = center_covariates(replace(data, X=np.full_like(data.X, 0.25),
+                                             x_mean=np.zeros(1)))
+        elif case == "weighted_grid":
+            mu = np.random.default_rng(5).uniform(0.5, 1.5, grid.n_nodes)
+            grid = RankGrid(U=grid.U, mu=mu / mu.sum())
+    for eps in (0.1, 0.01):
+        result = solver.solve(data, grid, SolverConfig(epsilon=eps, tol=1e-7))
+        _assert_gates(result)
+        assert result[0].b[0].tobytes() == np.zeros(data.n_cov).tobytes()
 
 
 @pytest.mark.parametrize("law", ["positive", "mixed", "negative", "zero"])
@@ -838,7 +910,8 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
     # strictly below eps_z and at most LADDER_TOP times the spread, then
     # eps: eps_z = inf for a cold start, on the full sample or on the coarse
     # rows, eps on the full sample after a coarse level that reached
-    # STAGE_TOL, and the last converged epsilon in a chain.
+    # STAGE_TOL, and the last converged epsilon in a chain. A cold walk's
+    # first pass is at its rows' least-squares start, bit for bit.
     data, grid = _fit_instance()
     cfg = SolverConfig(epsilon=0.02, tol=1e-7)
     capped = SolverConfig(epsilon=0.1, tol=1e-12, max_iter=1)
@@ -857,24 +930,30 @@ def test_every_walk_starts_by_one_rule(monkeypatch, case):
 
     # the cold ladder at 0.02 on these rows is 0.32, 0.08, 0.02
     assert rungs(0.02, math.inf) == [0.32, 0.08, 0.02]
-    expected = {  # per config: the full level's rungs, and the coarse level's
-        "cold": [(rungs(0.02, math.inf), None)],
-        "coarse": [([0.02], rungs(0.02, math.inf, slice(None, None, 4)))],
-        "warm": [(rungs(0.32, math.inf), None), ([0.08, 0.02], None)],
-        "first_fails": [(None, None), (rungs(0.02, math.inf), None)],
+    expected = {  # per config: the full level's rungs, the coarse level's,
+        # and the rows of its cold walk
+        "cold": [(rungs(0.02, math.inf), None, 1200)],
+        "coarse": [([0.02], rungs(0.02, math.inf, slice(None, None, 4)), 300)],
+        "warm": [(rungs(0.32, math.inf), None, 1200), ([0.08, 0.02], None, None)],
+        "first_fails": [(None, None, 1200), (rungs(0.02, math.inf), None, 1200)],
     }[case]
-    seen = []  # (rows, eps) of each semi-dual pass
+    seen = []  # (rows, eps, z) of each semi-dual pass
     real = solver.SemiDual.evaluate
     monkeypatch.setattr(solver.SemiDual, "evaluate", lambda sd, z, eps: seen.append(
-        (sd.data.n_obs, eps)) or real(sd, z, eps))
+        (sd.data.n_obs, eps, z.copy())) or real(sd, z, eps))
     results = solver.solve_chain(data, grid, cfgs)
-    for config, result, (full, coarse) in zip(cfgs, results, expected, strict=True):
+    for config, result, (full, coarse, cold) in zip(cfgs, results, expected, strict=True):
         assert result[2].converged == (config is not capped)
         for rows, want in ((1200, full), (300, coarse)):
-            eps_seen = [e for n, e in seen if n == rows]
+            eps_seen = [e for n, e, _ in seen if n == rows]
             if want is not None:
                 assert eps_seen == sorted(eps_seen, reverse=True)
                 assert list(dict.fromkeys(eps_seen)) == want
+        if cold is not None:  # the coarse rows as _coarse_start takes them
+            sub = data if cold == 1200 else replace(
+                data, X=data.X[::4], Y=data.Y[::4], nu=data.nu[::4] / data.nu[::4].sum())
+            assert seen[0][0] == cold
+            np.testing.assert_array_equal(seen[0][2], solver._cold_start(sub, grid)[0])
         seen.clear()
 
 
